@@ -23,31 +23,17 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, stats, subst, svgplot
 from .errors import (DuplicateGeoPair, LimitExceeded, LingdistError,
-                     MissingPair, NonPositiveDistance, ParseError,
-                     TooFewLanguages, UnknownTableName)
+                     MissingPair, ParseError, TooFewLanguages, UnknownTableName)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_LIMIT = 4
-
-
-@dataclass
-class RunConfig:
-    lexicon_path: str
-    table: str = "editable"
-    gap: float | None = None
-    linkage: str = "complete"
-    forced_k: int | None = None
-    bins: int | None = None
-    output_dir: str = "out"
-    seed: int = 0  # reserved for sampled plot decorations; nothing samples yet
 
 
 def _fmt(value):
@@ -60,12 +46,9 @@ def _load_lexicon(path):
     except OSError as exc:
         raise LingdistError(str(exc)) from exc
     try:
-        lex = lexicon.parse_lexicon(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        return lexicon.parse_lexicon(text)
     except LingdistError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    return lex
 
 
 def _load_table(name_or_path, gap=None):
@@ -111,9 +94,9 @@ def _pair_rows(matrix):
 
 # --- subcommands ----------------------------------------------------------
 
-def cmd_words_analyse(cfg):
-    lex = _load_lexicon(cfg.lexicon_path)
-    table = _load_table(cfg.table, cfg.gap)
+# Each subcommand maps (lexicon, table, parsed arguments) to {file name: text}.
+
+def cmd_words_analyse(lex, table, args):
     if len(lex.languages) < 2:
         raise TooFewLanguages("words-analyse needs at least 2 languages")
     names = lex.concept_names()
@@ -149,24 +132,21 @@ def cmd_words_analyse(cfg):
         artifacts[f"density_{cname}.svg"] = svgplot.curve_plot(
             curve.xs, curve.ys, title=f"density: {cname}")
 
-    scored = {name: stats.tscore(columns[name]) for name in names}
+    scored = stats.AnalysisFrame({name: stats.tscore(columns[name]) for name in names})
     artifacts["tscore.csv"] = _csv_text(
         ["pair"] + names,
-        [[pair_labels[r]] + [_fmt(scored[name][r]) for name in names]
+        [[pair_labels[r]] + [_fmt(scored.columns[name][r]) for name in names]
          for r in range(len(pair_labels))])
 
-    bc_names, bc_grid = stats.bhatt_matrix(frame, bins=cfg.bins)
+    bc_names, bc_grid = stats.bhatt_matrix(scored, bins=args.bins)
     artifacts["bhatt.csv"] = _csv_text(
         ("col_a", "col_b", "bc"),
         [(bc_names[i], bc_names[j], _fmt(bc_grid[i][j]))
          for i in range(len(bc_names)) for j in range(i + 1, len(bc_names))])
 
-    bc_dist = stats.bhatt_distance_matrix(frame, bins=cfg.bins)
-    dend = hc.agglomerate(bc_dist, cfg.linkage)
+    dend = hc.agglomerate(stats.bhatt_distance_matrix(bc_names, bc_grid), args.linkage)
     artifacts["bhatt_dendrogram.nwk"] = hc.export_newick(dend) + "\n"
     artifacts["bhatt_dendrogram.svg"] = hc.export_svg(dend)
-
-    _write_artifacts(cfg.output_dir, artifacts)
     return artifacts
 
 
@@ -194,13 +174,10 @@ def _read_truth(path):
     return truth
 
 
-def cmd_cluster(cfg, truth_path=None):
-    lex = _load_lexicon(cfg.lexicon_path)
-    table = _load_table(cfg.table, cfg.gap)
+def cmd_cluster(lex, table, args):
     matrix = editdist.language_matrix(lex, table)
-    dend = hc.agglomerate(matrix, cfg.linkage)
-    k_best, best_assignment, _report = hc.best_cut(matrix, dend)
-    scan = hc.silhouette_scan(matrix, dend)
+    dend = hc.agglomerate(matrix, args.linkage)
+    (_k, best_assignment, _report), means = hc.cut_scan(matrix, dend)
 
     artifacts = {
         "languages.oc": editdist.write_oc(matrix, io.StringIO()),
@@ -208,15 +185,13 @@ def cmd_cluster(cfg, truth_path=None):
         "dendrogram.svg": hc.export_svg(dend, best_assignment),
         "clusters.csv": _cluster_csv(best_assignment),
         "silhouette.csv": _csv_text(("k", "mean_silhouette"),
-                                    [(k, _fmt(s)) for k, s in scan]),
+                                    [(k, _fmt(mean)) for k, mean in means]),
     }
-    if cfg.forced_k is not None:
-        forced = hc.cut(dend, cfg.forced_k)
+    if args.k is not None:
+        forced = hc.cut(dend, args.k)
         artifacts["clusters_forced.csv"] = _cluster_csv(forced)
-        if truth_path is not None:
-            truth = _read_truth(truth_path)
-            artifacts["purity.csv"] = _purity_csv(hc.purity(forced, truth))
-    _write_artifacts(cfg.output_dir, artifacts)
+        if args.truth is not None:
+            artifacts["purity.csv"] = _purity_csv(hc.purity(forced, _read_truth(args.truth)))
     return artifacts
 
 
@@ -241,11 +216,9 @@ def _read_geo(path):
     return geo
 
 
-def cmd_relationship(cfg, geo_path):
-    lex = _load_lexicon(cfg.lexicon_path)
-    table = _load_table(cfg.table, cfg.gap)
+def cmd_relationship(lex, table, args):
     matrix = editdist.language_matrix(lex, table)
-    geo = _read_geo(geo_path)
+    geo = _read_geo(args.geo)
 
     pairs = []
     for a, b, ling in _pair_rows(matrix):
@@ -256,8 +229,6 @@ def cmd_relationship(cfg, geo_path):
 
     geo_values = [g for _a, _b, _l, g in pairs]
     ling_values = [l for _a, _b, l, _g in pairs]
-    if any(g <= 0 for g in geo_values):
-        raise NonPositiveDistance("log10 regression needs every geo distance > 0")
     raw = stats.linregress(geo_values, ling_values)
     logged = stats.linregress(geo_values, ling_values, log10_x=True)
 
@@ -282,24 +253,21 @@ def cmd_relationship(cfg, geo_path):
             title="linguistic vs log10 geographic distance",
             x_label="log10 geo distance", y_label="linguistic distance"),
     }
-    _write_artifacts(cfg.output_dir, artifacts)
     return artifacts
 
 
-def cmd_all_to_all(cfg, truth_path=None):
-    lex = _load_lexicon(cfg.lexicon_path)
-    table = _load_table(cfg.table, cfg.gap)
+def cmd_all_to_all(lex, table, args):
     matrix = editdist.all_to_all_matrix(lex, table)
-    dend = hc.agglomerate(matrix, cfg.linkage)
+    dend = hc.agglomerate(matrix, args.linkage)
     _k, best_assignment, _report = hc.best_cut(matrix, dend)
 
-    forced_k = cfg.forced_k if cfg.forced_k is not None else lex.n_concepts
+    forced_k = args.k if args.k is not None else lex.n_concepts
     if forced_k < 2:
         raise TooFewLanguages("forced cut needs k >= 2; give --k explicitly")
     forced = hc.cut(dend, forced_k)
 
-    if truth_path is not None:
-        truth = _read_truth(truth_path)
+    if args.truth is not None:
+        truth = _read_truth(args.truth)
     else:
         truth = {label: label.rsplit(":", 1)[1] for label in matrix.labels}
     purity_report = hc.purity(forced, truth)
@@ -310,11 +278,32 @@ def cmd_all_to_all(cfg, truth_path=None):
         f"clusters_k{forced_k}.csv": _cluster_csv(forced),
         "purity.csv": _purity_csv(purity_report),
     }
-    _write_artifacts(cfg.output_dir, artifacts)
     return artifacts
 
 
 # --- argument parsing -------------------------------------------------------
+
+def _int_at_least(minimum):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _cost(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -322,60 +311,44 @@ def _build_parser():
         description="Compare languages by weighted phonetic edit distance.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, geo=False):
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--lexicon", required=True, help="language database file")
         p.add_argument("--table", default="editable",
                        help="built-in table name or table DSL file (default: editable)")
-        p.add_argument("--gap", type=float, default=None, help="gap penalty override")
-        p.add_argument("--linkage", choices=hc.LINKAGES, default="complete")
-        p.add_argument("--k", type=int, default=None, help="forced cluster count")
-        p.add_argument("--bins", type=int, default=None,
-                       help="histogram bins for Bhattacharyya")
-        p.add_argument("--truth", default=None, help="CSV of label,class for purity")
+        p.add_argument("--gap", type=_cost, default=None, help="gap penalty override")
         p.add_argument("--out", default="out", help="output directory")
-        if geo:
-            p.add_argument("--geo", required=True,
-                           help="CSV of place_a,place_b,distance_km")
+        return p
 
-    common(sub.add_parser("words-analyse", help="per-word statistics and plots"))
-    common(sub.add_parser("cluster", help="cluster languages, best silhouette cut"))
-    common(sub.add_parser("relationship",
-                          help="regress linguistic on geographic distance"), geo=True)
-    common(sub.add_parser("all-to-all", help="compare every word against every word"))
+    words = command("words-analyse", cmd_words_analyse, "per-word statistics and plots")
+    words.add_argument("--linkage", choices=hc.LINKAGES, default="complete")
+    words.add_argument("--bins", type=_int_at_least(1), default=None,
+                       help="histogram bins for Bhattacharyya")
+    for name, run, help_text in (
+            ("cluster", cmd_cluster, "cluster languages, best silhouette cut"),
+            ("all-to-all", cmd_all_to_all, "compare every word against every word")):
+        p = command(name, run, help_text)
+        p.add_argument("--linkage", choices=hc.LINKAGES, default="complete")
+        p.add_argument("--k", type=_int_at_least(2), default=None,
+                       help="forced cluster count")
+        p.add_argument("--truth", default=None, help="CSV of label,class for purity")
+    relationship = command("relationship", cmd_relationship,
+                           "regress linguistic on geographic distance")
+    relationship.add_argument("--geo", required=True,
+                              help="CSV of place_a,place_b,distance_km")
     return parser
-
-
-def _config_from(args):
-    return RunConfig(
-        lexicon_path=args.lexicon,
-        table=args.table,
-        gap=args.gap,
-        linkage=args.linkage,
-        forced_k=args.k,
-        bins=args.bins,
-        output_dir=args.out,
-    )
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.k is not None and args.k < 2:
-        parser.error("--k must be >= 2")
-    if args.bins is not None and args.bins < 1:
-        parser.error("--bins must be >= 1")
-    if args.gap is not None and args.gap < 0:
-        parser.error("--gap must be >= 0")
-    cfg = _config_from(args)
+    if args.command == "cluster" and args.truth is not None and args.k is None:
+        parser.error("cluster --truth needs --k")
     try:
-        if args.command == "words-analyse":
-            cmd_words_analyse(cfg)
-        elif args.command == "cluster":
-            cmd_cluster(cfg, truth_path=args.truth)
-        elif args.command == "relationship":
-            cmd_relationship(cfg, geo_path=args.geo)
-        else:
-            cmd_all_to_all(cfg, truth_path=args.truth)
+        lex = _load_lexicon(args.lexicon)
+        table = _load_table(args.table, args.gap)
+        _write_artifacts(args.out, args.run(lex, table, args))
     except LimitExceeded as exc:
         print(f"lingdist: {exc}", file=sys.stderr)
         return EXIT_LIMIT

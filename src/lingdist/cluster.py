@@ -155,27 +155,37 @@ def silhouette(matrix, assignment):
     return SilhouetteReport(per_point, mean)
 
 
+def cut_scan(matrix, dendrogram):
+    """Cut at every k in 2..n-1 and score each cut, in one pass.
+
+    Returns (best, means): best is the (k, assignment, report) with the
+    highest mean silhouette, ties going to the smaller k, and means is the
+    list of (k, mean) for every k.  Only the best cut is kept in memory.
+    """
+    n = matrix.n
+    if n < 3:
+        raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
+    best, means = None, []
+    for k in range(2, n):
+        assignment = cut(dendrogram, k)
+        report = silhouette(matrix, assignment)
+        means.append((k, report.mean))
+        if best is None or report.mean > best[2].mean:
+            best = (k, assignment, report)
+    return best, means
+
+
 def best_cut(matrix, dendrogram):
     """Scan every k in 2..n-1 and keep the cut with the best mean silhouette.
 
     Ties go to the smaller k.  Returns (k, assignment, report).
     """
-    n = matrix.n
-    if n < 3:
-        raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
-    best = None
-    for k in range(2, n):
-        assignment = cut(dendrogram, k)
-        report = silhouette(matrix, assignment)
-        if best is None or report.mean > best[2].mean:
-            best = (k, assignment, report)
-    return best
+    return cut_scan(matrix, dendrogram)[0]
 
 
 def silhouette_scan(matrix, dendrogram):
     """Mean silhouette for every k in 2..n-1, as a list of (k, mean)."""
-    return [(k, silhouette(matrix, cut(dendrogram, k)).mean)
-            for k in range(2, matrix.n)]
+    return cut_scan(matrix, dendrogram)[1] if matrix.n >= 3 else []
 
 
 @dataclass

@@ -270,11 +270,9 @@ def write_oc(matrix, sink):
 
 
 def read_oc(source):
-    """Read an OC-format matrix from a path, text file object, or string."""
+    """Read an OC-format matrix from a path or a text file object."""
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and "\n" in source:
-        text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -121,7 +121,3 @@ class MissingPair(LingdistError):
 
 class DuplicateGeoPair(LingdistError):
     """An unordered pair occurs twice in the pair-distance file."""
-
-
-class NonPositiveDistance(LingdistError):
-    """log10 mode needs strictly positive distances."""

@@ -33,9 +33,6 @@ class WordEntry:
         if not self.variants or any(not v for v in self.variants):
             raise ValueError("word entry needs at least one non-empty variant")
 
-    def __iter__(self):
-        return iter(self.variants)
-
 
 @dataclass
 class Lexicon:
@@ -60,9 +57,6 @@ class Lexicon:
             return list(self.concepts)
         return [f"w{i + 1}" for i in range(self.n_concepts)]
 
-    def entry(self, language, concept_index):
-        return self.entries[language][concept_index]
-
 
 # --- tokenizer -------------------------------------------------------------
 
@@ -79,6 +73,12 @@ def _extract_concepts(text):
             concepts = tuple(c.strip() for c in body.split(",") if c.strip())
             if not concepts:
                 raise ParseError("empty #concepts: header", line=ln)
+            for name in concepts:
+                # concept names become artifact file names
+                if name in (".", "..") or any(c in name for c in "/\\\0"):
+                    raise ParseError(f"concept name {name!r} is not a file name", line=ln)
+            if len(set(concepts)) != len(concepts):
+                raise ParseError("duplicate concept name in #concepts: header", line=ln)
             kept.append("")
         else:
             kept.append(line)

@@ -151,27 +151,28 @@ def bhattacharyya(a, b, bins=None):
 
 
 def bhatt_matrix(frame, bins=None):
-    """Bhattacharyya coefficient for every pair of t-scored columns.
+    """Bhattacharyya coefficient for every pair of columns.
 
-    Returns (names, grid) where grid is symmetric with unit diagonal.
+    The coefficients are meant for t-scored columns, so callers pass a frame
+    of `tscore` results.  Returns (names, grid) where grid is symmetric with
+    unit diagonal.
     """
     names = frame.names
     if len(names) < 2:
         raise EmptyInput("need at least 2 columns")
-    scored = {name: tscore(frame.columns[name]) for name in names}
     n = len(names)
     grid = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bc = bhattacharyya(scored[names[i]], scored[names[j]], bins=bins)
+            bc = bhattacharyya(frame.columns[names[i]], frame.columns[names[j]], bins=bins)
             grid[i][j] = bc
             grid[j][i] = bc
     return names, grid
 
 
-def bhatt_distance_matrix(frame, bins=None):
-    """1 - Bhattacharyya as a DistanceMatrix, ready for clustering."""
-    names, grid = bhatt_matrix(frame, bins=bins)
+def bhatt_distance_matrix(names, grid):
+    """1 - Bhattacharyya, from the (names, grid) of `bhatt_matrix`, as a
+    DistanceMatrix ready for clustering."""
     n = len(names)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -16,6 +16,7 @@ Lookup precedence, first match wins:
 Tables are immutable after construction and safe to share across threads.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import DuplicatePairRule, ParseError, UndefinedClass, UnknownTableName
@@ -167,6 +168,15 @@ def parse_table(text, name=None):
             raise ParseError(f"symbol must be a single character, got {tok!r}", line=ln)
         return tok
 
+    def cost(tok, ln):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(f"bad cost {tok!r}", line=ln) from None
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ParseError(f"cost must be finite and >= 0, got {tok!r}", line=ln)
+        return value
+
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,11 +218,11 @@ def parse_table(text, name=None):
         elif kind == "gap":
             if len(args) != 1:
                 raise ParseError("gap takes one value", line=ln)
-            gap = float(args[0])
+            gap = cost(args[0], ln)
         elif kind == "default":
             if len(args) != 1:
                 raise ParseError("default takes one value", line=ln)
-            default = float(args[0])
+            default = cost(args[0], ln)
         else:
             raise ParseError(f"unknown directive {kind!r}", line=ln)
 

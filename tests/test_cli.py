@@ -21,6 +21,10 @@ def read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def files_under(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*") if p.is_file())
+
+
 def test_words_analyse_colours_artifact_set(fixtures_dir, tmp_path):
     out = tmp_path / "out"
     code = run_cli(["words-analyse", "--lexicon", str(fixtures_dir / "colours.pl"),
@@ -75,6 +79,40 @@ def test_bad_flags_are_usage_errors(fixtures_dir, tmp_path):
     assert run_cli(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["cluster", "--gap", "nan"],
+    ["cluster", "--gap", "inf"],
+    ["cluster", "--gap", "-0.5"],
+    ["words-analyse", "--bins", "0"],
+    ["cluster", "--truth", str(FIXTURES / "sheep_truth.csv")],  # no --k
+    ["words-analyse", "--k", "3"],
+    ["relationship", "--geo", str(FIXTURES / "sheep_geo.csv"), "--linkage", "single"],
+    ["all-to-all", "--bins", "4"],
+])
+def test_usage_errors_write_nothing(flags, tmp_path):
+    assert run_cli(flags + ["--lexicon", SHEEP, "--out", str(tmp_path / "out")]) == 2
+    assert files_under(tmp_path) == []
+
+
+@pytest.mark.parametrize("header", ["#concepts: a,a,b", "#concepts: ../../escaped,b,c"])
+def test_bad_concept_names_fail_and_write_nothing(header, tmp_path):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text(header + "\nn(w,[pat,ko,ma]).\nn(x,[bat,go,na]).\n"
+                        "n(y,[pata,kor,mas]).\nn(z,[sult,ze,lir]).\n")
+    out = tmp_path / "a" / "b" / "out"
+    assert run_cli(["words-analyse", "--lexicon", str(lex_path), "--out", str(out)]) == 3
+    assert files_under(tmp_path) == ["toy.pl"]
+
+
+@pytest.mark.parametrize("line", ["default -1", "gap nan", "gap inf"])
+def test_bad_table_costs_fail_and_write_nothing(line, tmp_path):
+    table_path = tmp_path / "my.tbl"
+    table_path.write_text(line + "\n")
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--table", str(table_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["my.tbl"]
+
+
 def test_cluster_artifacts_and_forced_k(fixtures_dir, tmp_path):
     out = tmp_path / "out"
     code = run_cli(["cluster", "--lexicon", SHEEP,
@@ -101,6 +139,14 @@ def test_cluster_silhouette_scan_range(tmp_path):
     rows = list(csv.reader((out / "silhouette.csv").read_text().splitlines()))
     ks = [int(k) for k, _ in rows[1:]]
     assert ks == list(range(2, 8))  # 2..n-1 for 8 dialects
+
+
+def test_cluster_two_languages_is_data_error(tmp_path):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("n(a,[pat,ko]).\nn(b,[bat,go]).\n")
+    assert run_cli(["cluster", "--lexicon", str(lex_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["toy.pl"]
 
 
 def test_cluster_truth_missing_label(tmp_path):
@@ -201,6 +247,7 @@ def test_relationship_nonpositive_distance(tmp_path):
     geo_path.write_text("place_a,place_b,distance_km\na,b,10\na,c,0\nb,c,5\n")
     assert run_cli(["relationship", "--lexicon", str(lex_path),
                     "--geo", str(geo_path), "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["geo.csv", "toy.pl"]
 
 
 def test_all_to_all_shapes_and_purity(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import direct_silhouette, random_distance_matrix
 
-from lingdist.cluster import (ClusterAssignment, Dendrogram, agglomerate,
-                              best_cut, cut, export_newick, export_svg,
-                              purity, silhouette, silhouette_scan)
+from lingdist.cluster import (LINKAGES, ClusterAssignment, Dendrogram,
+                              agglomerate, best_cut, cut, export_newick,
+                              export_svg, purity, silhouette, silhouette_scan)
 from lingdist.editdist import DistanceMatrix
 from lingdist.errors import BadK, MissingTruthLabel, TooFewItems
 
@@ -203,6 +203,30 @@ def test_best_cut_range_property():
 def test_silhouette_scan_covers_all_k():
     scan = silhouette_scan(FIVE, agglomerate(FIVE))
     assert [k for k, _s in scan] == [2, 3, 4]
+
+
+def test_best_cut_is_first_argmax_of_silhouette_scan():
+    rng = random.Random(71)
+    tied = 0
+    for trial in range(60):
+        n = rng.randint(3, 9)
+        if trial % 3 == 0:
+            m = random_distance_matrix(rng, n)
+        else:  # tied distances; when all are equal, every cut scores 0
+            levels = (0.5, 1.0) if trial % 3 == 1 else (0.5,)
+            labels = [f"p{i}" for i in range(n)]
+            m = _matrix(labels, {(a, b): rng.choice(levels)
+                                 for i, a in enumerate(labels) for b in labels[i + 1:]})
+        d = agglomerate(m, rng.choice(LINKAGES))
+        scan = silhouette_scan(m, d)
+        top = max(s for _k, s in scan)
+        want = next(k for k, s in scan if s == top)
+        tied += sum(s == top for _k, s in scan) > 1
+        k, assignment, report = best_cut(m, d)
+        assert k == want
+        assert report.mean == top
+        assert assignment == cut(d, k)
+    assert tied > 0
 
 
 def test_label_permutation_equivariance():

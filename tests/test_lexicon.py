@@ -71,6 +71,13 @@ def test_concepts_header_arity_mismatch():
         parse_lexicon("#concepts: one,two,three\nnum(x,[a,b]).")
 
 
+@pytest.mark.parametrize("names", ["a,a", ".,b", "..,b", "../x,b", "a\\b,c", "a\0b,c"])
+def test_concept_names_must_be_distinct_file_names(names):
+    with pytest.raises(ParseError) as info:
+        parse_lexicon(f"% header below\n#concepts: {names}\nnum(x,[p,q]).")
+    assert info.value.line == 2
+
+
 def test_duplicate_concepts_header():
     with pytest.raises(ParseError):
         parse_lexicon("#concepts: a\n#concepts: b\nnum(x,[p]).")

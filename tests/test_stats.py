@@ -191,7 +191,7 @@ def test_bhatt_matrix_duplicate_columns():
                            "c": [9.0, 1.0, 3.0]})
     names, grid = bhatt_matrix(frame)
     assert names == ["a", "b", "c"]
-    assert grid[0][1] == 1.0  # identical columns t-score identically
+    assert grid[0][1] == 1.0  # identical columns overlap fully
     for i in range(3):
         assert grid[i][i] == 1.0
         for j in range(3):
@@ -201,7 +201,8 @@ def test_bhatt_matrix_duplicate_columns():
 def test_bhatt_matrix_matches_pairwise_calls():
     frame = AnalysisFrame({"a": [1.0, 2.0, 4.0, 0.5], "b": [2.0, 1.0, 3.0, 8.0],
                            "c": [9.0, 1.0, 3.0, 2.0]})
-    names, grid = bhatt_matrix(frame, bins=3)
+    scored = AnalysisFrame({name: tscore(values) for name, values in frame.columns.items()})
+    names, grid = bhatt_matrix(scored, bins=3)
     for i in range(3):
         for j in range(i + 1, 3):
             direct = bhattacharyya(tscore(frame.columns[names[i]]),
@@ -217,7 +218,7 @@ def test_bhatt_matrix_needs_two_columns():
 def test_bhatt_distance_matrix():
     frame = AnalysisFrame({"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0],
                            "c": [9.0, 1.0, 3.0]})
-    m = bhatt_distance_matrix(frame)
+    m = bhatt_distance_matrix(*bhatt_matrix(frame))
     assert m.labels == ["a", "b", "c"]
     assert m.values[0][1] == 0.0  # identical columns, BC 1, distance 0
     assert all(m.values[i][i] == 0.0 for i in range(3))
