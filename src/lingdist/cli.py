@@ -15,6 +15,9 @@ All artifacts for a run are computed first and written only if everything
 succeeded, so a failing run leaves no partial output.  Given identical
 inputs and flags, every artifact is byte-identical between runs.
 
+Lexicon symbols that no rule of the table mentions cost the default
+mismatch; the run lists them in one warning on stderr and goes on.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 limit exceeded.
 """
 
@@ -66,6 +69,13 @@ def _load_table(name_or_path, gap=None):
     if gap is not None:
         table = table.with_gap(gap)
     return table
+
+
+def _warn_uncovered(lex, table):
+    missing = lexicon.validate_against_table(lex, table)
+    if missing:
+        print(f"lingdist: warning: symbols not in table {table.name}: "
+              f"{', '.join(missing)} (default mismatch cost)", file=sys.stderr)
 
 
 def _write_artifacts(output_dir, artifacts):
@@ -348,6 +358,7 @@ def main(argv=None):
     try:
         lex = _load_lexicon(args.lexicon)
         table = _load_table(args.table, args.gap)
+        _warn_uncovered(lex, table)
         _write_artifacts(args.out, args.run(lex, table, args))
     except LimitExceeded as exc:
         print(f"lingdist: {exc}", file=sys.stderr)

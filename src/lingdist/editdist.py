@@ -2,8 +2,9 @@
 
 The distance between two symbol sequences is the cheapest way to turn one
 into the other using insertions and deletions (each costing the table's gap
-penalty) and substitutions (costing ``table.cost(s1, s2)``).  Dividing by
-the longer length gives the normalized distance used everywhere downstream.
+penalty) and substitutions (costing ``table.cost(s1, s2)``, read from the
+table's cost rows).  Dividing by the longer length gives the normalized
+distance used everywhere downstream.
 
 Words with synonym sets compare by the closest cross-pair match, and two
 languages compare by averaging the word distances over corresponding
@@ -44,17 +45,29 @@ class Alignment:
         return f"[{cols}]"
 
 
+def _substitution_costs(a, b, table):
+    """Substitution cost of a[i] against b[j], as one list per symbol of `a`,
+    read from the table's cost rows."""
+    default = table.default_mismatch
+    costs = []
+    for x in a:
+        row = table.cost_row(x)
+        costs.append([row.get(y, default) for y in b])
+    return costs
+
+
 def raw_distance(a, b, table):
     """Weighted edit distance between two symbol sequences."""
     gap = table.gap_penalty
-    cost = table.cost
     prev = [0.0]
     for j in range(len(b)):
         prev.append(prev[j] + gap)
-    for x in a:
-        cur = [prev[0] + gap]
-        for j, y in enumerate(b):
-            cur.append(min(prev[j + 1] + gap, cur[j] + gap, prev[j] + cost(x, y)))
+    for costs in _substitution_costs(a, b, table):
+        left = prev[0] + gap
+        cur = [left]
+        for up_left, up, c in zip(prev, prev[1:], costs):
+            left = min(up + gap, left + gap, up_left + c)
+            cur.append(left)
         prev = cur
     return prev[-1]
 
@@ -68,19 +81,19 @@ def normalized_distance(a, b, table):
 
 
 def _dp_table(a, b, table):
+    """The full DP table, and the substitution costs it was built from."""
     gap = table.gap_penalty
-    cost = table.cost
+    costs = _substitution_costs(a, b, table)
     m, n = len(a), len(b)
     d = [[0.0] * (n + 1) for _ in range(m + 1)]
     for j in range(1, n + 1):
         d[0][j] = d[0][j - 1] + gap
     for i in range(1, m + 1):
         d[i][0] = d[i - 1][0] + gap
-        row, above = d[i], d[i - 1]
-        x = a[i - 1]
+        row, above, sub = d[i], d[i - 1], costs[i - 1]
         for j in range(1, n + 1):
-            row[j] = min(above[j] + gap, row[j - 1] + gap, above[j - 1] + cost(x, b[j - 1]))
-    return d
+            row[j] = min(above[j] + gap, row[j - 1] + gap, above[j - 1] + sub[j - 1])
+    return d, costs
 
 
 def _column_kind(col):
@@ -104,8 +117,7 @@ def alignments(a, b, table, limit=10000):
     if limit < 1:
         raise ValueError("limit must be >= 1")
     gap = table.gap_penalty
-    cost = table.cost
-    d = _dp_table(a, b, table)
+    d, costs = _dp_table(a, b, table)
     total = d[len(a)][len(b)]
 
     found = []
@@ -123,7 +135,7 @@ def alignments(a, b, table, limit=10000):
             stack.append((GAP, b[j - 1]))
             walk(i, j - 1)
             stack.pop()
-        if i > 0 and j > 0 and d[i - 1][j - 1] + cost(a[i - 1], b[j - 1]) == here:
+        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
             stack.append((a[i - 1], b[j - 1]))
             walk(i - 1, j - 1)
             stack.pop()
@@ -142,17 +154,37 @@ def entry_distance(e1, e2, table):
     return min(normalized_distance(v1, v2, table) for v1 in e1.variants for v2 in e2.variants)
 
 
+def _memo_entry_distance(table):
+    """`entry_distance` over `table` that computes each unordered variant
+    pair once.  Exact, because raw_distance(a, b) and raw_distance(b, a)
+    perform the same float operations."""
+    memo = {}
+
+    def pair_distance(v1, v2):
+        key = (v1, v2) if v1 <= v2 else (v2, v1)
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = normalized_distance(v1, v2, table)
+        return d
+
+    def distance(e1, e2):
+        return min(pair_distance(v1, v2) for v1 in e1.variants for v2 in e2.variants)
+    return distance
+
+
+def _mean_entry_distance(words_a, words_b, distance):
+    if not words_a:
+        return 0.0
+    return math.fsum(distance(ea, eb) for ea, eb in zip(words_a, words_b)) / len(words_a)
+
+
 def language_distance(lex, lang_a, lang_b, table):
     """Mean word-entry distance over corresponding concept positions."""
     for lang in (lang_a, lang_b):
         if lang not in lex.entries:
             raise UnknownLanguage(f"language {lang!r} not in database")
-    words_a = lex.entries[lang_a]
-    words_b = lex.entries[lang_b]
-    if not words_a:
-        return 0.0
-    return math.fsum(entry_distance(ea, eb, table)
-                     for ea, eb in zip(words_a, words_b)) / len(words_a)
+    return _mean_entry_distance(lex.entries[lang_a], lex.entries[lang_b],
+                                lambda ea, eb: entry_distance(ea, eb, table))
 
 
 # --- distance matrices -------------------------------------------------------
@@ -204,16 +236,20 @@ def _matrix_from_pairs(labels, pair_fn):
 
 
 def language_matrix(lex, table):
-    """All-pairs language distance matrix."""
+    """All-pairs language distance matrix, each distinct variant pair
+    computed once."""
     langs = lex.languages
     if len(langs) < 2:
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
+    words = [lex.entries[lang] for lang in langs]
+    distance = _memo_entry_distance(table)
     return _matrix_from_pairs(
-        langs, lambda i, j: language_distance(lex, langs[i], langs[j], table))
+        langs, lambda i, j: _mean_entry_distance(words[i], words[j], distance))
 
 
 def concept_matrix(lex, concept_index, table):
-    """All-pairs word distance matrix for one concept position."""
+    """All-pairs word distance matrix for one concept position, each
+    distinct variant pair computed once."""
     langs = lex.languages
     if len(langs) < 2:
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
@@ -221,15 +257,16 @@ def concept_matrix(lex, concept_index, table):
         raise IndexOutOfRange(
             f"concept index {concept_index} outside 0..{lex.n_concepts - 1}")
     entries = [lex.entries[lang][concept_index] for lang in langs]
-    return _matrix_from_pairs(
-        langs, lambda i, j: entry_distance(entries[i], entries[j], table))
+    distance = _memo_entry_distance(table)
+    return _matrix_from_pairs(langs, lambda i, j: distance(entries[i], entries[j]))
 
 
 def all_to_all_matrix(lex, table):
     """Distance between every (language, concept) item pair.
 
     Items are labeled ``language:concept`` and compared regardless of
-    whether the concepts match.
+    whether the concepts match.  No pair memo: across items, variant pairs
+    rarely repeat, and the memo would cost memory for no saved work.
     """
     langs = lex.languages
     if not langs:
@@ -259,7 +296,11 @@ def write_oc(matrix, sink):
     lines = [str(matrix.n)]
     lines.extend(matrix.labels)
     for i in range(matrix.n - 1):
-        lines.append(" ".join(f"{matrix.values[i][j]:.6f}" for j in range(i + 1, matrix.n)))
+        row = matrix.values[i][i + 1:]
+        if not all(map(math.isfinite, row)):
+            # read_oc refuses non-finite cells, so never write one
+            raise FormatError(f"row {matrix.labels[i]!r} holds a non-finite distance")
+        lines.append(" ".join(f"{v:.6f}" for v in row))
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)

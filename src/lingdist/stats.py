@@ -8,7 +8,9 @@ regression with R-squared for the distance-vs-geography comparison.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .editdist import DistanceMatrix
 from .errors import (ColumnTooShort, DegenerateData, DegenerateX, EmptyInput,
@@ -97,7 +99,13 @@ def bandwidth_nrd0(values):
 
 
 def kde(values, grid_points=512):
-    """Gaussian kernel density over an even grid spanning the data +- 3h."""
+    """Gaussian kernel density over an even grid spanning the data +- 3h.
+
+    Each grid point takes one `exp` per distinct value and hands `fsum` that
+    term once per occurrence.  `fsum` is correctly rounded, so this equals
+    summing one term per value exactly; multiplying a term by its count
+    would round differently.
+    """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if len(values) < 2 or min(values) == max(values):
@@ -106,13 +114,20 @@ def kde(values, grid_points=512):
     lo = min(values) - 3.0 * h
     hi = max(values) + 3.0 * h
     step = (hi - lo) / (grid_points - 1)
-    norm = 1.0 / (len(values) * h * math.sqrt(2.0 * math.pi))
+    counts = Counter(values)
+    distinct, repeats = list(counts), list(counts.values())
     xs, ys = [], []
-    for i in range(grid_points):
-        x = lo + step * i
-        xs.append(x)
-        ys.append(norm * math.fsum(
-            math.exp(-0.5 * ((x - v) / h) ** 2) for v in values))
+    try:
+        norm = 1.0 / (len(values) * h * math.sqrt(2.0 * math.pi))
+        for i in range(grid_points):
+            x = lo + step * i
+            xs.append(x)
+            terms = [math.exp(-0.5 * ((x - v) / h) ** 2) for v in distinct]
+            ys.append(norm * math.fsum(chain.from_iterable(map(repeat, terms, repeats))))
+    except (ZeroDivisionError, OverflowError):
+        # h underflowed to 0, or is so small against the spread that the
+        # squared distance overflows
+        raise DegenerateData(f"bandwidth {h!r} too small for the data's spread") from None
     return DensityCurve(xs, ys, h)
 
 

@@ -13,7 +13,9 @@ Lookup precedence, first match wins:
   identity > zero pair > shared vowel family > explicit pair rule
   > long/short counterpart > generic vowel-vowel > default mismatch
 
-Tables are immutable after construction and safe to share across threads.
+A table's rules are fixed at construction.  `cost_row` fills a per-symbol
+cache of resolved costs on first use; filling it is idempotent, so a table
+(and its `with_gap` clones, which share the cache) stays safe to share.
 """
 
 import math
@@ -86,6 +88,9 @@ class SubstitutionTable:
         for long_s, short_s, cname in long_short:
             self._long_short[long_s] = (short_s, self._resolve(cname))
 
+        self._known = None  # frozenset of known symbols, built on first use
+        self._rows = {}  # symbol -> cost row, filled by cost_row
+
     def _resolve(self, rule):
         if isinstance(rule, str):
             if rule not in self.classes:
@@ -122,21 +127,37 @@ class SubstitutionTable:
                 return vowel
         return self.default_mismatch
 
+    def cost_row(self, s1):
+        """`{s2: cost(s1, s2)}` for every known symbol s2 and for s1 itself.
+
+        Any other s2 matches no rule, so its cost is `default_mismatch`:
+        `cost_row(s1).get(s2, default_mismatch)` equals `cost(s1, s2)` for
+        every s2.  Rows are computed on first use and kept.
+        """
+        row = self._rows.get(s1)
+        if row is None:
+            row = {s2: self.cost(s1, s2) for s2 in self.known_symbols() | {s1}}
+            self._rows[s1] = row
+        return row
+
     def known_symbols(self):
-        """Every symbol mentioned by some rule of this table."""
-        known = set()
-        for s1, s2 in self._pairs:
-            known.update((s1, s2))
-        for s1, s2 in self._zero:
-            known.update((s1, s2))
-        for members in self._vowel_sets.values():
-            known.update(members)
-        for long_s, (short_s, _) in self._long_short.items():
-            known.update((long_s, short_s))
-        return known
+        """Every symbol mentioned by some rule of this table, as a frozenset."""
+        if self._known is None:
+            known = set()
+            for s1, s2 in self._pairs:
+                known.update((s1, s2))
+            for s1, s2 in self._zero:
+                known.update((s1, s2))
+            for members in self._vowel_sets.values():
+                known.update(members)
+            for long_s, (short_s, _) in self._long_short.items():
+                known.update((long_s, short_s))
+            self._known = frozenset(known)
+        return self._known
 
     def with_gap(self, gap_penalty):
-        """Copy of this table with a different gap penalty."""
+        """Copy of this table with a different gap penalty.  Costs do not
+        depend on the gap, so the copy shares the cost-row cache."""
         clone = SubstitutionTable.__new__(SubstitutionTable)
         clone.__dict__.update(self.__dict__)
         clone.gap_penalty = float(gap_penalty)

@@ -3,11 +3,15 @@
 These deliberately avoid the production code paths: the edit-distance
 oracle is the plain exponential recursion, the alignment oracle enumerates
 every monotone path outright, and the silhouette oracle recomputes the
-textbook formula point by point with no shared sums.
+textbook formula point by point with no shared sums.  The reference DP,
+matrices and density below are the plain forms the fast paths replaced:
+one `table.cost` call per cell, no pair memo, one `exp` per value.
 """
 
+import math
 import random
 
+from lingdist.stats import bandwidth_nrd0
 from lingdist.subst import SubstitutionTable
 
 
@@ -116,3 +120,57 @@ def random_distance_matrix(rng: random.Random, n, distinct=True):
             values[i][j] = v
             values[j][i] = v
     return DistanceMatrix(labels, values)
+
+
+def reference_raw_distance(a, b, table):
+    """Weighted edit distance with one `table.cost` call per cell: the
+    quadratic DP before cost rows, kept as the reference for them."""
+    gap = table.gap_penalty
+    prev = [0.0]
+    for j in range(len(b)):
+        prev.append(prev[j] + gap)
+    for x in a:
+        cur = [prev[0] + gap]
+        for j, y in enumerate(b):
+            cur.append(min(prev[j + 1] + gap, cur[j] + gap, prev[j] + table.cost(x, y)))
+        prev = cur
+    return prev[-1]
+
+
+def reference_entry_distance(e1, e2, table):
+    """Closest normalized distance over every variant pair, no memo."""
+    return min(reference_raw_distance(v1, v2, table) / max(len(v1), len(v2))
+               for v1 in e1.variants for v2 in e2.variants)
+
+
+def reference_concept_values(lex, concept_index, table):
+    """Square list of lists of one concept's entry distances, no memo."""
+    entries = [lex.entries[lang][concept_index] for lang in lex.languages]
+    return [[0.0 if i == j else reference_entry_distance(ei, ej, table)
+             for j, ej in enumerate(entries)] for i, ei in enumerate(entries)]
+
+
+def reference_language_values(lex, table):
+    """Square list of lists of mean entry distances per language pair, no memo."""
+    words = [lex.entries[lang] for lang in lex.languages]
+    return [[0.0 if i == j else
+             math.fsum(reference_entry_distance(ea, eb, table)
+                       for ea, eb in zip(wi, wj)) / len(wi)
+             for j, wj in enumerate(words)] for i, wi in enumerate(words)]
+
+
+def reference_kde(values, grid_points=512):
+    """Gaussian density with one `exp` per value at each grid point: the
+    formula `kde` must reproduce bit for bit.  Returns (xs, ys)."""
+    h = bandwidth_nrd0(values)
+    lo = min(values) - 3.0 * h
+    hi = max(values) + 3.0 * h
+    step = (hi - lo) / (grid_points - 1)
+    norm = 1.0 / (len(values) * h * math.sqrt(2.0 * math.pi))
+    xs, ys = [], []
+    for i in range(grid_points):
+        x = lo + step * i
+        xs.append(x)
+        ys.append(norm * math.fsum(
+            math.exp(-0.5 * ((x - v) / h) ** 2) for v in values))
+    return xs, ys

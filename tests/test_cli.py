@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import lingdist
 from conftest import FIXTURES
 from lingdist.cli import main as cli_main
+from test_golden import CASES, GOLDEN
 
 SHEEP = str(FIXTURES / "sheep.pl")
 
@@ -111,6 +113,32 @@ def test_bad_table_costs_fail_and_write_nothing(line, tmp_path):
     assert run_cli(["cluster", "--lexicon", SHEEP, "--table", str(table_path),
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == ["my.tbl"]
+
+
+@pytest.mark.parametrize("gap", ["1e-300", "5e-324"])
+def test_bandwidth_underflow_is_data_error(gap, tmp_path):
+    # distances this small give a density bandwidth that underflows
+    assert run_cli(["words-analyse", "--lexicon", SHEEP, "--gap", gap,
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == []
+
+
+def test_uncovered_symbols_warn_and_keep_golden_bytes(tmp_path, capsys):
+    args = [str(FIXTURES / a) if a.endswith((".pl", ".csv")) else a
+            for a in CASES["cluster"]]
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "lingdist: warning: symbols not in table editable: l, r (default mismatch cost)\n")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN["cluster"]
+
+
+def test_covered_symbols_do_not_warn(tmp_path, capsys):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("n(a,[pat,ko]).\nn(b,[bat,go]).\nn(c,[pata,kog]).\n")
+    assert run_cli(["cluster", "--lexicon", str(lex_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cluster_artifacts_and_forced_k(fixtures_dir, tmp_path):

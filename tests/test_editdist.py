@@ -1,7 +1,10 @@
 import io
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (brute_optimal_alignments, naive_lev, random_table,
                      random_word)
@@ -290,6 +293,34 @@ def test_oc_round_trip():
                 assert m2.values[i][j] == pytest.approx(m.values[i][j], abs=5e-7)
         # a second write emits identical bytes
         assert write_oc(m2, io.StringIO()) == write_oc(m2, io.StringIO())
+
+
+labels = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8) \
+    .filter(lambda label: not any(c.isspace() for c in label))
+
+
+@st.composite
+def labelled_matrices(draw):
+    names = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    n = len(names)
+    values = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(st.floats(0.0, allow_nan=False))
+    return DistanceMatrix(names, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_matrices())
+def test_oc_text_survives_read_and_write(matrix):
+    if any(math.isinf(v) for row in matrix.values for v in row):
+        with pytest.raises(FormatError):  # read_oc could not read it back
+            write_oc(matrix, io.StringIO())
+        return
+    text = write_oc(matrix, io.StringIO())
+    back = read_oc(io.StringIO(text))
+    assert back.labels == matrix.labels
+    assert write_oc(back, io.StringIO()) == text
 
 
 def test_oc_2x2_exact_text():
