@@ -172,19 +172,17 @@ def _memo_entry_distance(table):
     return distance
 
 
-def _mean_entry_distance(words_a, words_b, distance):
-    if not words_a:
-        return 0.0
-    return math.fsum(distance(ea, eb) for ea, eb in zip(words_a, words_b)) / len(words_a)
-
-
 def language_distance(lex, lang_a, lang_b, table):
     """Mean word-entry distance over corresponding concept positions."""
     for lang in (lang_a, lang_b):
         if lang not in lex.entries:
             raise UnknownLanguage(f"language {lang!r} not in database")
-    return _mean_entry_distance(lex.entries[lang_a], lex.entries[lang_b],
-                                lambda ea, eb: entry_distance(ea, eb, table))
+    words_a = lex.entries[lang_a]
+    words_b = lex.entries[lang_b]
+    if not words_a:
+        return 0.0
+    return math.fsum(entry_distance(ea, eb, table)
+                     for ea, eb in zip(words_a, words_b)) / len(words_a)
 
 
 # --- distance matrices -------------------------------------------------------
@@ -236,15 +234,17 @@ def _matrix_from_pairs(labels, pair_fn):
 
 
 def language_matrix(lex, table):
-    """All-pairs language distance matrix, each distinct variant pair
-    computed once."""
+    """All-pairs language distance matrix.
+
+    No pair memo: one memo across all concepts would hold every distinct
+    variant pair of the lexicon at once, about 3 MiB for 100 languages x 8
+    concepts, more than a tenth of a `cluster` run's peak memory.
+    """
     langs = lex.languages
     if len(langs) < 2:
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
-    words = [lex.entries[lang] for lang in langs]
-    distance = _memo_entry_distance(table)
     return _matrix_from_pairs(
-        langs, lambda i, j: _mean_entry_distance(words[i], words[j], distance))
+        langs, lambda i, j: language_distance(lex, langs[i], langs[j], table))
 
 
 def concept_matrix(lex, concept_index, table):
