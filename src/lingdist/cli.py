@@ -12,7 +12,11 @@ Four subcommands cover the analysis workflows:
                  forced-K cuts, purity against the word labels
 
 All artifacts for a run are computed first and written only if everything
-succeeded, so a failing run leaves no partial output.  Given identical
+succeeded, so a failing run leaves no partial output.  They are written to a
+new directory beside --out and renamed into place, so --out holds exactly
+the last run's files.  An existing --out is replaced only if it holds
+nothing but regular files with artifact suffixes (.csv .oc .svg .nwk .txt);
+anything else is a usage error and --out is left as it was.  Given identical
 inputs and flags, every artifact is byte-identical between runs.
 
 Lexicon symbols that no rule of the table mentions cost the default
@@ -25,18 +29,24 @@ import argparse
 import csv
 import io
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, stats, subst, svgplot
 from .errors import (DuplicateGeoPair, LimitExceeded, LingdistError,
-                     MissingPair, ParseError, TooFewLanguages, UnknownTableName)
+                     MissingPair, ParseError, TooFewLanguages, UnknownTableName,
+                     UsageError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_LIMIT = 4
+
+ARTIFACT_SUFFIXES = frozenset((".csv", ".oc", ".svg", ".nwk", ".txt"))
 
 
 def _fmt(value):
@@ -78,11 +88,50 @@ def _warn_uncovered(lex, table):
               f"{', '.join(missing)} (default mismatch cost)", file=sys.stderr)
 
 
+def _check_replaceable(out):
+    if out.is_symlink() or not out.is_dir():
+        raise UsageError(f"--out {out} exists and is not a directory")
+    for entry in os.scandir(out):
+        if not entry.is_file(follow_symlinks=False) \
+                or Path(entry.name).suffix not in ARTIFACT_SUFFIXES:
+            raise UsageError(f"--out {out} holds {entry.name!r}, which is not a "
+                             "lingdist artifact; refusing to replace it")
+
+
 def _write_artifacts(output_dir, artifacts):
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    """Write the artifacts into a new directory beside `output_dir`, then
+    rename it into place, so `output_dir` holds exactly this run's files.
+
+    An existing `output_dir` is replaced only if it holds nothing but regular
+    files with artifact suffixes; otherwise nothing is touched.
+    """
+    out = Path(os.path.abspath(output_dir))  # so that `.` has a name and a parent
+    replace = out.is_symlink() or out.exists()
+    if replace:
+        _check_replaceable(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)  # the mode mkdir would give
+        for name, text in artifacts.items():
+            (stage / name).write_text(text, encoding="utf-8", newline="\n")
+        if replace:
+            old = stage.with_name(stage.name + "-old")
+            out.rename(old)
+            try:
+                stage.rename(out)
+            except OSError:
+                old.rename(out)
+                raise
+        else:
+            stage.rename(out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    if replace:
+        shutil.rmtree(old)
 
 
 def _csv_text(header, rows):
@@ -363,7 +412,7 @@ def main(argv=None):
     except LimitExceeded as exc:
         print(f"lingdist: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except UnknownTableName as exc:
+    except UsageError as exc:
         print(f"lingdist: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (LingdistError, OSError) as exc:

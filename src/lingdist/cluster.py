@@ -6,12 +6,40 @@ during agglomeration go to the lexicographically smallest id pair, which
 makes dendrograms reproducible.  Cuts, silhouette scores, silhouette-optimal
 cut selection, and cluster purity live here too, along with Newick and SVG
 dendrogram export.
+
+The two costly steps are exact: the dendrogram and every silhouette mean are
+the same floats as those of the plain forms kept in tests/oracles.py.
+
+`agglomerate` is the generic algorithm with a nearest-neighbour list
+(Müllner 2011, *Modern hierarchical, agglomerative clustering algorithms*,
+arXiv:1109.2378).  Each live node keeps its nearest live node of larger id,
+the smaller id winning a tie, and each step merges the entry with the
+smallest (distance, id).  That entry is the smallest (d, i, j) over all live
+pairs i < j, the reference's rule.  After a merge only the entries that
+pointed at a merged node rescan their row; every other entry meets the new
+node, whose id is the largest, so it takes over only when strictly closer.
+The linkage updates are the reference's expressions, so every height is the
+same float.  Time is O(n^2) plus the rescans (O(n^3) at worst); memory is
+one square copy of the matrix.
+
+`cut_scan` walks the cuts top-down.  Going to k undoes merge n-k, which
+splits one cluster in two.  For each new cluster it computes, once, every
+point's `fsum` of distances to the members; `fsum` is correctly rounded, so
+that is the sum `silhouette` takes over the same members in its own order.
+Each point keeps a(i), b(i) and the cluster b(i) came from.  A split can
+only bring b(i) down to one of the two new columns, unless b(i) came from the
+cluster that split and rounding put both halves above it; then that point
+alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float operations.  The scan
+costs O(n * sum of |split cluster|): O(n^2 log n) on a balanced tree and
+O(n^3) on a chain, and holds each node's leaf list.  `cut` and `silhouette`
+run for the best k only.
 """
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import BadK, MissingTruthLabel, TooFewItems
+from .errors import BadK, DegenerateData, MissingTruthLabel, TooFewItems
 from .svgplot import Canvas, PALETTE
 
 LINKAGES = ("single", "complete", "average")
@@ -52,49 +80,73 @@ class SilhouetteReport:
 
 
 def agglomerate(matrix, linkage="complete"):
-    """Cluster a distance matrix bottom-up under the given linkage."""
+    """Cluster a distance matrix bottom-up under the given linkage.
+
+    The generic algorithm with a nearest-neighbour list (Müllner 2011): each
+    live node keeps its nearest live node of larger id, and each step merges
+    the entry with the smallest (distance, id).  See the module docstring.
+    """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     n = matrix.n
     if n < 2:
         raise TooFewItems(f"need at least 2 items to cluster, got {n}")
 
-    size = {i: 1 for i in range(n)}
-    dist = {}
+    # dist[x][y] is the distance between the nodes held in slots x and y; the
+    # merged node takes its smaller child's slot.  Only the upper triangle of
+    # the matrix is read, mirrored, so every value is the one at i < j.
+    dist = [list(row) for row in matrix.values]
     for i in range(n):
         for j in range(i + 1, n):
-            dist[(i, j)] = matrix.values[i][j]
+            dist[j][i] = dist[i][j]
+    node = list(range(n))  # node id held by each slot
+    size = [1] * n
+    live = list(range(n))  # live slots in increasing node id
+    near_d = [None] * n    # per slot: smallest distance to a live node of larger id,
+    near = [None] * n      # and the slot of that node (None for the last live node)
+
+    def rescan(pos):  # min keeps the first, smallest id, of equal distances
+        row = dist[live[pos]]
+        best = min(live[pos + 1:], key=row.__getitem__)
+        near_d[live[pos]], near[live[pos]] = row[best], best
+
+    for pos in range(n - 1):
+        rescan(pos)
 
     merges = []
-    next_id = n
-    for _ in range(n - 1):
-        best_pair, best_d = None, None
-        for pair, d in dist.items():
-            if best_d is None or d < best_d or (d == best_d and pair < best_pair):
-                best_pair, best_d = pair, d
-        a, b = best_pair
-        merges.append((a, b, best_d))
+    for next_id in range(n, 2 * n - 1):
+        sa = min(live[:-1], key=near_d.__getitem__)
+        sb = near[sa]
+        merges.append((node[sa], node[sb], near_d[sa]))
 
-        new_dists = {}
-        for k in size:
-            if k == a or k == b:
+        row_a, row_b = dist[sa], dist[sb]
+        for k in live:
+            if k == sa or k == sb:
                 continue
-            dak = dist[(min(a, k), max(a, k))]
-            dbk = dist[(min(b, k), max(b, k))]
+            dak = row_a[k]
+            dbk = row_b[k]
             if linkage == "single":
-                new_dists[k] = dak if dak < dbk else dbk
+                d = dak if dak < dbk else dbk
             elif linkage == "complete":
-                new_dists[k] = dak if dak > dbk else dbk
+                d = dak if dak > dbk else dbk
             else:
-                new_dists[k] = (size[a] * dak + size[b] * dbk) / (size[a] + size[b])
+                d = (size[sa] * dak + size[sb] * dbk) / (size[sa] + size[sb])
+            row_a[k] = dist[k][sa] = d
 
-        for pair in list(dist):
-            if a in pair or b in pair:
-                del dist[pair]
-        size[next_id] = size.pop(a) + size.pop(b)
-        for k, d in new_dists.items():
-            dist[(min(k, next_id), max(k, next_id))] = d
-        next_id += 1
+        live.remove(sa)
+        live.remove(sb)
+        live.append(sa)
+        node[sa] = next_id
+        size[sa] += size[sb]
+        # The new node has the largest id, so it wins an entry only when
+        # strictly closer; entries that pointed at a merged node are rebuilt.
+        for p in range(len(live) - 1):
+            x = live[p]
+            if near[x] == sa or near[x] == sb:
+                rescan(p)
+            elif near[x] is None or dist[x][sa] < near_d[x]:
+                near_d[x], near[x] = dist[x][sa], sa
+        near[sa] = None
 
     return Dendrogram(tuple(matrix.labels), tuple(merges))
 
@@ -119,12 +171,17 @@ def cut(dendrogram, k):
     return ClusterAssignment(k, member_of)
 
 
+def _overflow():
+    return DegenerateData("a sum of distances overflows; no silhouette is defined")
+
+
 def silhouette(matrix, assignment):
     """Per-point silhouette widths s(i) = (b - a) / max(a, b) and their mean.
 
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster.  Points in singleton
-    clusters score 0 by convention, as do points where a = b = 0.
+    clusters score 0 by convention, as do points where a = b = 0.  Raises
+    DegenerateData if a sum of distances overflows.
     """
     n = matrix.n
     k = assignment.k
@@ -145,14 +202,44 @@ def silhouette(matrix, assignment):
         if len(cluster_items[own]) == 1:
             per_point[label] = 0.0
             continue
-        a = math.fsum(row[j] for j in cluster_items[own] if j != i) \
-            / (len(cluster_items[own]) - 1)
-        b = min(math.fsum(row[j] for j in items) / len(items)
-                for cid, items in cluster_items.items() if cid != own)
+        try:
+            a = math.fsum(row[j] for j in cluster_items[own] if j != i) \
+                / (len(cluster_items[own]) - 1)
+            b = min(math.fsum(row[j] for j in items) / len(items)
+                    for cid, items in cluster_items.items() if cid != own)
+        except OverflowError:
+            raise _overflow() from None
         denom = max(a, b)
         per_point[label] = (b - a) / denom if denom > 0.0 else 0.0
     mean = math.fsum(per_point.values()) / n
     return SilhouetteReport(per_point, mean)
+
+
+def _mean_column(values, members):
+    """Mean distance from every point to one cluster's members, leaving the
+    point itself out: divided by |C| - 1 for a member, by |C| otherwise.
+
+    The sum takes the member's own zero diagonal along; adding zero leaves a
+    correctly rounded sum unchanged.  A singleton's column is its row.
+    """
+    if len(members) == 1:
+        return values[members[0]]
+    take = itemgetter(*members)
+    try:
+        sums = [math.fsum(take(row)) for row in values]
+    except OverflowError:
+        raise _overflow() from None
+    col = [s / len(members) for s in sums]
+    for i in members:
+        col[i] = sums[i] / (len(members) - 1)
+    return col
+
+
+def _mean_to(row, leaves):
+    """One point's entry of `_mean_column` for a cluster it is not in."""
+    if len(leaves) == 1:
+        return row[leaves[0]]
+    return math.fsum(itemgetter(*leaves)(row)) / len(leaves)
 
 
 def cut_scan(matrix, dendrogram):
@@ -160,19 +247,59 @@ def cut_scan(matrix, dendrogram):
 
     Returns (best, means): best is the (k, assignment, report) with the
     highest mean silhouette, ties going to the smaller k, and means is the
-    list of (k, mean) for every k.  Only the best cut is kept in memory.
+    list of (k, mean) for every k.  The scan walks the cuts top-down (see the
+    module docstring) and calls `cut` and `silhouette` for the best k only.
     """
     n = matrix.n
     if n < 3:
         raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
+    values = matrix.values
+    leaves = [[i] for i in range(n)]
+    for a, b, _h in dendrogram.merges:
+        leaves.append(leaves[a] + leaves[b])
+    live = {2 * n - 2}
+    own = [2 * n - 2] * n  # per point: its cluster,
+    a_of = [0.0] * n       # the mean distance a(i) within it,
+    b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
+    b_from = [None] * n    # and the cluster that gave b(i)
     best, means = None, []
     for k in range(2, n):
-        assignment = cut(dendrogram, k)
-        report = silhouette(matrix, assignment)
-        means.append((k, report.mean))
-        if best is None or report.mean > best[2].mean:
-            best = (k, assignment, report)
-    return best, means
+        parent = 2 * n - k
+        ca, cb, _h = dendrogram.merges[n - k]
+        live.remove(parent)
+        live.update((ca, cb))
+        col_a = _mean_column(values, leaves[ca])
+        col_b = _mean_column(values, leaves[cb])
+        for child, col, other, other_col in ((ca, col_a, cb, col_b), (cb, col_b, ca, col_a)):
+            for i in leaves[child]:
+                own[i] = child
+                a_of[i] = col[i]
+                if b_of[i] is None or other_col[i] < b_of[i]:
+                    b_of[i], b_from[i] = other_col[i], other
+        for i in range(n):
+            if own[i] == ca or own[i] == cb:
+                continue
+            m, src = (col_a[i], ca) if col_a[i] <= col_b[i] else (col_b[i], cb)
+            if m < b_of[i] or (b_from[i] == parent and m <= b_of[i]):
+                b_of[i], b_from[i] = m, src
+            elif b_from[i] == parent:  # rounding left both halves above the whole
+                b_of[i], b_from[i] = min((_mean_to(values[i], leaves[c]), c)
+                                         for c in live if c != own[i])
+        scores = []
+        for i in range(n):
+            if len(leaves[own[i]]) == 1:
+                scores.append(0.0)
+                continue
+            a, b = a_of[i], b_of[i]
+            denom = max(a, b)
+            scores.append((b - a) / denom if denom > 0.0 else 0.0)
+        mean = math.fsum(scores) / n
+        means.append((k, mean))
+        if best is None or mean > best[1]:
+            best = (k, mean)
+    k = best[0]
+    assignment = cut(dendrogram, k)
+    return (k, assignment, silhouette(matrix, assignment)), means
 
 
 def best_cut(matrix, dendrogram):

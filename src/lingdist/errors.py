@@ -9,6 +9,10 @@ class LingdistError(Exception):
     """Base class for all errors raised by lingdist."""
 
 
+class UsageError(LingdistError):
+    """The command line asks for something lingdist will not do (exit 2)."""
+
+
 # --- text formats (language files, table DSL) ---------------------------
 
 class ParseError(LingdistError):
@@ -39,7 +43,7 @@ class DuplicatePairRule(LingdistError):
     """The same symbol pair is bound to two different costs."""
 
 
-class UnknownTableName(LingdistError):
+class UnknownTableName(UsageError):
     """No built-in table with the requested name."""
 
 
@@ -94,7 +98,8 @@ class ZeroVariance(LingdistError):
 
 
 class DegenerateData(LingdistError):
-    """All values identical; no spread to estimate a density from."""
+    """The data admit no result: no spread to estimate a density from, or
+    sums of distances too large for a float."""
 
 
 class EmptyInput(LingdistError):

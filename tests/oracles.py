@@ -5,12 +5,16 @@ oracle is the plain exponential recursion, the alignment oracle enumerates
 every monotone path outright, and the silhouette oracle recomputes the
 textbook formula point by point with no shared sums.  The reference DP,
 matrices and density below are the plain forms the fast paths replaced:
-one `table.cost` call per cell, no pair memo, one `exp` per value.
+one `table.cost` call per cell, no pair memo, one `exp` per value.  The
+clustering references are the pair-dict agglomeration and the per-k cut
+scan that the nearest-neighbour and top-down forms replaced.
 """
 
 import math
 import random
 
+from lingdist.cluster import LINKAGES, Dendrogram, cut, silhouette
+from lingdist.errors import TooFewItems
 from lingdist.stats import bandwidth_nrd0
 from lingdist.subst import SubstitutionTable
 
@@ -174,3 +178,73 @@ def reference_kde(values, grid_points=512):
         ys.append(norm * math.fsum(
             math.exp(-0.5 * ((x - v) / h) ** 2) for v in values))
     return xs, ys
+
+
+def reference_agglomerate(matrix, linkage="complete"):
+    """Cluster bottom-up by rescanning every live pair at each merge: the
+    O(n^3) pair-dict form `agglomerate` replaced, kept verbatim."""
+    if linkage not in LINKAGES:
+        raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
+    n = matrix.n
+    if n < 2:
+        raise TooFewItems(f"need at least 2 items to cluster, got {n}")
+
+    size = {i: 1 for i in range(n)}
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = matrix.values[i][j]
+
+    merges = []
+    next_id = n
+    for _ in range(n - 1):
+        best_pair, best_d = None, None
+        for pair, d in dist.items():
+            if best_d is None or d < best_d or (d == best_d and pair < best_pair):
+                best_pair, best_d = pair, d
+        a, b = best_pair
+        merges.append((a, b, best_d))
+
+        new_dists = {}
+        for k in size:
+            if k == a or k == b:
+                continue
+            dak = dist[(min(a, k), max(a, k))]
+            dbk = dist[(min(b, k), max(b, k))]
+            if linkage == "single":
+                new_dists[k] = dak if dak < dbk else dbk
+            elif linkage == "complete":
+                new_dists[k] = dak if dak > dbk else dbk
+            else:
+                new_dists[k] = (size[a] * dak + size[b] * dbk) / (size[a] + size[b])
+
+        for pair in list(dist):
+            if a in pair or b in pair:
+                del dist[pair]
+        size[next_id] = size.pop(a) + size.pop(b)
+        for k, d in new_dists.items():
+            dist[(min(k, next_id), max(k, next_id))] = d
+        next_id += 1
+
+    return Dendrogram(tuple(matrix.labels), tuple(merges))
+
+
+def reference_cut_scan(matrix, dendrogram):
+    """Cut at every k in 2..n-1 and score each cut with `silhouette`: the
+    per-k form `cut_scan` replaced, kept verbatim.
+
+    Returns (best, means): best is the (k, assignment, report) with the
+    highest mean silhouette, ties going to the smaller k, and means is the
+    list of (k, mean) for every k.  Only the best cut is kept in memory.
+    """
+    n = matrix.n
+    if n < 3:
+        raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
+    best, means = None, []
+    for k in range(2, n):
+        assignment = cut(dendrogram, k)
+        report = silhouette(matrix, assignment)
+        means.append((k, report.mean))
+        if best is None or report.mean > best[2].mean:
+            best = (k, assignment, report)
+    return best, means

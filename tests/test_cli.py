@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import os
 import random
+import stat
 
 import pytest
 
@@ -121,6 +123,57 @@ def test_bandwidth_underflow_is_data_error(gap, tmp_path):
     assert run_cli(["words-analyse", "--lexicon", SHEEP, "--gap", gap,
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == []
+
+
+def test_distance_sum_overflow_is_data_error(tmp_path):
+    # gaps this large give distance sums beyond the float range
+    assert run_cli(["all-to-all", "--lexicon", SHEEP, "--gap", "1e308",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == []
+    table_path = tmp_path / "huge.tbl"
+    table_path.write_text("gap 1e308\ndefault 1e308\n")
+    assert run_cli(["all-to-all", "--lexicon", SHEEP, "--table", str(table_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["huge.tbl"]
+
+
+def test_rerun_into_same_out_replaces_stale_artifacts(tmp_path):
+    out = tmp_path / "out"
+    truth = str(FIXTURES / "sheep_truth.csv")
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--k", "2", "--truth", truth,
+                    "--out", str(out)]) == 0
+    assert {"clusters_forced.csv", "purity.csv"} <= set(read_dir(out))
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(fresh)]) == 0
+    assert read_dir(out) == read_dir(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+
+
+@pytest.mark.parametrize("foreign", ["notes.md", "sub/", ".csv"])
+def test_out_with_foreign_entries_is_refused_untouched(foreign, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "clusters.csv").write_text("old\n")
+    if foreign.endswith("/"):
+        (out / foreign).mkdir()
+    else:
+        (out / foreign).write_text("user data\n")
+    before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 2
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
+    assert (out / "clusters.csv").read_text() == "old\n"
+
+
+def test_out_that_is_a_file_is_refused(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("user data\n")
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 2
+    assert files_under(tmp_path) == ["out"]
+    assert out.read_text() == "user data\n"
 
 
 def test_uncovered_symbols_warn_and_keep_golden_bytes(tmp_path, capsys):

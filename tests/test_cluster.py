@@ -1,13 +1,15 @@
+import math
 import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from oracles import direct_silhouette, random_distance_matrix
+from oracles import direct_silhouette, random_distance_matrix, reference_cut_scan
 
 from lingdist.cluster import (LINKAGES, ClusterAssignment, Dendrogram,
-                              agglomerate, best_cut, cut, export_newick,
-                              export_svg, purity, silhouette, silhouette_scan)
+                              agglomerate, best_cut, cut, cut_scan,
+                              export_newick, export_svg, purity, silhouette,
+                              silhouette_scan)
 from lingdist.editdist import DistanceMatrix
 from lingdist.errors import BadK, MissingTruthLabel, TooFewItems
 
@@ -228,6 +230,30 @@ def test_best_cut_is_first_argmax_of_silhouette_scan():
         assert assignment == cut(d, k)
     assert tied > 0
 
+
+
+def test_cut_scan_rescans_when_rounding_lifts_both_halves():
+    # q1, q2 sit 0.7 from every p, and fsum([0.7] * 3) / 3 < 0.7.  Splitting
+    # {p1..p6} into two triples keeps b(q) at that rounded mean; splitting
+    # each triple into 0.7-mean halves must raise b(q) back to 0.7, which
+    # only a rescan of the live clusters finds.
+    pairs = {("q1", "q2"): 0.1, ("p2", "p3"): 0.1, ("p5", "p6"): 0.1,
+             ("p1", "p2"): 0.2, ("p1", "p3"): 0.2, ("p4", "p5"): 0.2, ("p4", "p6"): 0.2}
+    for a in ("p1", "p2", "p3"):
+        for b in ("p4", "p5", "p6"):
+            pairs[(a, b)] = 0.3
+    for q in ("q1", "q2"):
+        for p in ("p1", "p2", "p3", "p4", "p5", "p6"):
+            pairs[(q, p)] = 0.7
+    m = _matrix(["q1", "q2", "p1", "p2", "p3", "p4", "p5", "p6"], pairs)
+    assert math.fsum([0.7] * 3) / 3 < 0.7
+    for linkage in LINKAGES:
+        d = agglomerate(m, linkage)
+        (k, assignment, report), means = cut_scan(m, d)
+        (want_k, want_assignment, want_report), want_means = reference_cut_scan(m, d)
+        assert (k, assignment) == (want_k, want_assignment)
+        assert report.per_point == want_report.per_point
+        assert [(k, v.hex()) for k, v in means] == [(k, v.hex()) for k, v in want_means]
 
 def test_label_permutation_equivariance():
     rng = random.Random(61)

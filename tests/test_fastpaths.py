@@ -2,19 +2,28 @@
 
 Cost rows against `SubstitutionTable.cost`, the row-based DP against the
 exponential recursion and the per-cell DP, the memoised matrices against
-memo-free ones, and the distinct-value density against one `exp` per value.
-Every comparison is exact, bit for bit.
+memo-free ones, the distinct-value density against one `exp` per value, the
+nearest-neighbour agglomeration against the pair-dict one, and the top-down
+cut scan against one `cut` and `silhouette` per k.  Every comparison is
+exact, bit for bit.  scipy's `linkage`, where installed, is a second oracle
+for the agglomeration on matrices without ties.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from oracles import (naive_lev, reference_concept_values, reference_kde,
+from oracles import (naive_lev, random_distance_matrix, reference_agglomerate,
+                     reference_concept_values, reference_cut_scan, reference_kde,
                      reference_language_values, reference_raw_distance)
 
-from lingdist.editdist import concept_matrix, language_matrix, raw_distance
+from lingdist.cluster import LINKAGES, agglomerate, cut_scan
+from lingdist.editdist import (DistanceMatrix, concept_matrix, language_matrix,
+                               raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
 from lingdist.stats import kde
@@ -165,3 +174,88 @@ def test_kde_bitwise_equals_per_value_reference_on_sheep_columns():
         xs, ys = reference_kde(column)
         assert bits(curve.xs) == bits(xs)
         assert bits(curve.ys) == bits(ys)
+
+
+@st.composite
+def distance_matrices(draw, values, min_n):
+    """Symmetric zero-diagonal matrices of min_n..40 items with cells from `values`."""
+    n = draw(st.integers(min_n, 40))
+    cells = iter(draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(cells)
+    return DistanceMatrix([f"p{i}" for i in range(n)], rows)
+
+
+# Few distinct values (many ties, zeros, an infinity) or any finite value
+# whose sums over 40 items stay finite.
+TIED = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 3.0, math.inf))
+ANY = st.floats(min_value=0.0, max_value=1e300)
+
+
+def matrices(min_n):
+    return st.one_of(distance_matrices(TIED, min_n), distance_matrices(ANY, min_n))
+
+
+def dendrogram_bits(dendrogram):
+    return dendrogram.leaf_labels, [(a, b, h.hex()) for a, b, h in dendrogram.merges]
+
+
+def report_bits(report):
+    return {label: s.hex() for label, s in report.per_point.items()}, report.mean.hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(2))
+def test_agglomerate_equals_pair_dict_reference(matrix):
+    for linkage in LINKAGES:
+        got = agglomerate(matrix, linkage)
+        want = reference_agglomerate(matrix, linkage)
+        assert got == want
+        assert dendrogram_bits(got) == dendrogram_bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(3))
+def test_cut_scan_equals_per_k_reference(matrix):
+    for linkage in LINKAGES:
+        dendrogram = agglomerate(matrix, linkage)
+        (k, assignment, report), means = cut_scan(matrix, dendrogram)
+        (want_k, want_assignment, want_report), want_means = \
+            reference_cut_scan(matrix, dendrogram)
+        assert k == want_k
+        assert assignment == want_assignment
+        assert report_bits(report) == report_bits(want_report)
+        assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
+
+
+def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
+    matrix = DistanceMatrix(["a", "b", "c", "d"],
+                            [[0.0, 1e308, 1e308, 1e308], [1e308, 0.0, 1e308, 1e308],
+                             [1e308, 1e308, 0.0, 1.0], [1e308, 1e308, 1.0, 0.0]])
+    dendrogram = agglomerate(matrix, "single")
+    with pytest.raises(DegenerateData):
+        cut_scan(matrix, dendrogram)
+    with pytest.raises(DegenerateData):
+        reference_cut_scan(matrix, dendrogram)  # through `silhouette`
+
+
+def test_agglomerate_matches_scipy_linkage_on_tie_free_matrices():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    rng = random.Random(97)
+    for _ in range(40):
+        matrix = random_distance_matrix(rng, rng.randint(2, 30))
+        n = matrix.n
+        condensed = [matrix.values[i][j] for i in range(n) for j in range(i + 1, n)]
+        for linkage in LINKAGES:
+            ours = agglomerate(matrix, linkage).merges
+            theirs = hierarchy.linkage(condensed, method=linkage)
+            ours_leaves = {i: frozenset([i]) for i in range(n)}
+            theirs_leaves = dict(ours_leaves)
+            for t, ((a, b, h), row) in enumerate(zip(ours, theirs)):
+                assert h == pytest.approx(float(row[2]), rel=1e-12, abs=1e-15)
+                ours_leaves[n + t] = ours_leaves[a] | ours_leaves[b]
+                theirs_leaves[n + t] = theirs_leaves[int(row[0])] | theirs_leaves[int(row[1])]
+                assert {ours_leaves[a], ours_leaves[b]} == \
+                    {theirs_leaves[int(row[0])], theirs_leaves[int(row[1])]}

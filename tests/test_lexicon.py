@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingdist.errors import DuplicateLanguage, InconsistentArity, ParseError
 from lingdist.lexicon import (Lexicon, WordEntry, parse_lexicon,
@@ -144,6 +146,36 @@ def test_round_trip_randomized():
         lex = Lexicon("db" if entries else None, entries, concepts)
         assert parse_lexicon(serialize_lexicon(lex)) == lex
 
+
+
+# Any printable symbol outside the dialect's structural and comment characters.
+ATOMS = st.text(st.characters(blacklist_categories=("C", "Z"),
+                              blacklist_characters=",[]().%"), min_size=1, max_size=6)
+CONCEPT_NAMES = st.text(st.characters(blacklist_categories=("C", "Z"),
+                                      blacklist_characters=",[]().%/\\#"),
+                        min_size=1, max_size=6).filter(lambda c: c not in (".", ".."))
+
+
+@st.composite
+def lexicons(draw):
+    """1-5 languages x 1-5 concepts, with synonym sets and optional concept names."""
+    arity = draw(st.integers(1, 5))
+    languages = draw(st.lists(ATOMS, min_size=1, max_size=5, unique=True))
+    entries = {lang: tuple(WordEntry(tuple(draw(st.lists(ATOMS, min_size=1, max_size=3))))
+                           for _ in range(arity))
+               for lang in languages}
+    concepts = draw(st.one_of(
+        st.none(), st.lists(CONCEPT_NAMES, min_size=arity, max_size=arity, unique=True)))
+    functor = draw(ATOMS.filter(lambda f: not f.startswith("#")))
+    return Lexicon(functor, entries, None if concepts is None else tuple(concepts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicons())
+def test_round_trip_property(lex):
+    again = parse_lexicon(serialize_lexicon(lex))
+    assert again == lex
+    assert again.languages == lex.languages
 
 def test_symbols_used_small():
     lex = parse_lexicon("n(french,[un,de]).")
