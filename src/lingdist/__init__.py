@@ -12,8 +12,8 @@ from .cluster import (ClusterAssignment, Dendrogram, PurityReport,
                       silhouette_scan)
 from .editdist import (GAP, Alignment, DistanceMatrix, alignments,
                        all_to_all_matrix, concept_matrix, entry_distance,
-                       language_distance, language_matrix,
-                       normalized_distance, raw_distance, read_oc, write_oc)
+                       language_matrix, normalized_distance, raw_distance,
+                       read_oc, write_oc)
 from .errors import LingdistError
 from .lexicon import (Lexicon, WordEntry, parse_lexicon, serialize_lexicon,
                       symbols_used, validate_against_table)

@@ -37,9 +37,8 @@ from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, stats, subst, svgplot
-from .errors import (DuplicateGeoPair, LimitExceeded, LingdistError,
-                     MissingPair, ParseError, TooFewLanguages, UnknownTableName,
-                     UsageError)
+from .errors import (LimitExceeded, LingdistError, ParseError, TooFewLanguages,
+                     UnknownTableName, UsageError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -142,15 +141,6 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def _pair_rows(matrix):
-    """Upper-triangle (label_a, label_b, value) rows in label order."""
-    rows = []
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            rows.append((matrix.labels[i], matrix.labels[j], matrix.values[i][j]))
-    return rows
-
-
 # --- subcommands ----------------------------------------------------------
 
 # Each subcommand maps (lexicon, table, parsed arguments) to {file name: text}.
@@ -166,10 +156,9 @@ def cmd_words_analyse(lex, table, args):
     for ci, cname in enumerate(names):
         matrix = editdist.concept_matrix(lex, ci, table)
         artifacts[f"{cname}.oc"] = editdist.write_oc(matrix, io.StringIO())
-        triples = _pair_rows(matrix)
         if pair_labels is None:
-            pair_labels = [f"{a}|{b}" for a, b, _v in triples]
-        columns[cname] = [v for _a, _b, v in triples]
+            pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
+        columns[cname] = [v for _a, _b, v in matrix.upper()]
     frame = stats.AnalysisFrame(columns, row_labels=pair_labels)
 
     summary = stats.mean_sd(frame)
@@ -201,7 +190,7 @@ def cmd_words_analyse(lex, table, args):
     artifacts["bhatt.csv"] = _csv_text(
         ("col_a", "col_b", "bc"),
         [(bc_names[i], bc_names[j], _fmt(bc_grid[i][j]))
-         for i in range(len(bc_names)) for j in range(i + 1, len(bc_names))])
+         for i, j in editdist.DistanceMatrix.upper_pairs(len(bc_names))])
 
     dend = hc.agglomerate(stats.bhatt_distance_matrix(bc_names, bc_grid), args.linkage)
     artifacts["bhatt_dendrogram.nwk"] = hc.export_newick(dend) + "\n"
@@ -268,9 +257,11 @@ def _read_geo(path):
                 d = float(row[2])
             except ValueError:
                 raise ParseError(f"{path}: bad distance {row[2]!r}") from None
+            if not (math.isfinite(d) and d >= 0.0):
+                raise ParseError(f"{path}: distance {row[2]!r} is not finite and >= 0")
             key = (a, b) if a <= b else (b, a)
             if key in geo:
-                raise DuplicateGeoPair(f"{path}: pair {a}/{b} listed twice")
+                raise ParseError(f"{path}: pair {a}/{b} listed twice")
             geo[key] = d
     return geo
 
@@ -280,10 +271,10 @@ def cmd_relationship(lex, table, args):
     geo = _read_geo(args.geo)
 
     pairs = []
-    for a, b, ling in _pair_rows(matrix):
+    for a, b, ling in matrix.upper():
         key = (a, b) if a <= b else (b, a)
         if key not in geo:
-            raise MissingPair(f"geo file lacks the pair {a}/{b}")
+            raise ParseError(f"{args.geo}: no distance for the pair {a}/{b}")
         pairs.append((a, b, ling, geo[key]))
 
     geo_values = [g for _a, _b, _l, g in pairs]

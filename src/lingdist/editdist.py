@@ -6,20 +6,23 @@ penalty) and substitutions (costing ``table.cost(s1, s2)``, read from the
 table's cost rows).  Dividing by the longer length gives the normalized
 distance used everywhere downstream.
 
-Words with synonym sets compare by the closest cross-pair match, and two
-languages compare by averaging the word distances over corresponding
-positions.  Matrices built here serialize to the OC text format (count,
-labels, then the upper triangle row by row).
+Words with synonym sets compare by the closest cross-pair match.  The
+language matrix is the mean of the per-concept triangles of entry distances,
+each distinct variant pair computed once per concept.  Matrices serialize to
+the OC text format (count, labels, then the upper triangle row by row).
 
 Note the triangle inequality is NOT guaranteed: tables with zero-cost pairs
 can make an indirect route cheaper than the direct substitution.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
-from .errors import (BothEmpty, FormatError, IndexOutOfRange, LimitExceeded,
-                     TooFewLanguages, UnknownLanguage)
+from .errors import (BothEmpty, DegenerateData, FormatError, IndexOutOfRange,
+                     LimitExceeded, TooFewLanguages)
 
 GAP = None  # gap marker inside alignment columns
 
@@ -154,42 +157,16 @@ def entry_distance(e1, e2, table):
     return min(normalized_distance(v1, v2, table) for v1 in e1.variants for v2 in e2.variants)
 
 
-def _memo_entry_distance(table):
-    """`entry_distance` over `table` that computes each unordered variant
-    pair once.  Exact, because raw_distance(a, b) and raw_distance(b, a)
-    perform the same float operations."""
-    memo = {}
-
-    def pair_distance(v1, v2):
-        key = (v1, v2) if v1 <= v2 else (v2, v1)
-        d = memo.get(key)
-        if d is None:
-            d = memo[key] = normalized_distance(v1, v2, table)
-        return d
-
-    def distance(e1, e2):
-        return min(pair_distance(v1, v2) for v1 in e1.variants for v2 in e2.variants)
-    return distance
-
-
-def language_distance(lex, lang_a, lang_b, table):
-    """Mean word-entry distance over corresponding concept positions."""
-    for lang in (lang_a, lang_b):
-        if lang not in lex.entries:
-            raise UnknownLanguage(f"language {lang!r} not in database")
-    words_a = lex.entries[lang_a]
-    words_b = lex.entries[lang_b]
-    if not words_a:
-        return 0.0
-    return math.fsum(entry_distance(ea, eb, table)
-                     for ea, eb in zip(words_a, words_b)) / len(words_a)
-
-
 # --- distance matrices -------------------------------------------------------
 
 @dataclass
 class DistanceMatrix:
-    """Labeled symmetric matrix with zero diagonal."""
+    """Labeled symmetric matrix with zero diagonal.
+
+    Flat listings (the OC file, the `words-analyse` columns, `pairs.csv`)
+    use one order, the upper triangle row by row, given by `upper_pairs`:
+    `from_upper` builds a matrix from it and `upper` reads one back in it.
+    """
 
     labels: list
     values: list  # list of row lists
@@ -211,6 +188,23 @@ class DistanceMatrix:
                 if self.values[i][j] < 0.0:
                     raise ValueError("distances must be non-negative")
 
+    @staticmethod
+    def upper_pairs(n):
+        """The index pairs (i, j), i < j, of n items in upper-triangle order."""
+        return ((i, j) for i in range(n) for j in range(i + 1, n))
+
+    @classmethod
+    def from_upper(cls, labels, upper):
+        """Matrix from exactly n(n-1)/2 upper-triangle values in `upper_pairs`
+        order, consumed one at a time (a generator builds no extra list)."""
+        labels = list(labels)
+        n = len(labels)
+        values = [[0.0] * n for _ in range(n)]
+        for (i, j), v in zip(cls.upper_pairs(n), upper, strict=True):
+            values[i][j] = v
+            values[j][i] = v
+        return cls(labels, values)
+
     @property
     def n(self):
         return len(self.labels)
@@ -221,30 +215,48 @@ class DistanceMatrix:
     def get(self, label_a, label_b):
         return self.values[self.index(label_a)][self.index(label_b)]
 
+    def upper(self):
+        """(label_a, label_b, distance) for every pair, in `upper_pairs` order."""
+        return ((self.labels[i], self.labels[j], self.values[i][j])
+                for i, j in self.upper_pairs(self.n))
 
-def _matrix_from_pairs(labels, pair_fn):
-    n = len(labels)
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = pair_fn(i, j)
-            values[i][j] = v
-            values[j][i] = v
-    return DistanceMatrix(list(labels), values)
+
+def _concept_triangle(entries, table):
+    """Upper triangle of the distances between one concept's `entries`, one
+    per language, computing each distinct unordered variant pair once (the
+    memo lives for this call).  Exact, because raw_distance(a, b) and
+    raw_distance(b, a) perform the same float operations."""
+    memo = {}
+
+    def pair_distance(v1, v2):
+        key = (v1, v2) if v1 <= v2 else (v2, v1)
+        d = memo.get(key)
+        if d is None:
+            d = memo[key] = normalized_distance(v1, v2, table)
+        return d
+
+    return array("d", (
+        min(pair_distance(v1, v2) for v1 in entries[i].variants for v2 in entries[j].variants)
+        for i, j in DistanceMatrix.upper_pairs(len(entries))))
 
 
 def language_matrix(lex, table):
-    """All-pairs language distance matrix.
-
-    No pair memo: one memo across all concepts would hold every distinct
-    variant pair of the lexicon at once, about 3 MiB for 100 languages x 8
-    concepts, more than a tenth of a `cluster` run's peak memory.
-    """
+    """All-pairs language distance matrix: each cell is the mean, over the
+    concepts, of that language pair's entry distance (0 with no concepts).
+    Per-concept triangles keep 8 bytes a cell; no memo spans two concepts."""
     langs = lex.languages
     if len(langs) < 2:
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
-    return _matrix_from_pairs(
-        langs, lambda i, j: language_distance(lex, langs[i], langs[j], table))
+    count = lex.n_concepts
+    if count == 0:
+        return DistanceMatrix.from_upper(langs, repeat(0.0, len(langs) * (len(langs) - 1) // 2))
+    triangles = [_concept_triangle([lex.entries[lang][ci] for lang in langs], table)
+                 for ci in range(count)]
+    try:
+        return DistanceMatrix.from_upper(
+            langs, (math.fsum(cells) / count for cells in zip(*triangles)))
+    except OverflowError:
+        raise DegenerateData("a sum of word distances overflows") from None
 
 
 def concept_matrix(lex, concept_index, table):
@@ -257,8 +269,7 @@ def concept_matrix(lex, concept_index, table):
         raise IndexOutOfRange(
             f"concept index {concept_index} outside 0..{lex.n_concepts - 1}")
     entries = [lex.entries[lang][concept_index] for lang in langs]
-    distance = _memo_entry_distance(table)
-    return _matrix_from_pairs(langs, lambda i, j: distance(entries[i], entries[j]))
+    return DistanceMatrix.from_upper(langs, _concept_triangle(entries, table))
 
 
 def all_to_all_matrix(lex, table):
@@ -278,15 +289,16 @@ def all_to_all_matrix(lex, table):
         for ci, cname in enumerate(names):
             labels.append(f"{lang}:{cname}")
             items.append(lex.entries[lang][ci])
-    return _matrix_from_pairs(
-        labels, lambda i, j: entry_distance(items[i], items[j], table))
+    return DistanceMatrix.from_upper(
+        labels, (entry_distance(items[i], items[j], table)
+                 for i, j in DistanceMatrix.upper_pairs(len(items))))
 
 
 # --- OC matrix format --------------------------------------------------------
 #
-# line 1: item count n; lines 2..n+1: labels (no whitespace); then n-1 lines,
-# line i holding the n-i upper-triangle distances d(i, i+1..n), space
-# separated, 6 decimal places.
+# line 1: item count n; lines 2..n+1: labels (no whitespace); then the upper
+# triangle in `DistanceMatrix.upper` order, one line per row: line i holds the
+# n-i distances d(i, i+1..n), space separated, 6 decimal places.
 
 def write_oc(matrix, sink):
     """Write a matrix in OC format to a path or text file object."""
@@ -295,11 +307,11 @@ def write_oc(matrix, sink):
             raise FormatError(f"label {label!r} is empty or contains whitespace")
     lines = [str(matrix.n)]
     lines.extend(matrix.labels)
-    for i in range(matrix.n - 1):
-        row = matrix.values[i][i + 1:]
+    for label, cells in groupby(matrix.upper(), key=itemgetter(0)):
+        row = [v for _a, _b, v in cells]
         if not all(map(math.isfinite, row)):
             # read_oc refuses non-finite cells, so never write one
-            raise FormatError(f"row {matrix.labels[i]!r} holds a non-finite distance")
+            raise FormatError(f"row {label!r} holds a non-finite distance")
         lines.append(" ".join(f"{v:.6f}" for v in row))
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
@@ -337,20 +349,19 @@ def read_oc(source):
         if not label or any(c.isspace() for c in label):
             raise FormatError(f"bad label line {line!r}")
         labels.append(label)
-    values = [[0.0] * n for _ in range(n)]
-    for i, line in enumerate(lines[1 + n:]):
-        cells = line.split()
-        if len(cells) != n - 1 - i:
-            raise FormatError(
-                f"triangle row {i + 1}: expected {n - 1 - i} values, got {len(cells)}")
-        for offset, cell in enumerate(cells):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise FormatError(f"non-numeric cell {cell!r}") from None
-            if v < 0.0 or math.isnan(v) or math.isinf(v):
-                raise FormatError(f"bad distance {cell!r}")
-            j = i + 1 + offset
-            values[i][j] = v
-            values[j][i] = v
-    return DistanceMatrix(labels, values)
+
+    def cells():
+        for i, line in enumerate(lines[1 + n:]):
+            row = line.split()
+            if len(row) != n - 1 - i:
+                raise FormatError(
+                    f"triangle row {i + 1}: expected {n - 1 - i} values, got {len(row)}")
+            for cell in row:
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise FormatError(f"non-numeric cell {cell!r}") from None
+                if v < 0.0 or math.isnan(v) or math.isinf(v):
+                    raise FormatError(f"bad distance {cell!r}")
+                yield v
+    return DistanceMatrix.from_upper(labels, cells())

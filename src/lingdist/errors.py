@@ -16,7 +16,8 @@ class UsageError(LingdistError):
 # --- text formats (language files, table DSL) ---------------------------
 
 class ParseError(LingdistError):
-    """Malformed language file or substitution-table text."""
+    """Malformed input file: a language file, substitution-table text, or a
+    truth or pair-distance CSV."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -55,10 +56,6 @@ class BothEmpty(LingdistError):
 
 class LimitExceeded(LingdistError):
     """More co-optimal alignments exist than the caller's limit allows."""
-
-
-class UnknownLanguage(LingdistError):
-    pass
 
 
 class TooFewLanguages(LingdistError):
@@ -117,12 +114,3 @@ class NonPositiveX(LingdistError):
 class DegenerateX(LingdistError):
     """Regressor has zero variance."""
 
-
-# --- pair-data ingestion (geography etc.) ---------------------------------
-
-class MissingPair(LingdistError):
-    """A required unordered pair is absent from the pair-distance file."""
-
-
-class DuplicateGeoPair(LingdistError):
-    """An unordered pair occurs twice in the pair-distance file."""

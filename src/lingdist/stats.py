@@ -37,13 +37,16 @@ class AnalysisFrame:
         return list(self.columns)
 
 
-def _mean(values):
-    return math.fsum(values) / len(values)
+_OVERFLOW = "a sum or square of the values overflows a float"
 
 
-def _sample_sd(values):
-    m = _mean(values)
-    return math.sqrt(math.fsum((x - m) ** 2 for x in values) / (len(values) - 1))
+def _mean_sd(values):
+    """Mean and sample standard deviation."""
+    try:
+        m = math.fsum(values) / len(values)
+        return m, math.sqrt(math.fsum((x - m) ** 2 for x in values) / (len(values) - 1))
+    except OverflowError:
+        raise DegenerateData(_OVERFLOW) from None
 
 
 def mean_sd(frame):
@@ -52,8 +55,7 @@ def mean_sd(frame):
     for name, values in frame.columns.items():
         if len(values) < 2:
             raise ColumnTooShort(f"column {name!r} needs >= 2 values for sd")
-        m = _mean(values)
-        sd = _sample_sd(values)
+        m, sd = _mean_sd(values)
         rows.append((name, m, sd, m * sd))
     return rows
 
@@ -62,8 +64,7 @@ def tscore(values):
     """Shift and scale to mean 50, sample standard deviation 10."""
     if len(values) < 2:
         raise ZeroVariance("t-score needs at least 2 values")
-    m = _mean(values)
-    sd = _sample_sd(values)
+    m, sd = _mean_sd(values)
     if sd == 0.0:
         raise ZeroVariance("t-score undefined for constant values")
     return [50.0 + 10.0 * (x - m) / sd for x in values]
@@ -89,7 +90,7 @@ def _quantile(sorted_values, p):
 def bandwidth_nrd0(values):
     """Rule-of-thumb Gaussian bandwidth: 0.9 * min(sd, IQR/1.34) * n^(-1/5),
     falling back to sd when the IQR collapses."""
-    sd = _sample_sd(values)
+    sd = _mean_sd(values)[1]
     ordered = sorted(values)
     iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     lo = min(sd, iqr / 1.34)
@@ -177,24 +178,18 @@ def bhatt_matrix(frame, bins=None):
         raise EmptyInput("need at least 2 columns")
     n = len(names)
     grid = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            bc = bhattacharyya(frame.columns[names[i]], frame.columns[names[j]], bins=bins)
-            grid[i][j] = bc
-            grid[j][i] = bc
+    for i, j in DistanceMatrix.upper_pairs(n):
+        bc = bhattacharyya(frame.columns[names[i]], frame.columns[names[j]], bins=bins)
+        grid[i][j] = bc
+        grid[j][i] = bc
     return names, grid
 
 
 def bhatt_distance_matrix(names, grid):
     """1 - Bhattacharyya, from the (names, grid) of `bhatt_matrix`, as a
     DistanceMatrix ready for clustering."""
-    n = len(names)
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                values[i][j] = 1.0 - grid[i][j]
-    return DistanceMatrix(list(names), values)
+    return DistanceMatrix.from_upper(
+        names, (1.0 - grid[i][j] for i, j in DistanceMatrix.upper_pairs(len(names))))
 
 
 @dataclass
@@ -209,28 +204,34 @@ def linregress(x, y, log10_x=False):
     """Ordinary least squares y = slope*x + intercept, with R-squared.
 
     With log10_x the regressor is log10(x), requiring every x > 0.
-    A constant y gives slope 0 and R-squared 0.
+    A constant y gives slope 0 and R-squared 0.  A non-finite value, or
+    sums and squares beyond the float range, raise DegenerateData.
     """
     if len(x) != len(y):
         raise LengthMismatch(f"x has {len(x)} values, y has {len(y)}")
     if len(x) < 3:
         raise LengthMismatch(f"need at least 3 paired values, got {len(x)}")
+    if not all(map(math.isfinite, chain(x, y))):
+        raise DegenerateData("regression needs finite x and y values")
     if log10_x:
         if any(v <= 0.0 for v in x):
             raise NonPositiveX("log10 regression needs every x > 0")
         x = [math.log10(v) for v in x]
     n = len(x)
-    mx = _mean(x)
-    my = _mean(y)
-    sxx = math.fsum((v - mx) ** 2 for v in x)
-    if sxx == 0.0:
-        raise DegenerateX("x has zero variance")
-    sxy = math.fsum((vx - mx) * (vy - my) for vx, vy in zip(x, y))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_tot = math.fsum((v - my) ** 2 for v in y)
-    if ss_tot == 0.0:
-        return RegressionResult(slope, intercept, 0.0, n)
-    ss_res = math.fsum((vy - (intercept + slope * vx)) ** 2 for vx, vy in zip(x, y))
+    try:
+        mx = math.fsum(x) / n
+        my = math.fsum(y) / n
+        sxx = math.fsum((v - mx) ** 2 for v in x)
+        if sxx == 0.0:
+            raise DegenerateX("x has zero variance")
+        sxy = math.fsum((vx - mx) * (vy - my) for vx, vy in zip(x, y))
+        slope = sxy / sxx
+        intercept = my - slope * mx
+        ss_tot = math.fsum((v - my) ** 2 for v in y)
+        if ss_tot == 0.0:
+            return RegressionResult(slope, intercept, 0.0, n)
+        ss_res = math.fsum((vy - (intercept + slope * vx)) ** 2 for vx, vy in zip(x, y))
+    except OverflowError:
+        raise DegenerateData(_OVERFLOW) from None
     r2 = 1.0 - ss_res / ss_tot
     return RegressionResult(slope, intercept, min(1.0, max(0.0, r2)), n)

@@ -12,6 +12,7 @@ from lingdist.cli import main as cli_main
 from test_golden import CASES, GOLDEN
 
 SHEEP = str(FIXTURES / "sheep.pl")
+SHEEP_GEO = str(FIXTURES / "sheep_geo.csv")
 
 
 def run_cli(args):
@@ -135,6 +136,32 @@ def test_distance_sum_overflow_is_data_error(tmp_path):
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--table", str(table_path),
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == ["huge.tbl"]
+
+
+@pytest.mark.parametrize("args", [
+    ["words-analyse", "--gap", "1e200"],  # squared deviations overflow
+    ["relationship", "--geo", SHEEP_GEO, "--gap", "1e200"],
+    ["relationship", "--geo", SHEEP_GEO, "--gap", "1e308"],  # infinite distances
+])
+def test_huge_gap_statistics_are_data_errors(args, tmp_path):
+    assert run_cli(args + ["--lexicon", SHEEP, "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == []
+
+
+def test_language_sum_overflow_is_data_error(tmp_path):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("n(a,[a,a,a,a]).\nn(b,[ab,ab,ab,ab]).\nn(c,[a,a,a,a]).\n")
+    assert run_cli(["cluster", "--lexicon", str(lex_path), "--gap", "1.5e308",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["toy.pl"]
+
+
+def test_cluster_without_concepts(tmp_path):
+    lex_path = tmp_path / "empty_words.pl"
+    lex_path.write_text("n(a,[]).\nn(b,[]).\nn(c,[]).\n")
+    out = tmp_path / "out"
+    assert run_cli(["cluster", "--lexicon", str(lex_path), "--out", str(out)]) == 0
+    assert (out / "languages.oc").read_text() == "3\na\nb\nc\n0.000000 0.000000\n0.000000\n"
 
 
 def test_rerun_into_same_out_replaces_stale_artifacts(tmp_path):
@@ -319,6 +346,17 @@ def test_relationship_duplicate_pair(tmp_path, fixtures_dir):
     geo_path.write_text("\n".join(dup) + "\n")
     assert run_cli(["relationship", "--lexicon", SHEEP,
                     "--geo", str(geo_path), "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_relationship_non_finite_geo_distance(bad, tmp_path):
+    rows = open(SHEEP_GEO).read().strip().splitlines()
+    rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + bad
+    geo_path = tmp_path / "geo.csv"
+    geo_path.write_text("\n".join(rows) + "\n")
+    assert run_cli(["relationship", "--lexicon", SHEEP,
+                    "--geo", str(geo_path), "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["geo.csv"]
 
 
 def test_relationship_nonpositive_distance(tmp_path):

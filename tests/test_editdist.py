@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_optimal_alignments, naive_lev, random_table,
-                     random_word)
+                     random_word, reference_language_values)
 
 from lingdist.editdist import (GAP, DistanceMatrix, alignments,
                                all_to_all_matrix, concept_matrix,
-                               entry_distance, language_distance,
-                               language_matrix, normalized_distance,
-                               raw_distance, read_oc, write_oc)
-from lingdist.errors import (BothEmpty, FormatError, IndexOutOfRange,
-                             LimitExceeded, TooFewLanguages, UnknownLanguage)
+                               entry_distance, language_matrix,
+                               normalized_distance, raw_distance, read_oc,
+                               write_oc)
+from lingdist.errors import (BothEmpty, DegenerateData, FormatError,
+                             IndexOutOfRange, LimitExceeded, TooFewLanguages)
 from lingdist.lexicon import WordEntry, parse_lexicon
 from lingdist.subst import SubstitutionTable, builtin_table
 
@@ -183,12 +183,10 @@ LEX3 = parse_lexicon(
     "numbers(french,[un,de,troi]).\n")
 
 
-def test_language_distance_identical_and_unknown():
+def test_language_distance_identical():
     table = builtin_table("editable")
     lex = parse_lexicon("n(a,[pat,ko]).\nn(b,[pat,ko]).")
-    assert language_distance(lex, "a", "b", table) == 0.0
-    with pytest.raises(UnknownLanguage):
-        language_distance(lex, "a", "nope", table)
+    assert language_matrix(lex, table).get("a", "b") == 0.0
 
 
 def test_language_distance_is_mean_of_entry_distances():
@@ -197,14 +195,14 @@ def test_language_distance_is_mean_of_entry_distances():
         entry_distance(LEX3.entries["romani"][c], LEX3.entries["english"][c], table)
         for c in range(3)]
     expected = sum(per_concept) / 3
-    got = language_distance(LEX3, "romani", "english", table)
+    got = language_matrix(LEX3, table).get("romani", "english")
     assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_language_distance_single_concept_equals_entry():
     table = builtin_table("editable")
     lex = parse_lexicon("n(a,[kelo]).\nn(b,[kilo]).")
-    assert language_distance(lex, "a", "b", table) == \
+    assert language_matrix(lex, table).get("a", "b") == \
         entry_distance(WordEntry(("kelo",)), WordEntry(("kilo",)), table)
 
 
@@ -212,8 +210,8 @@ def test_language_distance_concept_order_invariance():
     table = builtin_table("editable")
     lex1 = parse_lexicon("n(a,[pat,ko,mu]).\nn(b,[bat,go,nu]).")
     lex2 = parse_lexicon("n(a,[mu,pat,ko]).\nn(b,[nu,bat,go]).")
-    assert language_distance(lex1, "a", "b", table) == \
-        language_distance(lex2, "a", "b", table)
+    assert language_matrix(lex1, table).get("a", "b") == \
+        language_matrix(lex2, table).get("a", "b")
 
 
 def test_language_matrix():
@@ -224,10 +222,25 @@ def test_language_matrix():
         assert m.values[i][i] == 0.0
         for j in range(3):
             assert m.values[i][j] == m.values[j][i]
-    assert m.get("romani", "english") == \
-        language_distance(LEX3, "romani", "english", table)
+    assert m.values == reference_language_values(LEX3, table)
     with pytest.raises(TooFewLanguages):
         language_matrix(parse_lexicon("n(a,[x])."), table)
+
+
+def test_language_matrix_without_concepts_is_zero():
+    # the oracle divides by the concept count, so the property tests never
+    # reach a lexicon without concepts
+    m = language_matrix(parse_lexicon("n(a,[]).\nn(b,[]).\nn(c,[])."),
+                        builtin_table("editable"))
+    assert m.labels == ["a", "b", "c"]
+    assert m.values == [[0.0] * 3] * 3
+
+
+def test_language_matrix_sum_overflow_is_degenerate_data():
+    # each word distance is finite (7.5e307), their sum over four concepts is not
+    lex = parse_lexicon("n(a,[a,a,a,a]).\nn(b,[ab,ab,ab,ab]).\nn(c,[a,a,a,a]).")
+    with pytest.raises(DegenerateData):
+        language_matrix(lex, builtin_table("editable").with_gap(1.5e308))
 
 
 def test_language_matrix_relabeling():
@@ -272,6 +285,20 @@ def test_distance_matrix_validation():
         DistanceMatrix(["a", "b"], [[0.1, 1.0], [1.0, 0.0]])  # nonzero diagonal
     with pytest.raises(ValueError):
         DistanceMatrix(["a", "a"], [[0.0, 1.0], [1.0, 0.0]])  # duplicate labels
+
+
+def test_distance_matrix_upper_order():
+    m = DistanceMatrix.from_upper("abcd", (0.1, 0.2, 0.3, 1.2, 1.3, 2.3))
+    assert m.labels == ["a", "b", "c", "d"]
+    assert m.get("b", "d") == m.get("d", "b") == 1.3
+    assert list(m.upper()) == [("a", "b", 0.1), ("a", "c", 0.2), ("a", "d", 0.3),
+                               ("b", "c", 1.2), ("b", "d", 1.3), ("c", "d", 2.3)]
+    assert list(DistanceMatrix.upper_pairs(3)) == [(0, 1), (0, 2), (1, 2)]
+    for cells in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):  # one too few, one too many
+        with pytest.raises(ValueError):
+            DistanceMatrix.from_upper("abc", cells)
+    with pytest.raises(ValueError):
+        DistanceMatrix.from_upper("ab", (-1.0,))  # validation still applies
 
 
 def test_oc_round_trip():

@@ -280,6 +280,23 @@ def test_linregress_errors():
         linregress([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, math.inf], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+    ([1.0, 2.0, 3.0], [1e200, 3e200, 2e200]),  # squared deviations overflow
+    ([1e308, 1.7e308, 2.0], [1.0, 2.0, 3.0]),  # the sum overflows
+])
+def test_linregress_degenerate_data(x, y):
+    with pytest.raises(DegenerateData):
+        linregress(x, y)
+
+
+def test_mean_sd_overflow_is_degenerate_data():
+    for column in ([1e200, 3e200, 2e200], [1.7e308, 1.7e308, 1.0]):
+        with pytest.raises(DegenerateData):
+            mean_sd(AnalysisFrame({"w": column}))
+
+
 def test_linregress_r2_affine_invariant_in_x():
     rng = random.Random(43)
     x = [rng.uniform(1, 9) for _ in range(12)]

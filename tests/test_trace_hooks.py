@@ -1,0 +1,33 @@
+"""The traced benchmark run wraps lingdist functions by module attribute name.
+
+`perfbench/traced_run.py` replaces each `module.attr` in its span tables with
+a timing wrapper, so a renamed or deleted function makes every traced run
+fail with AttributeError.  This keeps those names in step with the package.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACED_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "traced_run.py"
+
+
+def load_traced_run():
+    spec = importlib.util.spec_from_file_location("traced_run", TRACED_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists_in_lingdist():
+    traced_run = load_traced_run()
+    names = [name for table in (traced_run.SELF_TIME, traced_run.INCLUSIVE_TIME)
+             for names in table.values() for name in names]
+    assert "editdist.language_matrix" in names
+    missing = []
+    for name in names:
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"lingdist.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append(name)
+    assert missing == []
