@@ -158,7 +158,7 @@ def cmd_words_analyse(lex, table, args):
         artifacts[f"{cname}.oc"] = editdist.write_oc(matrix, io.StringIO())
         if pair_labels is None:
             pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
-        columns[cname] = [v for _a, _b, v in matrix.upper()]
+        columns[cname] = matrix.values
     frame = stats.AnalysisFrame(columns, row_labels=pair_labels)
 
     summary = stats.mean_sd(frame)
@@ -347,12 +347,9 @@ def _int_at_least(minimum):
 
 def _cost(text):
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+        return subst.cost_value("the value", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser():

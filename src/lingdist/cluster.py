@@ -19,8 +19,7 @@ pairs i < j, the reference's rule.  After a merge only the entries that
 pointed at a merged node rescan their row; every other entry meets the new
 node, whose id is the largest, so it takes over only when strictly closer.
 The linkage updates are the reference's expressions, so every height is the
-same float.  Time is O(n^2) plus the rescans (O(n^3) at worst); memory is
-one square copy of the matrix.
+same float.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 
 `cut_scan` walks the cuts top-down.  Going to k undoes merge n-k, which
 splits one cluster in two.  For each new cluster it computes, once, every
@@ -29,10 +28,14 @@ that is the sum `silhouette` takes over the same members in its own order.
 Each point keeps a(i), b(i) and the cluster b(i) came from.  A split can
 only bring b(i) down to one of the two new columns, unless b(i) came from the
 cluster that split and rounding put both halves above it; then that point
-alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float operations.  The scan
-costs O(n * sum of |split cluster|): O(n^2 log n) on a balanced tree and
-O(n^3) on a chain, and holds each node's leaf list.  `cut` and `silhouette`
-run for the best k only.
+alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
+operations.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
+balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
+and `silhouette` run for the best k only.
+
+A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
+`silhouette` each work on a square from `matrix.rows()` and release it before
+the next builds its own, so at most one square copy exists at a time.
 """
 
 import math
@@ -93,12 +96,8 @@ def agglomerate(matrix, linkage="complete"):
         raise TooFewItems(f"need at least 2 items to cluster, got {n}")
 
     # dist[x][y] is the distance between the nodes held in slots x and y; the
-    # merged node takes its smaller child's slot.  Only the upper triangle of
-    # the matrix is read, mirrored, so every value is the one at i < j.
-    dist = [list(row) for row in matrix.values]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[j][i] = dist[i][j]
+    # merged node takes its smaller child's slot.
+    dist = matrix.rows()
     node = list(range(n))  # node id held by each slot
     size = [1] * n
     live = list(range(n))  # live slots in increasing node id
@@ -195,10 +194,8 @@ def silhouette(matrix, assignment):
         cluster_items.setdefault(cid, []).append(idx_of[label])
 
     per_point = {}
-    for label in matrix.labels:
-        i = idx_of[label]
+    for i, (label, row) in enumerate(zip(matrix.labels, matrix.rows())):
         own = assignment.member_of[label]
-        row = matrix.values[i]
         if len(cluster_items[own]) == 1:
             per_point[label] = 0.0
             continue
@@ -248,12 +245,21 @@ def cut_scan(matrix, dendrogram):
     Returns (best, means): best is the (k, assignment, report) with the
     highest mean silhouette, ties going to the smaller k, and means is the
     list of (k, mean) for every k.  The scan walks the cuts top-down (see the
-    module docstring) and calls `cut` and `silhouette` for the best k only.
+    module docstring) and calls `cut` and `silhouette` for the best k only,
+    once the scan's square is released.
     """
     n = matrix.n
     if n < 3:
         raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
-    values = matrix.values
+    means = _scan_means(matrix.rows(), dendrogram)
+    k = max(means, key=itemgetter(1))[0]  # max keeps the first, smallest k, of equal means
+    assignment = cut(dendrogram, k)
+    return (k, assignment, silhouette(matrix, assignment)), means
+
+
+def _scan_means(values, dendrogram):
+    """(k, mean silhouette) for every k in 2..n-1, from the square `values`."""
+    n = len(values)
     leaves = [[i] for i in range(n)]
     for a, b, _h in dendrogram.merges:
         leaves.append(leaves[a] + leaves[b])
@@ -262,7 +268,7 @@ def cut_scan(matrix, dendrogram):
     a_of = [0.0] * n       # the mean distance a(i) within it,
     b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
     b_from = [None] * n    # and the cluster that gave b(i)
-    best, means = None, []
+    means = []
     for k in range(2, n):
         parent = 2 * n - k
         ca, cb, _h = dendrogram.merges[n - k]
@@ -293,13 +299,8 @@ def cut_scan(matrix, dendrogram):
             a, b = a_of[i], b_of[i]
             denom = max(a, b)
             scores.append((b - a) / denom if denom > 0.0 else 0.0)
-        mean = math.fsum(scores) / n
-        means.append((k, mean))
-        if best is None or mean > best[1]:
-            best = (k, mean)
-    k = best[0]
-    assignment = cut(dendrogram, k)
-    return (k, assignment, silhouette(matrix, assignment)), means
+        means.append((k, math.fsum(scores) / n))
+    return means
 
 
 def best_cut(matrix, dendrogram):

@@ -8,8 +8,10 @@ distance used everywhere downstream.
 
 Words with synonym sets compare by the closest cross-pair match.  The
 language matrix is the mean of the per-concept triangles of entry distances,
-each distinct variant pair computed once per concept.  Matrices serialize to
-the OC text format (count, labels, then the upper triangle row by row).
+each distinct variant pair computed once per concept.  A DistanceMatrix
+holds its labels and its upper triangle, 8 bytes a cell; only the clustering
+code builds the square, through `rows()`.  Matrices serialize to the OC text
+format (count, labels, then the upper triangle row by row).
 
 Note the triangle inequality is NOT guaranteed: tables with zero-cost pairs
 can make an indirect route cheaper than the direct substitution.
@@ -18,8 +20,7 @@ can make an indirect route cheaper than the direct substitution.
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 
 from .errors import (BothEmpty, DegenerateData, FormatError, IndexOutOfRange,
                      LimitExceeded, TooFewLanguages)
@@ -161,64 +162,62 @@ def entry_distance(e1, e2, table):
 
 @dataclass
 class DistanceMatrix:
-    """Labeled symmetric matrix with zero diagonal.
-
-    Flat listings (the OC file, the `words-analyse` columns, `pairs.csv`)
-    use one order, the upper triangle row by row, given by `upper_pairs`:
-    `from_upper` builds a matrix from it and `upper` reads one back in it.
-    """
+    """Labeled symmetric matrix with zero diagonal, stored as `values`: one
+    array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
+    order, the order of every flat listing (the OC file, the `words-analyse`
+    columns, `pairs.csv`).  The constructor takes any iterable of them."""
 
     labels: list
-    values: list  # list of row lists
+    values: array
 
     def __post_init__(self):
+        self.labels = list(self.labels)
+        self.values = array("d", self.values)
         n = len(self.labels)
         if n < 1:
             raise ValueError("matrix needs at least one item")
         if len(set(self.labels)) != n:
             raise ValueError("matrix labels must be unique")
-        if len(self.values) != n or any(len(row) != n for row in self.values):
-            raise ValueError("matrix must be square and match the label count")
-        for i in range(n):
-            if self.values[i][i] != 0.0:
-                raise ValueError(f"nonzero diagonal at {self.labels[i]!r}")
-            for j in range(i + 1, n):
-                if self.values[i][j] != self.values[j][i]:
-                    raise ValueError("matrix must be symmetric")
-                if self.values[i][j] < 0.0:
-                    raise ValueError("distances must be non-negative")
+        if len(self.values) != n * (n - 1) // 2:
+            raise ValueError(f"{n} items need {n * (n - 1) // 2} values, got {len(self.values)}")
+        if any(v < 0.0 for v in self.values):
+            raise ValueError("distances must be non-negative")
 
     @staticmethod
     def upper_pairs(n):
         """The index pairs (i, j), i < j, of n items in upper-triangle order."""
         return ((i, j) for i in range(n) for j in range(i + 1, n))
 
-    @classmethod
-    def from_upper(cls, labels, upper):
-        """Matrix from exactly n(n-1)/2 upper-triangle values in `upper_pairs`
-        order, consumed one at a time (a generator builds no extra list)."""
-        labels = list(labels)
-        n = len(labels)
-        values = [[0.0] * n for _ in range(n)]
-        for (i, j), v in zip(cls.upper_pairs(n), upper, strict=True):
-            values[i][j] = v
-            values[j][i] = v
-        return cls(labels, values)
-
     @property
     def n(self):
         return len(self.labels)
 
-    def index(self, label):
-        return self.labels.index(label)
-
     def get(self, label_a, label_b):
-        return self.values[self.index(label_a)][self.index(label_b)]
+        i, j = sorted((self.labels.index(label_a), self.labels.index(label_b)))
+        return self.values[i * (2 * self.n - i - 1) // 2 + j - i - 1] if i < j else 0.0
 
     def upper(self):
         """(label_a, label_b, distance) for every pair, in `upper_pairs` order."""
-        return ((self.labels[i], self.labels[j], self.values[i][j])
-                for i, j in self.upper_pairs(self.n))
+        return ((self.labels[i], self.labels[j], v)
+                for (i, j), v in zip(self.upper_pairs(self.n), self.values))
+
+    def upper_rows(self):
+        """Per item i, the array of distances d(i, i+1..n-1) (empty for the last)."""
+        start = 0
+        for i in range(self.n):
+            stop = start + self.n - 1 - i
+            yield self.values[start:stop]
+            start = stop
+
+    def rows(self):
+        """The square matrix as n new row lists, a working copy for clustering."""
+        rows = []
+        for i, tail in enumerate(self.upper_rows()):
+            row = [above[i] for above in rows]
+            row.append(0.0)
+            row.extend(tail)
+            rows.append(row)
+        return rows
 
 
 def _concept_triangle(entries, table):
@@ -249,12 +248,11 @@ def language_matrix(lex, table):
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
     count = lex.n_concepts
     if count == 0:
-        return DistanceMatrix.from_upper(langs, repeat(0.0, len(langs) * (len(langs) - 1) // 2))
+        return DistanceMatrix(langs, repeat(0.0, len(langs) * (len(langs) - 1) // 2))
     triangles = [_concept_triangle([lex.entries[lang][ci] for lang in langs], table)
                  for ci in range(count)]
     try:
-        return DistanceMatrix.from_upper(
-            langs, (math.fsum(cells) / count for cells in zip(*triangles)))
+        return DistanceMatrix(langs, (math.fsum(cells) / count for cells in zip(*triangles)))
     except OverflowError:
         raise DegenerateData("a sum of word distances overflows") from None
 
@@ -269,7 +267,7 @@ def concept_matrix(lex, concept_index, table):
         raise IndexOutOfRange(
             f"concept index {concept_index} outside 0..{lex.n_concepts - 1}")
     entries = [lex.entries[lang][concept_index] for lang in langs]
-    return DistanceMatrix.from_upper(langs, _concept_triangle(entries, table))
+    return DistanceMatrix(langs, _concept_triangle(entries, table))
 
 
 def all_to_all_matrix(lex, table):
@@ -289,15 +287,14 @@ def all_to_all_matrix(lex, table):
         for ci, cname in enumerate(names):
             labels.append(f"{lang}:{cname}")
             items.append(lex.entries[lang][ci])
-    return DistanceMatrix.from_upper(
-        labels, (entry_distance(items[i], items[j], table)
-                 for i, j in DistanceMatrix.upper_pairs(len(items))))
+    return DistanceMatrix(labels, (entry_distance(items[i], items[j], table)
+                                   for i, j in DistanceMatrix.upper_pairs(len(items))))
 
 
 # --- OC matrix format --------------------------------------------------------
 #
 # line 1: item count n; lines 2..n+1: labels (no whitespace); then the upper
-# triangle in `DistanceMatrix.upper` order, one line per row: line i holds the
+# triangle row by row (`DistanceMatrix.upper_rows`): line i holds the
 # n-i distances d(i, i+1..n), space separated, 6 decimal places.
 
 def write_oc(matrix, sink):
@@ -307,8 +304,7 @@ def write_oc(matrix, sink):
             raise FormatError(f"label {label!r} is empty or contains whitespace")
     lines = [str(matrix.n)]
     lines.extend(matrix.labels)
-    for label, cells in groupby(matrix.upper(), key=itemgetter(0)):
-        row = [v for _a, _b, v in cells]
+    for label, row in zip(matrix.labels[:-1], matrix.upper_rows()):
         if not all(map(math.isfinite, row)):
             # read_oc refuses non-finite cells, so never write one
             raise FormatError(f"row {label!r} holds a non-finite distance")
@@ -349,6 +345,8 @@ def read_oc(source):
         if not label or any(c.isspace() for c in label):
             raise FormatError(f"bad label line {line!r}")
         labels.append(label)
+    if len(set(labels)) != n:
+        raise FormatError("matrix labels must be unique")
 
     def cells():
         for i, line in enumerate(lines[1 + n:]):
@@ -364,4 +362,4 @@ def read_oc(source):
                 if v < 0.0 or math.isnan(v) or math.isinf(v):
                     raise FormatError(f"bad distance {cell!r}")
                 yield v
-    return DistanceMatrix.from_upper(labels, cells())
+    return DistanceMatrix(labels, cells())

@@ -19,7 +19,7 @@ from .errors import (ColumnTooShort, DegenerateData, DegenerateX, EmptyInput,
 
 @dataclass
 class AnalysisFrame:
-    columns: dict  # name -> list of reals, insertion ordered, equal lengths
+    columns: dict  # name -> sequence of reals, insertion ordered, equal lengths
     row_labels: list | None = None
 
     def __post_init__(self):
@@ -188,7 +188,7 @@ def bhatt_matrix(frame, bins=None):
 def bhatt_distance_matrix(names, grid):
     """1 - Bhattacharyya, from the (names, grid) of `bhatt_matrix`, as a
     DistanceMatrix ready for clustering."""
-    return DistanceMatrix.from_upper(
+    return DistanceMatrix(
         names, (1.0 - grid[i][j] for i, j in DistanceMatrix.upper_pairs(len(names))))
 
 

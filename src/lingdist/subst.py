@@ -38,6 +38,14 @@ class WeightClass:
             raise ValueError(f"weight class {self.name!r}: {self.weight} outside [0, 1]")
 
 
+def cost_value(what, value):
+    """`value` as a float; ValueError unless it is finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _pair(s1, s2):
     return (s1, s2) if s1 <= s2 else (s2, s1)
 
@@ -49,14 +57,15 @@ class SubstitutionTable:
     `pair_rules` is an iterable of (s1, s2, class_name_or_cost), `zero_pairs`
     of (s1, s2), `vowel_sets` maps a family letter (a/e/i/o/u/y) to extra
     members (the family letter itself is always a member), and `long_short`
-    is an iterable of (long, short, class_name).
+    is an iterable of (long, short, class_name).  `gap_penalty` and
+    `default_mismatch` go through `cost_value`.
     """
 
     def __init__(self, classes=None, pair_rules=(), zero_pairs=(), vowel_sets=None,
                  long_short=(), gap_penalty=1.0, default_mismatch=1.0, name=None):
         self.name = name
-        self.gap_penalty = float(gap_penalty)
-        self.default_mismatch = float(default_mismatch)
+        self.gap_penalty = cost_value("gap penalty", gap_penalty)
+        self.default_mismatch = cost_value("default mismatch", default_mismatch)
         self.classes = {}
         for cname, w in (classes or {}).items():
             self.classes[cname] = WeightClass(cname, float(w)).weight
@@ -160,7 +169,7 @@ class SubstitutionTable:
         depend on the gap, so the copy shares the cost-row cache."""
         clone = SubstitutionTable.__new__(SubstitutionTable)
         clone.__dict__.update(self.__dict__)
-        clone.gap_penalty = float(gap_penalty)
+        clone.gap_penalty = cost_value("gap penalty", gap_penalty)
         return clone
 
     def __repr__(self):
@@ -191,12 +200,9 @@ def parse_table(text, name=None):
 
     def cost(tok, ln):
         try:
-            value = float(tok)
-        except ValueError:
-            raise ParseError(f"bad cost {tok!r}", line=ln) from None
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ParseError(f"cost must be finite and >= 0, got {tok!r}", line=ln)
-        return value
+            return cost_value("cost", tok)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=ln) from None
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

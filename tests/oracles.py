@@ -113,16 +113,14 @@ def random_distance_matrix(rng: random.Random, n, distinct=True):
     from lingdist.editdist import DistanceMatrix
 
     labels = [f"p{i}" for i in range(n)]
-    values = [[0.0] * n for _ in range(n)]
+    values = []
     seen = set()
-    for i in range(n):
-        for j in range(i + 1, n):
+    for _ in range(n * (n - 1) // 2):
+        v = round(rng.uniform(0.05, 1.0), 6)
+        while distinct and v in seen:
             v = round(rng.uniform(0.05, 1.0), 6)
-            while distinct and v in seen:
-                v = round(rng.uniform(0.05, 1.0), 6)
-            seen.add(v)
-            values[i][j] = v
-            values[j][i] = v
+        seen.add(v)
+        values.append(v)
     return DistanceMatrix(labels, values)
 
 
@@ -190,10 +188,11 @@ def reference_agglomerate(matrix, linkage="complete"):
         raise TooFewItems(f"need at least 2 items to cluster, got {n}")
 
     size = {i: 1 for i in range(n)}
+    rows = matrix.rows()
     dist = {}
     for i in range(n):
         for j in range(i + 1, n):
-            dist[(i, j)] = matrix.values[i][j]
+            dist[(i, j)] = rows[i][j]
 
     merges = []
     next_id = n

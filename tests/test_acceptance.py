@@ -169,13 +169,7 @@ def test_criterion_4_silhouette_correctness():
         for _ in range(60):
             n = rng.randint(3, 12)
             labels = [f"p{i}" for i in range(n)]
-            values = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = rng.uniform(0.01, 1.0)
-                    values[i][j] = v
-                    values[j][i] = v
-            m = DistanceMatrix(labels, values)
+            m = DistanceMatrix(labels, [rng.uniform(0.01, 1.0) for _ in range(n * (n - 1) // 2)])
             d = agglomerate(m, rng.choice(("single", "complete", "average")))
             for k in range(2, n):
                 assignment = cut(d, k)
@@ -185,8 +179,7 @@ def test_criterion_4_silhouette_correctness():
                     assert abs(report.per_point[label] - oracle[label]) <= 1e-12
                     assert -1.0 <= report.per_point[label] <= 1.0
         # singleton convention
-        m = DistanceMatrix(["a", "b", "c"],
-                           [[0.0, 0.3, 0.9], [0.3, 0.0, 0.8], [0.9, 0.8, 0.0]])
+        m = DistanceMatrix(["a", "b", "c"], [0.3, 0.9, 0.8])
         report = silhouette(m, ClusterAssignment(2, {"a": 1, "b": 1, "c": 2}))
         assert report.per_point["c"] == 0.0
 
@@ -265,18 +258,13 @@ def test_criterion_7_round_trips():
         for _ in range(40):
             n = rng.randint(1, 9)
             labels = [f"item{i}" for i in range(n)]
-            values = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = rng.uniform(0.0, 3.0)
-                    values[i][j] = v
-                    values[j][i] = v
-            m = DistanceMatrix(labels, values)
+            m = DistanceMatrix(labels, [rng.uniform(0.0, 3.0) for _ in range(n * (n - 1) // 2)])
             m2 = read_oc(io.StringIO(write_oc(m, io.StringIO())))
             assert m2.labels == m.labels
+            rows, rows2 = m.rows(), m2.rows()
             for i in range(n):
                 for j in range(n):
-                    assert abs(m2.values[i][j] - m.values[i][j]) <= 5e-7
+                    assert abs(rows2[i][j] - rows[i][j]) <= 5e-7
 
         alphabet = "abdefgKTZo"
         for _ in range(40):

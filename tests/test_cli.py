@@ -291,9 +291,8 @@ def test_relationship_perfect_line(tmp_path):
     table = lingdist.builtin_table("editable")
     m = lingdist.language_matrix(lex, table)
     lines = ["place_a,place_b,distance_km"]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lines.append(f"{m.labels[i]},{m.labels[j]},{m.values[i][j] * 1000.0!r}")
+    for a, b, d in m.upper():
+        lines.append(f"{a},{b},{d * 1000.0!r}")
     geo_path = tmp_path / "geo.csv"
     geo_path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"

@@ -15,13 +15,9 @@ from lingdist.errors import BadK, MissingTruthLabel, TooFewItems
 
 
 def _matrix(labels, pairs):
-    n = len(labels)
-    values = [[0.0] * n for _ in range(n)]
-    for (a, b), v in pairs.items():
-        i, j = labels.index(a), labels.index(b)
-        values[i][j] = v
-        values[j][i] = v
-    return DistanceMatrix(list(labels), values)
+    cells = {frozenset(pair): v for pair, v in pairs.items()}
+    return DistanceMatrix(labels, [cells.get(frozenset((labels[i], labels[j])), 0.0)
+                                   for i, j in DistanceMatrix.upper_pairs(len(labels))])
 
 
 TWO_PAIRS = _matrix("abcd", {("a", "b"): 0.1, ("c", "d"): 0.1,
@@ -87,7 +83,7 @@ def test_unknown_linkage_and_too_few():
     with pytest.raises(ValueError):
         agglomerate(TWO_PAIRS, "ward")
     with pytest.raises(TooFewItems):
-        agglomerate(DistanceMatrix(["only"], [[0.0]]), "complete")
+        agglomerate(DistanceMatrix(["only"], []), "complete")
 
 
 def test_cut_extremes():
@@ -263,8 +259,8 @@ def test_label_permutation_equivariance():
         perm = list(range(n))
         rng.shuffle(perm)
         labels2 = [m.labels[p] for p in perm]
-        values2 = [[m.values[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        m2 = DistanceMatrix(labels2, values2)
+        m2 = DistanceMatrix(labels2, [m.get(labels2[i], labels2[j])
+                                      for i, j in DistanceMatrix.upper_pairs(n)])
         d1, d2 = agglomerate(m), agglomerate(m2)
         k1, a1, r1 = best_cut(m, d1)
         k2, a2, r2 = best_cut(m2, d2)

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -218,11 +219,12 @@ def test_language_matrix():
     table = builtin_table("editable")
     m = language_matrix(LEX3, table)
     assert m.labels == ["romani", "english", "french"]
+    rows = m.rows()
     for i in range(3):
-        assert m.values[i][i] == 0.0
+        assert rows[i][i] == 0.0
         for j in range(3):
-            assert m.values[i][j] == m.values[j][i]
-    assert m.values == reference_language_values(LEX3, table)
+            assert rows[i][j] == rows[j][i]
+    assert rows == reference_language_values(LEX3, table)
     with pytest.raises(TooFewLanguages):
         language_matrix(parse_lexicon("n(a,[x])."), table)
 
@@ -233,7 +235,7 @@ def test_language_matrix_without_concepts_is_zero():
     m = language_matrix(parse_lexicon("n(a,[]).\nn(b,[]).\nn(c,[])."),
                         builtin_table("editable"))
     assert m.labels == ["a", "b", "c"]
-    assert m.values == [[0.0] * 3] * 3
+    assert m.rows() == [[0.0] * 3] * 3
 
 
 def test_language_matrix_sum_overflow_is_degenerate_data():
@@ -270,7 +272,7 @@ def test_all_to_all_matrix():
     m = all_to_all_matrix(lex, table)
     assert m.n == 6
     assert m.labels[:3] == ["a:w1", "a:w2", "a:w3"]
-    assert all(m.values[i][i] == 0.0 for i in range(6))
+    assert all(row[i] == 0.0 for i, row in enumerate(m.rows()))
     # spot-check a cross-concept cell against a direct recomputation
     expected = entry_distance(lex.entries["a"][0], lex.entries["b"][2], table)
     assert m.get("a:w1", "b:w3") == expected
@@ -280,44 +282,41 @@ def test_all_to_all_matrix():
 
 def test_distance_matrix_validation():
     with pytest.raises(ValueError):
-        DistanceMatrix(["a", "b"], [[0.0, 1.0], [0.9, 0.0]])  # asymmetric
+        DistanceMatrix([], [])  # no items
     with pytest.raises(ValueError):
-        DistanceMatrix(["a", "b"], [[0.1, 1.0], [1.0, 0.0]])  # nonzero diagonal
-    with pytest.raises(ValueError):
-        DistanceMatrix(["a", "a"], [[0.0, 1.0], [1.0, 0.0]])  # duplicate labels
+        DistanceMatrix(["a", "a"], [1.0])  # duplicate labels
 
 
 def test_distance_matrix_upper_order():
-    m = DistanceMatrix.from_upper("abcd", (0.1, 0.2, 0.3, 1.2, 1.3, 2.3))
+    m = DistanceMatrix("abcd", (0.1, 0.2, 0.3, 1.2, 1.3, 2.3))
     assert m.labels == ["a", "b", "c", "d"]
+    assert m.values == array("d", (0.1, 0.2, 0.3, 1.2, 1.3, 2.3))
     assert m.get("b", "d") == m.get("d", "b") == 1.3
     assert list(m.upper()) == [("a", "b", 0.1), ("a", "c", 0.2), ("a", "d", 0.3),
                                ("b", "c", 1.2), ("b", "d", 1.3), ("c", "d", 2.3)]
+    assert [list(row) for row in m.upper_rows()] == [[0.1, 0.2, 0.3], [1.2, 1.3], [2.3], []]
+    assert m.rows() == [[0.0, 0.1, 0.2, 0.3], [0.1, 0.0, 1.2, 1.3],
+                        [0.2, 1.2, 0.0, 2.3], [0.3, 1.3, 2.3, 0.0]]
     assert list(DistanceMatrix.upper_pairs(3)) == [(0, 1), (0, 2), (1, 2)]
     for cells in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):  # one too few, one too many
         with pytest.raises(ValueError):
-            DistanceMatrix.from_upper("abc", cells)
+            DistanceMatrix("abc", cells)
     with pytest.raises(ValueError):
-        DistanceMatrix.from_upper("ab", (-1.0,))  # validation still applies
+        DistanceMatrix("ab", (-1.0,))  # negative cell
 
 
 def test_oc_round_trip():
     rng = random.Random(3)
     for n in (1, 2, 3, 7):
         labels = [f"item{i}" for i in range(n)]
-        values = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = rng.uniform(0.0, 2.0)
-                values[i][j] = v
-                values[j][i] = v
-        m = DistanceMatrix(labels, values)
+        m = DistanceMatrix(labels, [rng.uniform(0.0, 2.0) for _ in range(n * (n - 1) // 2)])
         text = write_oc(m, io.StringIO())
         m2 = read_oc(io.StringIO(text))
         assert m2.labels == m.labels
+        rows, rows2 = m.rows(), m2.rows()
         for i in range(n):
             for j in range(n):
-                assert m2.values[i][j] == pytest.approx(m.values[i][j], abs=5e-7)
+                assert rows2[i][j] == pytest.approx(rows[i][j], abs=5e-7)
         # a second write emits identical bytes
         assert write_oc(m2, io.StringIO()) == write_oc(m2, io.StringIO())
 
@@ -330,17 +329,31 @@ labels = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_si
 def labelled_matrices(draw):
     names = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
     n = len(names)
-    values = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i][j] = values[j][i] = draw(st.floats(0.0, allow_nan=False))
-    return DistanceMatrix(names, values)
+    cells = st.floats(0.0, allow_nan=False)
+    return DistanceMatrix(names, draw(st.lists(cells, min_size=n * (n - 1) // 2,
+                                               max_size=n * (n - 1) // 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_matrices())
+def test_square_rows_get_and_upper_agree(matrix):
+    names, rows = matrix.labels, matrix.rows()
+    assert len(rows) == matrix.n
+    for (i, j), v, (a, b, d) in zip(DistanceMatrix.upper_pairs(matrix.n), matrix.values,
+                                    matrix.upper(), strict=True):
+        assert (a, b) == (names[i], names[j])
+        assert d.hex() == v.hex() == rows[i][j].hex()
+    for i, a in enumerate(names):
+        assert len(rows[i]) == matrix.n
+        assert rows[i][i] == matrix.get(a, a) == 0.0
+        for j, b in enumerate(names):
+            assert rows[i][j].hex() == rows[j][i].hex() == matrix.get(a, b).hex()
 
 
 @settings(max_examples=150, deadline=None)
 @given(labelled_matrices())
 def test_oc_text_survives_read_and_write(matrix):
-    if any(math.isinf(v) for row in matrix.values for v in row):
+    if any(map(math.isinf, matrix.values)):
         with pytest.raises(FormatError):  # read_oc could not read it back
             write_oc(matrix, io.StringIO())
         return
@@ -351,7 +364,7 @@ def test_oc_text_survives_read_and_write(matrix):
 
 
 def test_oc_2x2_exact_text():
-    m = DistanceMatrix(["A", "B"], [[0.0, 0.25], [0.25, 0.0]])
+    m = DistanceMatrix(["A", "B"], [0.25])
     assert write_oc(m, io.StringIO()) == "2\nA\nB\n0.250000\n"
 
 
@@ -363,6 +376,7 @@ def test_oc_2x2_exact_text():
     "2\nA\nB\nfoo\n",                # non-numeric cell
     "2\nA\nB\n-0.5\n",               # negative distance
     "2\nA B\nC\n0.1\n",              # whitespace in label
+    "2\nA\nA\n0.1\n",                # repeated label
 ])
 def test_oc_format_errors(bad):
     with pytest.raises(FormatError):
@@ -370,6 +384,6 @@ def test_oc_format_errors(bad):
 
 
 def test_oc_write_rejects_bad_labels():
-    m = DistanceMatrix(["a b", "c"], [[0.0, 1.0], [1.0, 0.0]])
+    m = DistanceMatrix(["a b", "c"], [1.0])
     with pytest.raises(FormatError):
         write_oc(m, io.StringIO())

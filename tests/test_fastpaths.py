@@ -139,10 +139,10 @@ def lexicons(draw):
 def test_memoised_matrices_equal_memo_free_reference(lex, name):
     table = builtin_table(name)
     for ci in range(lex.n_concepts):
-        got = concept_matrix(lex, ci, table).values
+        got = concept_matrix(lex, ci, table).rows()
         want = reference_concept_values(lex, ci, table)
         assert [bits(row) for row in got] == [bits(row) for row in want]
-    got = language_matrix(lex, table).values
+    got = language_matrix(lex, table).rows()
     want = reference_language_values(lex, table)
     assert [bits(row) for row in got] == [bits(row) for row in want]
 
@@ -168,8 +168,7 @@ def test_kde_bitwise_equals_per_value_reference_on_sheep_columns():
     lex = parse_lexicon((FIXTURES / "sheep.pl").read_text(encoding="utf-8"))
     table = builtin_table("editable")
     for ci in range(lex.n_concepts):
-        values = concept_matrix(lex, ci, table).values
-        column = [values[i][j] for i in range(len(values)) for j in range(i + 1, len(values))]
+        column = list(concept_matrix(lex, ci, table).values)
         curve = kde(column)
         xs, ys = reference_kde(column)
         assert bits(curve.xs) == bits(xs)
@@ -180,12 +179,8 @@ def test_kde_bitwise_equals_per_value_reference_on_sheep_columns():
 def distance_matrices(draw, values, min_n):
     """Symmetric zero-diagonal matrices of min_n..40 items with cells from `values`."""
     n = draw(st.integers(min_n, 40))
-    cells = iter(draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = next(cells)
-    return DistanceMatrix([f"p{i}" for i in range(n)], rows)
+    cells = draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return DistanceMatrix([f"p{i}" for i in range(n)], cells)
 
 
 # Few distinct values (many ties, zeros, an infinity) or any finite value
@@ -231,9 +226,7 @@ def test_cut_scan_equals_per_k_reference(matrix):
 
 
 def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
-    matrix = DistanceMatrix(["a", "b", "c", "d"],
-                            [[0.0, 1e308, 1e308, 1e308], [1e308, 0.0, 1e308, 1e308],
-                             [1e308, 1e308, 0.0, 1.0], [1e308, 1e308, 1.0, 0.0]])
+    matrix = DistanceMatrix(["a", "b", "c", "d"], [1e308, 1e308, 1e308, 1e308, 1e308, 1.0])
     dendrogram = agglomerate(matrix, "single")
     with pytest.raises(DegenerateData):
         cut_scan(matrix, dendrogram)
@@ -247,7 +240,7 @@ def test_agglomerate_matches_scipy_linkage_on_tie_free_matrices():
     for _ in range(40):
         matrix = random_distance_matrix(rng, rng.randint(2, 30))
         n = matrix.n
-        condensed = [matrix.values[i][j] for i in range(n) for j in range(i + 1, n)]
+        condensed = list(matrix.values)
         for linkage in LINKAGES:
             ours = agglomerate(matrix, linkage).merges
             theirs = hierarchy.linkage(condensed, method=linkage)

@@ -220,8 +220,8 @@ def test_bhatt_distance_matrix():
                            "c": [9.0, 1.0, 3.0]})
     m = bhatt_distance_matrix(*bhatt_matrix(frame))
     assert m.labels == ["a", "b", "c"]
-    assert m.values[0][1] == 0.0  # identical columns, BC 1, distance 0
-    assert all(m.values[i][i] == 0.0 for i in range(3))
+    assert m.get("a", "b") == 0.0  # identical columns, BC 1, distance 0
+    assert all(row[i] == 0.0 for i, row in enumerate(m.rows()))
 
 
 # --- regression -----------------------------------------------------------------

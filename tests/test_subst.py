@@ -131,6 +131,17 @@ def test_with_gap_copies():
     assert bumped.cost("b", "p") == base.cost("b", "p")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_gap_and_default_must_be_finite_and_nonnegative(bad):
+    # a nan gap made raw_distance("abc", "ab") nan, a gap of -1 made it -5.0
+    with pytest.raises(ValueError):
+        SubstitutionTable(gap_penalty=bad)
+    with pytest.raises(ValueError):
+        SubstitutionTable(default_mismatch=bad)
+    with pytest.raises(ValueError):
+        builtin_table("editable").with_gap(bad)
+
+
 SYMBOL_POOL = list("abcdefghijklmnopqrstuvwxyz") + list("ACDEFGHIKMNOSTUYZ") + ["š", "č", "θ", "q"]
 
 
