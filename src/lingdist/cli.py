@@ -37,8 +37,8 @@ from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, stats, subst, svgplot
-from .errors import (LimitExceeded, LingdistError, ParseError, TooFewLanguages,
-                     UnknownTableName, UsageError)
+from .errors import (LimitExceeded, LingdistError, ParseError, TooFewItems,
+                     TooFewLanguages, UnknownTableName, UsageError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,6 +149,8 @@ def cmd_words_analyse(lex, table, args):
     if len(lex.languages) < 2:
         raise TooFewLanguages("words-analyse needs at least 2 languages")
     names = lex.concept_names()
+    if not names:
+        raise TooFewItems("words-analyse needs at least 1 concept, the lexicon has none")
     artifacts = {}
 
     columns = {}

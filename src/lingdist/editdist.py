@@ -2,9 +2,14 @@
 
 The distance between two symbol sequences is the cheapest way to turn one
 into the other using insertions and deletions (each costing the table's gap
-penalty) and substitutions (costing ``table.cost(s1, s2)``, read from the
-table's cost rows).  Dividing by the longer length gives the normalized
-distance used everywhere downstream.
+penalty) and substitutions (costing ``table.cost(s1, s2)``).  Dividing by the
+longer length gives the normalized distance used everywhere downstream.
+
+Every distance runs one DP kernel, `_dp`, on integer-coded words: each call
+codes its words' symbols as small ints and reads each symbol's dense cost
+row from the table once, so a matrix builds each distinct word's rows once,
+not once per pair.  The kernel's floats equal those of the plain
+``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.
 
 Words with synonym sets compare by the closest cross-pair match.  The
 language matrix is the mean of the per-concept triangles of entry distances,
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import (BothEmpty, DegenerateData, FormatError, IndexOutOfRange,
-                     LimitExceeded, TooFewLanguages)
+                     LimitExceeded, TooFewItems, TooFewLanguages)
 
 GAP = None  # gap marker inside alignment columns
 
@@ -49,31 +54,61 @@ class Alignment:
         return f"[{cols}]"
 
 
-def _substitution_costs(a, b, table):
-    """Substitution cost of a[i] against b[j], as one list per symbol of `a`,
-    read from the table's cost rows."""
+def _coded_words(words, table):
+    """Each of `words` as (codes, rows) for `_dp`: its symbols' integer
+    codes in the sorted alphabet of `words`, and their dense cost rows over
+    that alphabet, `row[code(t)] == table.cost(s, t)` (read from `cost_row`,
+    so symbols no rule covers cost the default mismatch)."""
+    words = list(words)
+    alphabet = sorted({s for w in words for s in w})
+    code = {s: i for i, s in enumerate(alphabet)}
     default = table.default_mismatch
-    costs = []
-    for x in a:
-        row = table.cost_row(x)
-        costs.append([row.get(y, default) for y in b])
-    return costs
+    dense = [[row.get(t, default) for t in alphabet] for row in map(table.cost_row, alphabet)]
+    return [(tuple(code[s] for s in w), tuple(dense[code[s]] for s in w)) for w in words]
+
+
+def _dp(rows, codes, gap):
+    """The DP table of word a against word b, from a's cost `rows` and b's
+    `codes`: len(a) + 1 row lists of len(b) + 1 prefix distances.
+
+    Each cell is min(up + gap, left + gap, up_left + cost), computed as
+    min(up, left) + gap and one more comparison.  That is the same float:
+    rounding is monotonic, and gap and costs are finite and >= 0
+    (`subst.cost_value`), so no cell is NaN or -0.0 and equal cells have
+    equal bits.
+    """
+    prev = [0.0]
+    for j in range(len(codes)):
+        prev.append(prev[j] + gap)
+    d = [prev]
+    for row in rows:
+        up_left = prev[0]
+        left = up_left + gap
+        cur = [left]
+        for up, code in zip(prev[1:], codes):
+            if up < left:
+                left = up
+            left += gap
+            diagonal = up_left + row[code]
+            if diagonal < left:
+                left = diagonal
+            cur.append(left)
+            up_left = up
+        d.append(cur)
+        prev = cur
+    return d
+
+
+def _dp_table(a, b, table):
+    """The DP table of `a` against `b`, a's cost rows and b's codes:
+    the substitution cost of a[i] against b[j] is rows[i][codes[j]]."""
+    (_, rows), (codes, _) = _coded_words((a, b), table)
+    return _dp(rows, codes, table.gap_penalty), rows, codes
 
 
 def raw_distance(a, b, table):
     """Weighted edit distance between two symbol sequences."""
-    gap = table.gap_penalty
-    prev = [0.0]
-    for j in range(len(b)):
-        prev.append(prev[j] + gap)
-    for costs in _substitution_costs(a, b, table):
-        left = prev[0] + gap
-        cur = [left]
-        for up_left, up, c in zip(prev, prev[1:], costs):
-            left = min(up + gap, left + gap, up_left + c)
-            cur.append(left)
-        prev = cur
-    return prev[-1]
+    return _dp_table(a, b, table)[0][-1][-1]
 
 
 def normalized_distance(a, b, table):
@@ -84,20 +119,9 @@ def normalized_distance(a, b, table):
     return raw_distance(a, b, table) / longer
 
 
-def _dp_table(a, b, table):
-    """The full DP table, and the substitution costs it was built from."""
-    gap = table.gap_penalty
-    costs = _substitution_costs(a, b, table)
-    m, n = len(a), len(b)
-    d = [[0.0] * (n + 1) for _ in range(m + 1)]
-    for j in range(1, n + 1):
-        d[0][j] = d[0][j - 1] + gap
-    for i in range(1, m + 1):
-        d[i][0] = d[i - 1][0] + gap
-        row, above, sub = d[i], d[i - 1], costs[i - 1]
-        for j in range(1, n + 1):
-            row[j] = min(above[j] + gap, row[j - 1] + gap, above[j - 1] + sub[j - 1])
-    return d, costs
+def _coded_distance(x, y, gap):
+    """normalized_distance of two non-empty coded words, x along the rows."""
+    return _dp(x[1], y[0], gap)[-1][-1] / max(len(x[0]), len(y[0]))
 
 
 def _column_kind(col):
@@ -121,7 +145,7 @@ def alignments(a, b, table, limit=10000):
     if limit < 1:
         raise ValueError("limit must be >= 1")
     gap = table.gap_penalty
-    d, costs = _dp_table(a, b, table)
+    d, rows, codes = _dp_table(a, b, table)
     total = d[len(a)][len(b)]
 
     found = []
@@ -139,7 +163,7 @@ def alignments(a, b, table, limit=10000):
             stack.append((GAP, b[j - 1]))
             walk(i, j - 1)
             stack.pop()
-        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
+        if i > 0 and j > 0 and d[i - 1][j - 1] + rows[i - 1][codes[j - 1]] == here:
             stack.append((a[i - 1], b[j - 1]))
             walk(i - 1, j - 1)
             stack.pop()
@@ -220,18 +244,26 @@ class DistanceMatrix:
         return rows
 
 
+def _coded_variants(entries, table):
+    """{variant: coded word} for every distinct variant of `entries`."""
+    variants = list(dict.fromkeys(v for e in entries for v in e.variants))
+    return dict(zip(variants, _coded_words(variants, table)))
+
+
 def _concept_triangle(entries, table):
     """Upper triangle of the distances between one concept's `entries`, one
     per language, computing each distinct unordered variant pair once (the
-    memo lives for this call).  Exact, because raw_distance(a, b) and
-    raw_distance(b, a) perform the same float operations."""
+    memo lives for this call).  Exact, because the DP of (a, b) and of
+    (b, a) perform the same float operations."""
+    coded = _coded_variants(entries, table)
+    gap = table.gap_penalty
     memo = {}
 
     def pair_distance(v1, v2):
         key = (v1, v2) if v1 <= v2 else (v2, v1)
         d = memo.get(key)
         if d is None:
-            d = memo[key] = normalized_distance(v1, v2, table)
+            d = memo[key] = _coded_distance(coded[v1], coded[v2], gap)
         return d
 
     return array("d", (
@@ -287,8 +319,14 @@ def all_to_all_matrix(lex, table):
         for ci, cname in enumerate(names):
             labels.append(f"{lang}:{cname}")
             items.append(lex.entries[lang][ci])
-    return DistanceMatrix(labels, (entry_distance(items[i], items[j], table)
-                                   for i, j in DistanceMatrix.upper_pairs(len(items))))
+    if not items:
+        raise TooFewItems("all-to-all needs at least 1 concept, the lexicon has none")
+    coded = _coded_variants(items, table)
+    forms = [[coded[v] for v in item.variants] for item in items]
+    gap = table.gap_penalty
+    return DistanceMatrix(labels, (
+        min(_coded_distance(x, y, gap) for x in forms[i] for y in forms[j])
+        for i, j in DistanceMatrix.upper_pairs(len(items))))
 
 
 # --- OC matrix format --------------------------------------------------------

@@ -5,8 +5,6 @@ coordinates are formatted with fixed precision and nothing here depends on
 fonts, system state, or a plotting library.
 """
 
-from xml.sax.saxutils import escape
-
 PALETTE = (
     "#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b",
     "#2c3e50", "#ca6f1e", "#148f77", "#884ea0", "#5d6d7e",
@@ -15,6 +13,13 @@ PALETTE = (
 
 def _n(value):
     return f"{value:.2f}"
+
+
+def escape(text):
+    """`text` with &, < and > escaped for XML character data, as
+    `xml.sax.saxutils.escape` does; that module imports `urllib.request`
+    and with it the network stack."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class Canvas:

@@ -93,7 +93,7 @@ def direct_silhouette(matrix, assignment):
 _COST_CHOICES = (0.0, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0)
 
 
-def random_table(rng: random.Random, alphabet="abcdefgh"):
+def random_table(rng: random.Random, alphabet="abcdefgh", default_mismatch=1.0):
     """A random symmetric substitution table over the given alphabet."""
     pair_rules = []
     for i, x in enumerate(alphabet):
@@ -101,7 +101,8 @@ def random_table(rng: random.Random, alphabet="abcdefgh"):
             if rng.random() < 0.6:
                 pair_rules.append((x, y, rng.choice(_COST_CHOICES)))
     gap = rng.choice((0.5, 0.75, 1.0, 1.25, 1.5))
-    return SubstitutionTable(pair_rules=pair_rules, gap_penalty=gap)
+    return SubstitutionTable(pair_rules=pair_rules, gap_penalty=gap,
+                             default_mismatch=default_mismatch)
 
 
 def random_word(rng: random.Random, alphabet="abcdefgh", max_len=6):

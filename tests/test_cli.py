@@ -164,6 +164,14 @@ def test_cluster_without_concepts(tmp_path):
     assert (out / "languages.oc").read_text() == "3\na\nb\nc\n0.000000 0.000000\n0.000000\n"
 
 
+@pytest.mark.parametrize("command", ["words-analyse", "all-to-all"])
+def test_no_concepts_is_data_error_and_writes_nothing(command, tmp_path):
+    lex_path = tmp_path / "empty_words.pl"
+    lex_path.write_text("n(a,[]).\nn(b,[]).\n")
+    assert run_cli([command, "--lexicon", str(lex_path), "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["empty_words.pl"]
+
+
 def test_rerun_into_same_out_replaces_stale_artifacts(tmp_path):
     out = tmp_path / "out"
     truth = str(FIXTURES / "sheep_truth.csv")

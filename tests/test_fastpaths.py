@@ -1,12 +1,13 @@
 """The fast kernels against the plain references in `oracles.py`.
 
-Cost rows against `SubstitutionTable.cost`, the row-based DP against the
-exponential recursion and the per-cell DP, the memoised matrices against
-memo-free ones, the distinct-value density against one `exp` per value, the
-nearest-neighbour agglomeration against the pair-dict one, and the top-down
-cut scan against one `cut` and `silhouette` per k.  Every comparison is
-exact, bit for bit.  scipy's `linkage`, where installed, is a second oracle
-for the agglomeration on matrices without ties.
+Cost rows against `SubstitutionTable.cost`, the coded DP against the
+exponential recursion and the per-cell DP, the memoised and all-to-all
+matrices against memo-free ones on built-in and random tables, the
+distinct-value density against one `exp` per value, the nearest-neighbour
+agglomeration against the pair-dict one, and the top-down cut scan against
+one `cut` and `silhouette` per k.  Every comparison is exact, bit for bit.
+scipy's `linkage`, where installed, is a second oracle for the agglomeration
+on matrices without ties.
 """
 
 import math
@@ -17,13 +18,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from oracles import (naive_lev, random_distance_matrix, reference_agglomerate,
-                     reference_concept_values, reference_cut_scan, reference_kde,
+from oracles import (naive_lev, random_distance_matrix, random_table,
+                     reference_agglomerate, reference_concept_values,
+                     reference_cut_scan, reference_entry_distance, reference_kde,
                      reference_language_values, reference_raw_distance)
 
 from lingdist.cluster import LINKAGES, agglomerate, cut_scan
-from lingdist.editdist import (DistanceMatrix, concept_matrix, language_matrix,
-                               raw_distance)
+from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
+                               language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
 from lingdist.stats import kde
@@ -33,6 +35,7 @@ UNKNOWN = ("l", "ж")  # in no rule of either built-in table
 COSTS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 DSL_SYMBOLS = "abeiouAEIMmnptk"
 WORD_SYMBOLS = "abptkgCeiAEIlrž"
+RANDOM_TABLE_SYMBOLS = "abptkgCe"
 
 
 def bits(values):
@@ -106,12 +109,26 @@ def test_raw_distance_equals_naive_recursion(name, a, b, gap):
     assert raw_distance(b, a, table) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(BUILTIN_TABLES)),
+@st.composite
+def tables(draw):
+    """A built-in table or an `oracles.random_table` over part of
+    WORD_SYMBOLS (so some symbols match no rule and cost its default
+    mismatch), perhaps with its gap overridden, 0 included."""
+    if draw(st.booleans()):
+        table = builtin_table(draw(st.sampled_from(sorted(BUILTIN_TABLES))))
+    else:
+        table = random_table(random.Random(draw(st.integers(0, 2**32 - 1))),
+                             alphabet=RANDOM_TABLE_SYMBOLS,
+                             default_mismatch=draw(st.sampled_from((0.7, 1.0, 2.0))))
+    gap = draw(st.sampled_from((None, 0.0, -0.0, 0.3, 1.0, 2.5)))
+    return table if gap is None else table.with_gap(gap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(),
        st.text(alphabet=WORD_SYMBOLS, max_size=12),
        st.text(alphabet=WORD_SYMBOLS, max_size=12))
-def test_raw_distance_bitwise_equals_per_cell_reference(name, a, b):
-    table = builtin_table(name)
+def test_raw_distance_bitwise_equals_per_cell_reference(table, a, b):
     want = reference_raw_distance(a, b, table).hex()
     assert raw_distance(a, b, table).hex() == want
     # both orders: the pair memo keys on the unordered pair
@@ -134,10 +151,9 @@ def lexicons(draw):
     return Lexicon("words", entries)
 
 
-@settings(max_examples=60, deadline=None)
-@given(lexicons(), st.sampled_from(sorted(BUILTIN_TABLES)))
-def test_memoised_matrices_equal_memo_free_reference(lex, name):
-    table = builtin_table(name)
+@settings(max_examples=80, deadline=None)
+@given(lexicons(), tables())
+def test_memoised_matrices_equal_memo_free_reference(lex, table):
     for ci in range(lex.n_concepts):
         got = concept_matrix(lex, ci, table).rows()
         want = reference_concept_values(lex, ci, table)
@@ -145,6 +161,15 @@ def test_memoised_matrices_equal_memo_free_reference(lex, name):
     got = language_matrix(lex, table).rows()
     want = reference_language_values(lex, table)
     assert [bits(row) for row in got] == [bits(row) for row in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lexicons(), tables())
+def test_all_to_all_matrix_bitwise_equals_reference(lex, table):
+    items = [entry for lang in lex.languages for entry in lex.entries[lang]]
+    want = [reference_entry_distance(items[i], items[j], table)
+            for i, j in DistanceMatrix.upper_pairs(len(items))]
+    assert bits(all_to_all_matrix(lex, table).values) == bits(want)
 
 
 @settings(max_examples=80, deadline=None)
