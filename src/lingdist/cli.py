@@ -188,13 +188,13 @@ def cmd_words_analyse(lex, table, args):
         [[pair_labels[r]] + [_fmt(scored.columns[name][r]) for name in names]
          for r in range(len(pair_labels))])
 
-    bc_names, bc_grid = stats.bhatt_matrix(scored, bins=args.bins)
+    bc_names, bcs = stats.bhatt_matrix(scored, bins=args.bins)
     artifacts["bhatt.csv"] = _csv_text(
         ("col_a", "col_b", "bc"),
-        [(bc_names[i], bc_names[j], _fmt(bc_grid[i][j]))
-         for i, j in editdist.DistanceMatrix.upper_pairs(len(bc_names))])
+        [(bc_names[i], bc_names[j], _fmt(bc)) for (i, j), bc in
+         zip(editdist.DistanceMatrix.upper_pairs(len(bc_names)), bcs)])
 
-    dend = hc.agglomerate(stats.bhatt_distance_matrix(bc_names, bc_grid), args.linkage)
+    dend = hc.agglomerate(stats.bhatt_distance_matrix(bc_names, bcs), args.linkage)
     artifacts["bhatt_dendrogram.nwk"] = hc.export_newick(dend) + "\n"
     artifacts["bhatt_dendrogram.svg"] = hc.export_svg(dend)
     return artifacts

@@ -5,12 +5,22 @@ word/concept.  On top of it: mean and sample standard deviation summaries,
 Gaussian kernel density curves, t-score standardization (mean 50, sd 10),
 Bhattacharyya coefficients between columns, and simple least-squares
 regression with R-squared for the distance-vs-geography comparison.
+
+Densities and coefficients work once per distinct value, and both are exact:
+they equal the per-value computation bit for bit.  A density hands
+`math.fsum` (correctly rounded, Shewchuk 1997) one term `t * 2**k` for each
+set bit k of a value's count instead of `count` copies of `t`; scaling by a
+power of two never rounds, so the exact sum, and with it the rounded float,
+is unchanged.  A coefficient bins each distinct value once and adds its
+count: bin counts are integers, and equal values always share a bin.
 """
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
+from operator import mul
 
 from .editdist import DistanceMatrix
 from .errors import (ColumnTooShort, DegenerateData, DegenerateX, EmptyInput,
@@ -99,12 +109,27 @@ def bandwidth_nrd0(values):
     return 0.9 * lo * len(values) ** (-0.2)
 
 
+def _binary_multiples(counts):
+    """(index, scale) with one entry per set bit k of each count, in order:
+    the count at position i is the sum of the scales whose index is i."""
+    index, scale = [], []
+    for i, count in enumerate(counts):
+        for k in range(count.bit_length()):
+            if count >> k & 1:
+                index.append(i)
+                scale.append(2.0 ** k)
+    return index, scale
+
+
 def kde(values, grid_points=512):
     """Gaussian kernel density over an even grid spanning the data +- 3h.
 
-    Each grid point takes one `exp` per distinct value and hands `fsum` that
-    term once per occurrence.  `fsum` is correctly rounded, so this equals
-    summing one term per value exactly; multiplying a term by its count
+    Each grid point takes one `exp` per distinct value.  A value seen
+    `count` times adds the term `t * 2**k` once for each set bit k of its
+    count, not `count` copies of `t`.  That is exact: `t <= 1` and
+    `2**k <= len(values)`, so the product neither rounds nor overflows, and
+    the terms' exact sum is that of the copies.  `fsum` rounds the exact sum
+    correctly, so the density is the per-value one bit for bit; `t * count`
     would round differently.
     """
     if grid_points < 2:
@@ -116,7 +141,8 @@ def kde(values, grid_points=512):
     hi = max(values) + 3.0 * h
     step = (hi - lo) / (grid_points - 1)
     counts = Counter(values)
-    distinct, repeats = list(counts), list(counts.values())
+    distinct = list(counts)
+    index, scale = _binary_multiples(counts.values())
     xs, ys = [], []
     try:
         norm = 1.0 / (len(values) * h * math.sqrt(2.0 * math.pi))
@@ -124,7 +150,7 @@ def kde(values, grid_points=512):
             x = lo + step * i
             xs.append(x)
             terms = [math.exp(-0.5 * ((x - v) / h) ** 2) for v in distinct]
-            ys.append(norm * math.fsum(chain.from_iterable(map(repeat, terms, repeats))))
+            ys.append(norm * math.fsum(map(mul, map(terms.__getitem__, index), scale)))
     except (ZeroDivisionError, OverflowError):
         # h underflowed to 0, or is so small against the spread that the
         # squared distance overflows
@@ -144,25 +170,36 @@ def bhattacharyya(a, b, bins=None):
     """
     if not a or not b:
         raise EmptyInput("both value lists must be non-empty")
+    return _bhatt_counted(Counter(a), Counter(b), bins)
+
+
+def _bhatt_counted(ca, cb, bins):
+    """`bhattacharyya` of two samples given as value `Counter`s.
+
+    A `Counter` keeps the first of equal keys, as `min` and `max` keep the
+    first of equal values, so the range is the per-value one, signed zeros
+    included.  Equal values share a bin, so binning each key once and adding
+    its count gives the same integer bin counts.
+    """
+    na, nb = ca.total(), cb.total()
     if bins is None:
-        bins = sturges_bins(len(a) + len(b))
+        bins = sturges_bins(na + nb)
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    lo = min(min(a), min(b))
-    hi = max(max(a), max(b))
+    lo = min(min(ca), min(cb))
+    hi = max(max(ca), max(cb))
     if hi == lo:
         return 1.0
     width = (hi - lo) / bins
 
-    def counts(values):
+    def binned(counts):
         out = [0] * bins
-        for x in values:
-            out[min(bins - 1, int((x - lo) / width))] += 1
+        for x, count in counts.items():
+            out[min(bins - 1, int((x - lo) / width))] += count
         return out
 
-    ca, cb = counts(a), counts(b)
-    overlap = math.fsum(math.sqrt(x * y) for x, y in zip(ca, cb))
-    bc = overlap / math.sqrt(len(a) * len(b))
+    overlap = math.fsum(map(math.sqrt, map(mul, binned(ca), binned(cb))))
+    bc = overlap / math.sqrt(na * nb)
     return min(1.0, max(0.0, bc))
 
 
@@ -170,26 +207,22 @@ def bhatt_matrix(frame, bins=None):
     """Bhattacharyya coefficient for every pair of columns.
 
     The coefficients are meant for t-scored columns, so callers pass a frame
-    of `tscore` results.  Returns (names, grid) where grid is symmetric with
-    unit diagonal.
+    of `tscore` results.  Each column is counted once.  Returns (names,
+    coefficients): an `array('d')` with one coefficient per column pair, in
+    `DistanceMatrix.upper_pairs` order.
     """
     names = frame.names
     if len(names) < 2:
         raise EmptyInput("need at least 2 columns")
-    n = len(names)
-    grid = [[1.0] * n for _ in range(n)]
-    for i, j in DistanceMatrix.upper_pairs(n):
-        bc = bhattacharyya(frame.columns[names[i]], frame.columns[names[j]], bins=bins)
-        grid[i][j] = bc
-        grid[j][i] = bc
-    return names, grid
+    counted = [Counter(frame.columns[name]) for name in names]
+    return names, array("d", (_bhatt_counted(counted[i], counted[j], bins)
+                              for i, j in DistanceMatrix.upper_pairs(len(names))))
 
 
-def bhatt_distance_matrix(names, grid):
-    """1 - Bhattacharyya, from the (names, grid) of `bhatt_matrix`, as a
-    DistanceMatrix ready for clustering."""
-    return DistanceMatrix(
-        names, (1.0 - grid[i][j] for i, j in DistanceMatrix.upper_pairs(len(names))))
+def bhatt_distance_matrix(names, bcs):
+    """1 - Bhattacharyya, from the (names, coefficients) of `bhatt_matrix`,
+    as a DistanceMatrix ready for clustering."""
+    return DistanceMatrix(names, (1.0 - bc for bc in bcs))
 
 
 @dataclass

@@ -57,7 +57,9 @@ class SubstitutionTable:
     `pair_rules` is an iterable of (s1, s2, class_name_or_cost), `zero_pairs`
     of (s1, s2), `vowel_sets` maps a family letter (a/e/i/o/u/y) to extra
     members (the family letter itself is always a member), and `long_short`
-    is an iterable of (long, short, class_name).  `gap_penalty` and
+    is an iterable of (long, short, class_name).  Pair and long/short rules
+    bind an unordered symbol pair: a pair bound to two different costs by
+    rules of one kind raises DuplicatePairRule.  `gap_penalty` and
     `default_mismatch` go through `cost_value`.
     """
 
@@ -95,7 +97,12 @@ class SubstitutionTable:
 
         self._long_short = {}
         for long_s, short_s, cname in long_short:
-            self._long_short[long_s] = (short_s, self._resolve(cname))
+            cost = self._resolve(cname)
+            key = _pair(long_s, short_s)
+            if self._long_short.get(key, cost) != cost:
+                raise DuplicatePairRule(f"longshort {long_s}/{short_s} bound to both "
+                                        f"{self._long_short[key]} and {cost}")
+            self._long_short[key] = cost
 
         self._known = None  # frozenset of known symbols, built on first use
         self._rows = {}  # symbol -> cost row, filled by cost_row
@@ -122,14 +129,10 @@ class SubstitutionTable:
             if s1 in members and s2 in members:
                 return 0.0
         got = self._pairs.get(key)
+        if got is None:
+            got = self._long_short.get(key)
         if got is not None:
             return got
-        ls = self._long_short.get(s1)
-        if ls is not None and ls[0] == s2:
-            return ls[1]
-        ls = self._long_short.get(s2)
-        if ls is not None and ls[0] == s1:
-            return ls[1]
         if s1 in self._vowel_union and s2 in self._vowel_union:
             vowel = self.classes.get("vowel")
             if vowel is not None:
@@ -159,7 +162,7 @@ class SubstitutionTable:
                 known.update((s1, s2))
             for members in self._vowel_sets.values():
                 known.update(members)
-            for long_s, (short_s, _) in self._long_short.items():
+            for long_s, short_s in self._long_short:
                 known.update((long_s, short_s))
             self._known = frozenset(known)
         return self._known

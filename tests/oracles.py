@@ -4,18 +4,19 @@ These deliberately avoid the production code paths: the edit-distance
 oracle is the plain exponential recursion, the alignment oracle enumerates
 every monotone path outright, and the silhouette oracle recomputes the
 textbook formula point by point with no shared sums.  The reference DP,
-matrices and density below are the plain forms the fast paths replaced:
-one `table.cost` call per cell, no pair memo, one `exp` per value.  The
-clustering references are the pair-dict agglomeration and the per-k cut
-scan that the nearest-neighbour and top-down forms replaced.
+matrices, density and Bhattacharyya coefficient below are the plain forms
+the fast paths replaced: one `table.cost` call per cell, no pair memo, one
+`exp` per value, one bin lookup per value.  The clustering references are
+the pair-dict agglomeration and the per-k cut scan that the
+nearest-neighbour and top-down forms replaced.
 """
 
 import math
 import random
 
 from lingdist.cluster import LINKAGES, Dendrogram, cut, silhouette
-from lingdist.errors import TooFewItems
-from lingdist.stats import bandwidth_nrd0
+from lingdist.errors import EmptyInput, TooFewItems
+from lingdist.stats import bandwidth_nrd0, sturges_bins
 from lingdist.subst import SubstitutionTable
 
 
@@ -178,6 +179,36 @@ def reference_kde(values, grid_points=512):
             math.exp(-0.5 * ((x - v) / h) ** 2) for v in values))
     return xs, ys
 
+
+def reference_bhattacharyya(a, b, bins=None):
+    """Histogram overlap coefficient with one bin lookup per value: the
+    per-value form the counted `bhattacharyya` replaced, kept verbatim.
+
+    Both samples share equal-width bins spanning their combined range; the
+    default bin count is Sturges' rule on the combined sample size.
+    """
+    if not a or not b:
+        raise EmptyInput("both value lists must be non-empty")
+    if bins is None:
+        bins = sturges_bins(len(a) + len(b))
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    lo = min(min(a), min(b))
+    hi = max(max(a), max(b))
+    if hi == lo:
+        return 1.0
+    width = (hi - lo) / bins
+
+    def counts(values):
+        out = [0] * bins
+        for x in values:
+            out[min(bins - 1, int((x - lo) / width))] += 1
+        return out
+
+    ca, cb = counts(a), counts(b)
+    overlap = math.fsum(math.sqrt(x * y) for x, y in zip(ca, cb))
+    bc = overlap / math.sqrt(len(a) * len(b))
+    return min(1.0, max(0.0, bc))
 
 def reference_agglomerate(matrix, linkage="complete"):
     """Cluster bottom-up by rescanning every live pair at each merge: the

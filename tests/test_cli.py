@@ -109,7 +109,10 @@ def test_bad_concept_names_fail_and_write_nothing(header, tmp_path):
     assert files_under(tmp_path) == ["toy.pl"]
 
 
-@pytest.mark.parametrize("line", ["default -1", "gap nan", "gap inf"])
+@pytest.mark.parametrize("line", [
+    "default -1", "gap nan", "gap inf",
+    pytest.param("weight x 0.2\nweight y 0.7\nlongshort a b x\nlongshort b a y",
+                 id="longshort-conflict")])
 def test_bad_table_costs_fail_and_write_nothing(line, tmp_path):
     table_path = tmp_path / "my.tbl"
     table_path.write_text(line + "\n")

@@ -3,11 +3,12 @@
 Cost rows against `SubstitutionTable.cost`, the coded DP against the
 exponential recursion and the per-cell DP, the memoised and all-to-all
 matrices against memo-free ones on built-in and random tables, the
-distinct-value density against one `exp` per value, the nearest-neighbour
-agglomeration against the pair-dict one, and the top-down cut scan against
-one `cut` and `silhouette` per k.  Every comparison is exact, bit for bit.
-scipy's `linkage`, where installed, is a second oracle for the agglomeration
-on matrices without ties.
+distinct-value density against one `exp` per value, the counted
+Bhattacharyya coefficients against one bin lookup per value, the
+nearest-neighbour agglomeration against the pair-dict one, and the top-down
+cut scan against one `cut` and `silhouette` per k.  Every comparison is
+exact, bit for bit.  scipy's `linkage`, where installed, is a second oracle
+for the agglomeration on matrices without ties.
 """
 
 import math
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from oracles import (naive_lev, random_distance_matrix, random_table,
                      reference_agglomerate, reference_concept_values,
-                     reference_cut_scan, reference_entry_distance, reference_kde,
+                     reference_bhattacharyya, reference_cut_scan,
+                     reference_entry_distance, reference_kde,
                      reference_language_values, reference_raw_distance)
 
 from lingdist.cluster import LINKAGES, agglomerate, cut_scan
@@ -28,7 +30,7 @@ from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix
                                language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
-from lingdist.stats import kde
+from lingdist.stats import AnalysisFrame, bhatt_matrix, bhattacharyya, kde
 from lingdist.subst import BUILTIN_TABLES, builtin_table, parse_table
 
 UNKNOWN = ("l", "ж")  # in no rule of either built-in table
@@ -199,6 +201,71 @@ def test_kde_bitwise_equals_per_value_reference_on_sheep_columns():
         assert bits(curve.xs) == bits(xs)
         assert bits(curve.ys) == bits(ys)
 
+
+@st.composite
+def counted_columns(draw):
+    """A column of up to 30 distinct values, each repeated up to 3,000 times,
+    magnitudes 1e-5 to 1e3 of either sign, in random order."""
+    magnitudes = st.floats(1e-5, 1e3)
+    n = draw(st.integers(2, 30))
+    draws = draw(st.lists(st.tuples(magnitudes, st.booleans(), st.integers(1, 3000)),
+                          min_size=n, max_size=n, unique_by=lambda d: d[:2]))
+    column = [-v if negative else v for v, negative, count in draws for _ in range(count)]
+    random.Random(draw(st.integers(0, 2**32 - 1))).shuffle(column)
+    return column
+
+
+@settings(max_examples=30, deadline=None)
+@given(counted_columns())
+def test_kde_bitwise_equals_per_value_reference_on_counted_columns(values):
+    try:
+        xs, ys = reference_kde(values, grid_points=16)
+    except (ZeroDivisionError, OverflowError):
+        with pytest.raises(DegenerateData):
+            kde(values, grid_points=16)
+        return
+    curve = kde(values, grid_points=16)
+    assert bits(curve.xs) == bits(xs)
+    assert bits(curve.ys) == bits(ys)
+
+
+@st.composite
+def repeated_columns(draw, count, same_length):
+    """`count` columns drawn from one pool of up to 6 values, so values
+    repeat heavily; the pool may hold 0.0 next to -0.0."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pool += draw(st.permutations([0.0, -0.0]))
+    values = st.sampled_from(pool)
+    if same_length:
+        length = draw(st.integers(1, 120))
+        return [draw(st.lists(values, min_size=length, max_size=length))
+                for _ in range(count)]
+    return [draw(st.lists(values, min_size=1, max_size=120)) for _ in range(count)]
+
+
+BHATT_BINS = st.sampled_from((None, 1, 2, 7, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_columns(2, same_length=False), BHATT_BINS)
+def test_bhattacharyya_bitwise_equals_per_value_reference(columns, bins):
+    a, b = columns
+    want = reference_bhattacharyya(a, b, bins).hex()
+    assert bhattacharyya(a, b, bins).hex() == want
+    assert bhattacharyya(b, a, bins).hex() == reference_bhattacharyya(b, a, bins).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: repeated_columns(n, same_length=True)),
+       BHATT_BINS)
+def test_bhatt_matrix_bitwise_equals_per_value_reference(columns, bins):
+    names = [f"c{i}" for i in range(len(columns))]
+    got_names, bcs = bhatt_matrix(AnalysisFrame(dict(zip(names, columns))), bins=bins)
+    want = [reference_bhattacharyya(columns[i], columns[j], bins)
+            for i, j in DistanceMatrix.upper_pairs(len(columns))]
+    assert got_names == names
+    assert bits(bcs) == bits(want)
 
 @st.composite
 def distance_matrices(draw, values, min_n):

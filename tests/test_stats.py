@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lingdist.editdist import DistanceMatrix
 from lingdist.errors import (ColumnTooShort, DegenerateData, DegenerateX,
                              EmptyInput, LengthMismatch, NonPositiveX,
                              ZeroVariance)
@@ -189,25 +190,30 @@ def test_sturges():
 def test_bhatt_matrix_duplicate_columns():
     frame = AnalysisFrame({"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0],
                            "c": [9.0, 1.0, 3.0]})
-    names, grid = bhatt_matrix(frame)
+    names, bcs = bhatt_matrix(frame)
     assert names == ["a", "b", "c"]
-    assert grid[0][1] == 1.0  # identical columns overlap fully
-    for i in range(3):
-        assert grid[i][i] == 1.0
-        for j in range(3):
-            assert grid[i][j] == grid[j][i]
+    pairs = list(DistanceMatrix.upper_pairs(3))
+    assert len(bcs) == len(pairs)
+    assert bcs[pairs.index((0, 1))] == 1.0  # identical columns overlap fully
+    # the same pairs with the columns in reverse order: the same coefficients
+    rev_names, rev_bcs = bhatt_matrix(AnalysisFrame(dict(reversed(frame.columns.items()))))
+    by_pair = {frozenset((rev_names[i], rev_names[j])): bc
+               for (i, j), bc in zip(DistanceMatrix.upper_pairs(3), rev_bcs)}
+    for (i, j), bc in zip(pairs, bcs):
+        assert by_pair[frozenset((names[i], names[j]))] == bc
 
 
 def test_bhatt_matrix_matches_pairwise_calls():
     frame = AnalysisFrame({"a": [1.0, 2.0, 4.0, 0.5], "b": [2.0, 1.0, 3.0, 8.0],
                            "c": [9.0, 1.0, 3.0, 2.0]})
     scored = AnalysisFrame({name: tscore(values) for name, values in frame.columns.items()})
-    names, grid = bhatt_matrix(scored, bins=3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            direct = bhattacharyya(tscore(frame.columns[names[i]]),
-                                   tscore(frame.columns[names[j]]), bins=3)
-            assert grid[i][j] == direct
+    names, bcs = bhatt_matrix(scored, bins=3)
+    pairs = list(DistanceMatrix.upper_pairs(3))
+    assert len(bcs) == len(pairs)
+    for (i, j), bc in zip(pairs, bcs):
+        direct = bhattacharyya(tscore(frame.columns[names[i]]),
+                               tscore(frame.columns[names[j]]), bins=3)
+        assert bc == direct
 
 
 def test_bhatt_matrix_needs_two_columns():
@@ -218,7 +224,9 @@ def test_bhatt_matrix_needs_two_columns():
 def test_bhatt_distance_matrix():
     frame = AnalysisFrame({"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0],
                            "c": [9.0, 1.0, 3.0]})
-    m = bhatt_distance_matrix(*bhatt_matrix(frame))
+    names, bcs = bhatt_matrix(frame)
+    m = bhatt_distance_matrix(names, bcs)
+    assert list(m.values) == [1.0 - bc for bc in bcs]
     assert m.labels == ["a", "b", "c"]
     assert m.get("a", "b") == 0.0  # identical columns, BC 1, distance 0
     assert all(row[i] == 0.0 for i, row in enumerate(m.rows()))

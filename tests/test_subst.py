@@ -116,6 +116,35 @@ def test_precedence_pair_beats_long_short():
     assert parse_table(dsl).cost("A", "a") == 0.3
 
 
+LONGSHORT_CLASSES = "weight x 0.2\nweight y 0.7\n"
+
+
+def test_longshort_conflicting_orientations():
+    # one unordered pair bound to two costs, whichever symbol is the long one
+    with pytest.raises(DuplicatePairRule):
+        parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort b a y\n")
+    with pytest.raises(DuplicatePairRule):
+        parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort a b y\n")
+
+
+def test_longshort_two_shorts_for_one_long():
+    table = parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort a c y\n")
+    assert table.cost("a", "b") == 0.2
+    assert table.cost("a", "c") == 0.7
+    assert table.cost("b", "c") == 1.0  # two shorts of one long are not counterparts
+
+
+def test_longshort_cost_is_symmetric():
+    # a repeated identical rule, either way round, is accepted
+    table = parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort b a x\n"
+                        "longshort c a y\nlongshort A a x\n")
+    for s1 in "abcA":
+        for s2 in "abcA":
+            assert table.cost(s1, s2) == table.cost(s2, s1)
+    assert table.cost("b", "a") == 0.2
+    assert table.cost("a", "c") == 0.7
+
+
 def test_precedence_zero_beats_pair_in_lookup():
     # a vowel-family zero wins over an explicit pair rule for the same symbols
     table = parse_table("weight vowel 0.2\nvset a ä\npair ä e 0.7\n")
