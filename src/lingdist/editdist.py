@@ -5,18 +5,25 @@ into the other using insertions and deletions (each costing the table's gap
 penalty) and substitutions (costing ``table.cost(s1, s2)``).  Dividing by the
 longer length gives the normalized distance used everywhere downstream.
 
-Every distance runs one DP kernel, `_dp`, on integer-coded words: each call
-codes its words' symbols as small ints and reads each symbol's dense cost
-row from the table once, so a matrix builds each distinct word's rows once,
-not once per pair.  The kernel's floats equal those of the plain
-``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.
+Every distance runs one DP kernel, the row step `_dp_row`: from a row of
+prefix distances and the costs of the next row symbol against the column
+word, the next row.  Its floats equal those of the plain
+``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.  Each call
+codes its words' symbols as small ints over their sorted alphabet and reads
+each symbol's dense cost row from the table once.  `raw_distance` and
+`alignments` stack the rows into the full table.  A matrix runs one pair
+table over its distinct variants, sorted: each unordered pair once, and a
+row word reuses the rows of the prefix it shares with the previous row word
+against the same column word.  A row is a function of the column word, the
+gap and the row word's prefix alone, so a reused row holds the very floats
+the DP would compute again.
 
 Words with synonym sets compare by the closest cross-pair match.  The
-language matrix is the mean of the per-concept triangles of entry distances,
-each distinct variant pair computed once per concept.  A DistanceMatrix
-holds its labels and its upper triangle, 8 bytes a cell; only the clustering
-code builds the square, through `rows()`.  Matrices serialize to the OC text
-format (count, labels, then the upper triangle row by row).
+language matrix is the mean of the per-concept triangles of entry
+distances.  A DistanceMatrix holds its labels and its upper triangle, 8
+bytes a cell; only the clustering code builds the square, through `rows()`.
+Matrices serialize to the OC text format (count, labels, then the upper
+triangle row by row).
 
 Note the triangle inequality is NOT guaranteed: tables with zero-cost pairs
 can make an indirect route cheaper than the direct substitution.
@@ -55,21 +62,29 @@ class Alignment:
 
 
 def _coded_words(words, table):
-    """Each of `words` as (codes, rows) for `_dp`: its symbols' integer
-    codes in the sorted alphabet of `words`, and their dense cost rows over
-    that alphabet, `row[code(t)] == table.cost(s, t)` (read from `cost_row`,
-    so symbols no rule covers cost the default mismatch)."""
-    words = list(words)
+    """`words` as tuples of integer codes in their sorted alphabet, and that
+    alphabet's dense cost rows, `dense[code(s)][code(t)] == table.cost(s, t)`
+    (read from `cost_row`, so symbols no rule covers cost the default
+    mismatch).  Codes keep the symbols' order, so coded words sort as the
+    words do."""
     alphabet = sorted({s for w in words for s in w})
     code = {s: i for i, s in enumerate(alphabet)}
     default = table.default_mismatch
     dense = [[row.get(t, default) for t in alphabet] for row in map(table.cost_row, alphabet)]
-    return [(tuple(code[s] for s in w), tuple(dense[code[s]] for s in w)) for w in words]
+    return [tuple(map(code.__getitem__, w)) for w in words], dense
 
 
-def _dp(rows, codes, gap):
-    """The DP table of word a against word b, from a's cost `rows` and b's
-    `codes`: len(a) + 1 row lists of len(b) + 1 prefix distances.
+def _first_row(length, gap):
+    """The DP row of the empty prefix against a word of `length` symbols."""
+    row = [0.0]
+    for j in range(length):
+        row.append(row[j] + gap)
+    return row
+
+
+def _dp_row(prev, costs, gap):
+    """The one DP kernel: the row after `prev` against column word b, where
+    `costs[j]` is the cost of the new row symbol against b[j].
 
     Each cell is min(up + gap, left + gap, up_left + cost), computed as
     min(up, left) + gap and one more comparison.  That is the same float:
@@ -77,33 +92,31 @@ def _dp(rows, codes, gap):
     (`subst.cost_value`), so no cell is NaN or -0.0 and equal cells have
     equal bits.
     """
-    prev = [0.0]
-    for j in range(len(codes)):
-        prev.append(prev[j] + gap)
-    d = [prev]
-    for row in rows:
-        up_left = prev[0]
-        left = up_left + gap
-        cur = [left]
-        for up, code in zip(prev[1:], codes):
-            if up < left:
-                left = up
-            left += gap
-            diagonal = up_left + row[code]
-            if diagonal < left:
-                left = diagonal
-            cur.append(left)
-            up_left = up
-        d.append(cur)
-        prev = cur
-    return d
+    up_left = prev[0]
+    left = up_left + gap
+    row = [left]
+    for up, cost in zip(prev[1:], costs):
+        if up < left:
+            left = up
+        left += gap
+        diagonal = up_left + cost
+        if diagonal < left:
+            left = diagonal
+        row.append(left)
+        up_left = up
+    return row
 
 
 def _dp_table(a, b, table):
-    """The DP table of `a` against `b`, a's cost rows and b's codes:
-    the substitution cost of a[i] against b[j] is rows[i][codes[j]]."""
-    (_, rows), (codes, _) = _coded_words((a, b), table)
-    return _dp(rows, codes, table.gap_penalty), rows, codes
+    """The DP table of `a` against `b`, len(a) + 1 rows of len(b) + 1 prefix
+    distances, and per symbol of a its cost vector against b."""
+    (ca, cb), dense = _coded_words((a, b), table)
+    gap = table.gap_penalty
+    costs = [[dense[s][t] for t in cb] for s in ca]
+    d = [_first_row(len(b), gap)]
+    for vector in costs:
+        d.append(_dp_row(d[-1], vector, gap))
+    return d, costs
 
 
 def raw_distance(a, b, table):
@@ -117,11 +130,6 @@ def normalized_distance(a, b, table):
     if longer == 0:
         raise BothEmpty("normalized distance of two empty sequences is undefined")
     return raw_distance(a, b, table) / longer
-
-
-def _coded_distance(x, y, gap):
-    """normalized_distance of two non-empty coded words, x along the rows."""
-    return _dp(x[1], y[0], gap)[-1][-1] / max(len(x[0]), len(y[0]))
 
 
 def _column_kind(col):
@@ -145,7 +153,7 @@ def alignments(a, b, table, limit=10000):
     if limit < 1:
         raise ValueError("limit must be >= 1")
     gap = table.gap_penalty
-    d, rows, codes = _dp_table(a, b, table)
+    d, costs = _dp_table(a, b, table)
     total = d[len(a)][len(b)]
 
     found = []
@@ -163,7 +171,7 @@ def alignments(a, b, table, limit=10000):
             stack.append((GAP, b[j - 1]))
             walk(i, j - 1)
             stack.pop()
-        if i > 0 and j > 0 and d[i - 1][j - 1] + rows[i - 1][codes[j - 1]] == here:
+        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
             stack.append((a[i - 1], b[j - 1]))
             walk(i - 1, j - 1)
             stack.pop()
@@ -212,13 +220,18 @@ class DistanceMatrix:
         """The index pairs (i, j), i < j, of n items in upper-triangle order."""
         return ((i, j) for i in range(n) for j in range(i + 1, n))
 
+    @staticmethod
+    def position(n, i, j):
+        """Where d(i, j), i < j, of n items sits in `values`; linear in j."""
+        return i * (2 * n - i - 1) // 2 + j - i - 1
+
     @property
     def n(self):
         return len(self.labels)
 
     def get(self, label_a, label_b):
         i, j = sorted((self.labels.index(label_a), self.labels.index(label_b)))
-        return self.values[i * (2 * self.n - i - 1) // 2 + j - i - 1] if i < j else 0.0
+        return self.values[self.position(self.n, i, j)] if i < j else 0.0
 
     def upper(self):
         """(label_a, label_b, distance) for every pair, in `upper_pairs` order."""
@@ -244,44 +257,86 @@ class DistanceMatrix:
         return rows
 
 
-def _coded_variants(entries, table):
-    """{variant: coded word} for every distinct variant of `entries`."""
-    variants = list(dict.fromkeys(v for e in entries for v in e.variants))
-    return dict(zip(variants, _coded_words(variants, table)))
+def _shared_prefix(a, b):
+    """How many leading symbols `a` and `b` have in common."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
-def _concept_triangle(entries, table):
-    """Upper triangle of the distances between one concept's `entries`, one
-    per language, computing each distinct unordered variant pair once (the
-    memo lives for this call).  Exact, because the DP of (a, b) and of
-    (b, a) perform the same float operations."""
-    coded = _coded_variants(entries, table)
+def _entry_triangle(entries, table):
+    """Upper triangle of the distances between `entries`: per pair, the
+    closest normalized distance over their variant pairs.
+
+    The pair table: each sorted distinct variant is the column word against
+    every later one, with one cost vector per symbol, built on first use.
+    The row words keep a stack of DP rows, cut back to the prefix shared
+    with the previous row word and then extended, so a cut that keeps fewer
+    rows only recomputes them.  The earlier word lies along the columns:
+    costs are symmetric, so DP(a, b) and DP(b, a) perform the same float
+    operations.  Each distance goes straight to the cells of the entries
+    holding its two variants, which keep the smallest.  Entries that share
+    a variant are 0.0 apart, a word's distance to itself, as
+    `table.cost(s, s)` is 0.0.
+    """
+    n = len(entries)
+    holding = {}
+    for i, entry in enumerate(entries):
+        for v in dict.fromkeys(entry.variants):
+            holding.setdefault(v, []).append(i)
+    words = sorted(holding)
+    holders = [holding[w] for w in words]
+    coded, dense = _coded_words(words, table)
+    shared = [0] + [_shared_prefix(a, b) for a, b in zip(coded, coded[1:])]
+    # d(i, j), i < j, sits at start[i] + j
+    start = [DistanceMatrix.position(n, i, 0) for i in range(n)]
+    out = array("d", repeat(math.inf, n * (n - 1) // 2))
+    for held in holders:
+        for x, i in enumerate(held):
+            for j in held[x + 1:]:
+                out[start[i] + j] = 0.0
     gap = table.gap_penalty
-    memo = {}
-
-    def pair_distance(v1, v2):
-        key = (v1, v2) if v1 <= v2 else (v2, v1)
-        d = memo.get(key)
-        if d is None:
-            d = memo[key] = _coded_distance(coded[v1], coded[v2], gap)
-        return d
-
-    return array("d", (
-        min(pair_distance(v1, v2) for v1 in entries[i].variants for v2 in entries[j].variants)
-        for i, j in DistanceMatrix.upper_pairs(len(entries))))
+    for p, column in enumerate(coded):
+        vectors = [None] * len(dense)
+        stack = [_first_row(len(column), gap)]
+        column_held = holders[p]
+        for q in range(p + 1, len(coded)):
+            row_word = coded[q]
+            del stack[shared[q] + 1:]
+            for s in row_word[len(stack) - 1:]:
+                costs = vectors[s]
+                if costs is None:
+                    costs = vectors[s] = list(map(dense[s].__getitem__, column))
+                stack.append(_dp_row(stack[-1], costs, gap))
+            d = stack[-1][-1] / max(len(row_word), len(column))
+            for i in column_held:
+                for j in holders[q]:
+                    if i < j:
+                        k = start[i] + j
+                    elif j < i:
+                        k = start[j] + i
+                    else:
+                        continue
+                    if d < out[k]:
+                        out[k] = d
+    return out
 
 
 def language_matrix(lex, table):
     """All-pairs language distance matrix: each cell is the mean, over the
     concepts, of that language pair's entry distance (0 with no concepts).
-    Per-concept triangles keep 8 bytes a cell; no memo spans two concepts."""
+    Per-concept triangles keep 8 bytes a cell; no pair table spans two
+    concepts."""
     langs = lex.languages
     if len(langs) < 2:
         raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
     count = lex.n_concepts
     if count == 0:
         return DistanceMatrix(langs, repeat(0.0, len(langs) * (len(langs) - 1) // 2))
-    triangles = [_concept_triangle([lex.entries[lang][ci] for lang in langs], table)
+    triangles = [_entry_triangle([lex.entries[lang][ci] for lang in langs], table)
                  for ci in range(count)]
     try:
         return DistanceMatrix(langs, (math.fsum(cells) / count for cells in zip(*triangles)))
@@ -299,15 +354,16 @@ def concept_matrix(lex, concept_index, table):
         raise IndexOutOfRange(
             f"concept index {concept_index} outside 0..{lex.n_concepts - 1}")
     entries = [lex.entries[lang][concept_index] for lang in langs]
-    return DistanceMatrix(langs, _concept_triangle(entries, table))
+    return DistanceMatrix(langs, _entry_triangle(entries, table))
 
 
 def all_to_all_matrix(lex, table):
     """Distance between every (language, concept) item pair.
 
     Items are labeled ``language:concept`` and compared regardless of
-    whether the concepts match.  No pair memo: across items, variant pairs
-    rarely repeat, and the memo would cost memory for no saved work.
+    whether the concepts match.  Like a concept's matrix, it runs each
+    distinct variant pair once, so a variant repeated across items costs
+    no extra DP.
     """
     langs = lex.languages
     if not langs:
@@ -321,12 +377,7 @@ def all_to_all_matrix(lex, table):
             items.append(lex.entries[lang][ci])
     if not items:
         raise TooFewItems("all-to-all needs at least 1 concept, the lexicon has none")
-    coded = _coded_variants(items, table)
-    forms = [[coded[v] for v in item.variants] for item in items]
-    gap = table.gap_penalty
-    return DistanceMatrix(labels, (
-        min(_coded_distance(x, y, gap) for x in forms[i] for y in forms[j])
-        for i, j in DistanceMatrix.upper_pairs(len(items))))
+    return DistanceMatrix(labels, _entry_triangle(items, table))
 
 
 # --- OC matrix format --------------------------------------------------------

@@ -134,6 +134,8 @@ def kde(values, grid_points=512):
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if not all(map(math.isfinite, values)):
+        raise DegenerateData("density needs finite values")
     if len(values) < 2 or min(values) == max(values):
         raise DegenerateData("density needs at least 2 distinct values")
     h = bandwidth_nrd0(values)
@@ -166,15 +168,26 @@ def bhattacharyya(a, b, bins=None):
     """Histogram overlap coefficient: sum of sqrt(p_i * q_i), in [0, 1].
 
     Both samples share equal-width bins spanning their combined range; the
-    default bin count is Sturges' rule on the combined sample size.
+    default bin count is Sturges' rule on the combined sample size.  A value
+    that is not finite, or a range or bin width beyond the float range,
+    raises DegenerateData.
     """
     if not a or not b:
         raise EmptyInput("both value lists must be non-empty")
-    return _bhatt_counted(Counter(a), Counter(b), bins)
+    return _bhatt_counted(_counted(a), _counted(b), bins)
+
+
+def _counted(values):
+    """`Counter(values)`, refusing a value that is not finite."""
+    counts = Counter(values)
+    if not all(map(math.isfinite, counts)):
+        raise DegenerateData("Bhattacharyya coefficients need finite values")
+    return counts
 
 
 def _bhatt_counted(ca, cb, bins):
-    """`bhattacharyya` of two samples given as value `Counter`s.
+    """`bhattacharyya` of two samples given as value `Counter`s of finite
+    values.
 
     A `Counter` keeps the first of equal keys, as `min` and `max` keep the
     first of equal values, so the range is the per-value one, signed zeros
@@ -191,6 +204,8 @@ def _bhatt_counted(ca, cb, bins):
     if hi == lo:
         return 1.0
     width = (hi - lo) / bins
+    if not 0.0 < width < math.inf:
+        raise DegenerateData(f"the range {lo!r} to {hi!r} overflows, or its bins underflow")
 
     def binned(counts):
         out = [0] * bins
@@ -214,7 +229,7 @@ def bhatt_matrix(frame, bins=None):
     names = frame.names
     if len(names) < 2:
         raise EmptyInput("need at least 2 columns")
-    counted = [Counter(frame.columns[name]) for name in names]
+    counted = [_counted(frame.columns[name]) for name in names]
     return names, array("d", (_bhatt_counted(counted[i], counted[j], bins)
                               for i, j in DistanceMatrix.upper_pairs(len(names))))
 

@@ -298,6 +298,8 @@ def test_distance_matrix_upper_order():
     assert m.rows() == [[0.0, 0.1, 0.2, 0.3], [0.1, 0.0, 1.2, 1.3],
                         [0.2, 1.2, 0.0, 2.3], [0.3, 1.3, 2.3, 0.0]]
     assert list(DistanceMatrix.upper_pairs(3)) == [(0, 1), (0, 2), (1, 2)]
+    assert [DistanceMatrix.position(4, i, j) for i, j in DistanceMatrix.upper_pairs(4)] == \
+        list(range(6))
     for cells in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):  # one too few, one too many
         with pytest.raises(ValueError):
             DistanceMatrix("abc", cells)
@@ -339,8 +341,9 @@ def labelled_matrices(draw):
 def test_square_rows_get_and_upper_agree(matrix):
     names, rows = matrix.labels, matrix.rows()
     assert len(rows) == matrix.n
-    for (i, j), v, (a, b, d) in zip(DistanceMatrix.upper_pairs(matrix.n), matrix.values,
-                                    matrix.upper(), strict=True):
+    for k, ((i, j), v, (a, b, d)) in enumerate(zip(DistanceMatrix.upper_pairs(matrix.n),
+                                                  matrix.values, matrix.upper(), strict=True)):
+        assert DistanceMatrix.position(matrix.n, i, j) == k
         assert (a, b) == (names[i], names[j])
         assert d.hex() == v.hex() == rows[i][j].hex()
     for i, a in enumerate(names):

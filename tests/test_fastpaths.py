@@ -1,8 +1,9 @@
 """The fast kernels against the plain references in `oracles.py`.
 
 Cost rows against `SubstitutionTable.cost`, the coded DP against the
-exponential recursion and the per-cell DP, the memoised and all-to-all
-matrices against memo-free ones on built-in and random tables, the
+exponential recursion and the per-cell DP, the concept, language and
+all-to-all matrices of the shared-prefix pair table against per-pair ones on
+built-in and random tables (also on words built from one stem), the
 distinct-value density against one `exp` per value, the counted
 Bhattacharyya coefficients against one bin lookup per value, the
 nearest-neighbour agglomeration against the pair-dict one, and the top-down
@@ -133,16 +134,30 @@ def tables(draw):
 def test_raw_distance_bitwise_equals_per_cell_reference(table, a, b):
     want = reference_raw_distance(a, b, table).hex()
     assert raw_distance(a, b, table).hex() == want
-    # both orders: the pair memo keys on the unordered pair
+    # both orders: the pair table runs each unordered pair in one orientation
     assert raw_distance(b, a, table).hex() == want
 
 
+WORD_POOLS = st.lists(st.text(alphabet=WORD_SYMBOLS, min_size=1, max_size=6),
+                      min_size=1, max_size=6, unique=True)
+
+
 @st.composite
-def lexicons(draw):
+def stem_pools(draw):
+    """Up to 8 words, each a prefix of one stem plus a suffix of up to 3
+    symbols: sorted neighbours share prefixes of every depth, from none to
+    the whole shorter word, and a word can be a prefix of another."""
+    stem = draw(st.text(alphabet=WORD_SYMBOLS, min_size=1, max_size=6))
+    word = st.builds(lambda k, suffix: stem[:k] + suffix,
+                     st.integers(0, len(stem)), st.text(alphabet="abAl", max_size=3))
+    return draw(st.lists(word.filter(bool), min_size=1, max_size=8, unique=True))
+
+
+@st.composite
+def lexicons(draw, pools=WORD_POOLS):
     """2-5 languages x 1-4 concepts drawn from a small word pool, so words
     repeat across languages, concepts and synonym sets."""
-    pool = draw(st.lists(st.text(alphabet=WORD_SYMBOLS, min_size=1, max_size=6),
-                         min_size=1, max_size=6, unique=True))
+    pool = draw(pools)
     n_langs = draw(st.integers(2, 5))
     n_concepts = draw(st.integers(1, 4))
     entries = {
@@ -153,9 +168,7 @@ def lexicons(draw):
     return Lexicon("words", entries)
 
 
-@settings(max_examples=80, deadline=None)
-@given(lexicons(), tables())
-def test_memoised_matrices_equal_memo_free_reference(lex, table):
+def assert_concept_and_language_matrices_match(lex, table):
     for ci in range(lex.n_concepts):
         got = concept_matrix(lex, ci, table).rows()
         want = reference_concept_values(lex, ci, table)
@@ -165,13 +178,30 @@ def test_memoised_matrices_equal_memo_free_reference(lex, table):
     assert [bits(row) for row in got] == [bits(row) for row in want]
 
 
-@settings(max_examples=60, deadline=None)
-@given(lexicons(), tables())
-def test_all_to_all_matrix_bitwise_equals_reference(lex, table):
+def assert_all_to_all_matrix_matches(lex, table):
     items = [entry for lang in lex.languages for entry in lex.entries[lang]]
     want = [reference_entry_distance(items[i], items[j], table)
             for i, j in DistanceMatrix.upper_pairs(len(items))]
     assert bits(all_to_all_matrix(lex, table).values) == bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lexicons(), tables())
+def test_memoised_matrices_equal_memo_free_reference(lex, table):
+    assert_concept_and_language_matrices_match(lex, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lexicons(), tables())
+def test_all_to_all_matrix_bitwise_equals_reference(lex, table):
+    assert_all_to_all_matrix_matches(lex, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicons(stem_pools()), tables())
+def test_shared_prefix_matrices_bitwise_equal_reference(lex, table):
+    assert_concept_and_language_matrices_match(lex, table)
+    assert_all_to_all_matrix_matches(lex, table)
 
 
 @settings(max_examples=80, deadline=None)

@@ -134,6 +134,13 @@ def test_kde_degenerate():
         kde([1.0, 2.0], grid_points=1)
 
 
+@pytest.mark.parametrize("values", [[math.inf, 1.0], [math.nan, 1.0, 2.0],
+                                    [1.0, 2.0, -math.inf]])
+def test_kde_non_finite_value_is_degenerate_data(values):
+    with pytest.raises(DegenerateData):
+        kde(values, 8)
+
+
 def test_kde_grid_spans_data_plus_bandwidth():
     values = [0.0, 1.0, 2.0, 4.0]
     curve = kde(values, grid_points=64)
@@ -167,6 +174,26 @@ def test_bc_empty_input():
 
 def test_bc_constant_identical_range():
     assert bhattacharyya([2.0, 2.0], [2.0]) == 1.0
+
+
+@pytest.mark.parametrize("a, b, bins", [
+    ([1e308, -1e308], [0.0], None),  # the combined range overflows
+    ([math.inf, 1.0], [1.0], None),
+    ([1.0, 2.0], [math.nan], None),
+    ([1.0, math.nan], [1.0], None),  # min and max of the values skip the nan
+    ([0.0], [5e-324], 64),  # the bin width underflows to 0
+])
+def test_bc_non_finite_or_overflowing_range_is_degenerate_data(a, b, bins):
+    with pytest.raises(DegenerateData):
+        bhattacharyya(a, b, bins)
+    with pytest.raises(DegenerateData):
+        bhattacharyya(b, a, bins)
+
+
+def test_bhatt_matrix_non_finite_is_degenerate_data():
+    frame = AnalysisFrame({"a": [1.0, math.inf], "b": [1.0, 2.0], "c": [0.5, 3.0]})
+    with pytest.raises(DegenerateData):
+        bhatt_matrix(frame)
 
 
 def test_bc_symmetry_and_range():
