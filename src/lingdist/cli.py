@@ -161,9 +161,7 @@ def cmd_words_analyse(lex, table, args):
         if pair_labels is None:
             pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
         columns[cname] = matrix.values
-    frame = stats.AnalysisFrame(columns, row_labels=pair_labels)
-
-    summary = stats.mean_sd(frame)
+    summary = stats.mean_sd(stats.AnalysisFrame(columns))
     artifacts["mean_sd.csv"] = _csv_text(
         ("column", "mean", "sd", "mean_sd"),
         [(name, _fmt(m), _fmt(sd), _fmt(prod)) for name, m, sd, prod in summary])
@@ -220,14 +218,17 @@ def _read_truth(path):
                 continue
             if len(row) != 2:
                 raise ParseError(f"{path}: truth rows need 2 fields, got {row!r}")
-            truth[row[0].strip()] = row[1].strip()
+            label = row[0].strip()
+            if label in truth:
+                raise ParseError(f"{path}: label {label!r} listed twice")
+            truth[label] = row[1].strip()
     return truth
 
 
 def cmd_cluster(lex, table, args):
     matrix = editdist.language_matrix(lex, table)
     dend = hc.agglomerate(matrix, args.linkage)
-    (_k, best_assignment, _report), means = hc.cut_scan(matrix, dend)
+    best_assignment, means = hc.cut_scan(matrix, dend)
 
     artifacts = {
         "languages.oc": editdist.write_oc(matrix, io.StringIO()),
@@ -311,7 +312,7 @@ def cmd_relationship(lex, table, args):
 def cmd_all_to_all(lex, table, args):
     matrix = editdist.all_to_all_matrix(lex, table)
     dend = hc.agglomerate(matrix, args.linkage)
-    _k, best_assignment, _report = hc.best_cut(matrix, dend)
+    best_assignment, _means = hc.cut_scan(matrix, dend)
 
     forced_k = args.k if args.k is not None else lex.n_concepts
     if forced_k < 2:

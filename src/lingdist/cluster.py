@@ -31,7 +31,7 @@ cluster that split and rounding put both halves above it; then that point
 alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
 operations.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
 balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
-and `silhouette` run for the best k only.
+runs for the best k only; `best_cut` adds that cut's `silhouette` report.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
 `silhouette` each work on a square from `matrix.rows()` and release it before
@@ -242,19 +242,17 @@ def _mean_to(row, leaves):
 def cut_scan(matrix, dendrogram):
     """Cut at every k in 2..n-1 and score each cut, in one pass.
 
-    Returns (best, means): best is the (k, assignment, report) with the
-    highest mean silhouette, ties going to the smaller k, and means is the
-    list of (k, mean) for every k.  The scan walks the cuts top-down (see the
-    module docstring) and calls `cut` and `silhouette` for the best k only,
-    once the scan's square is released.
+    Returns (best, means): best is the assignment with the highest mean
+    silhouette, ties going to the smaller k, and means is the list of
+    (k, mean) for every k.  The scan walks the cuts top-down (see the
+    module docstring) and calls `cut` for the best k only.
     """
     n = matrix.n
     if n < 3:
         raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
     means = _scan_means(matrix.rows(), dendrogram)
     k = max(means, key=itemgetter(1))[0]  # max keeps the first, smallest k, of equal means
-    assignment = cut(dendrogram, k)
-    return (k, assignment, silhouette(matrix, assignment)), means
+    return cut(dendrogram, k), means
 
 
 def _scan_means(values, dendrogram):
@@ -308,7 +306,8 @@ def best_cut(matrix, dendrogram):
 
     Ties go to the smaller k.  Returns (k, assignment, report).
     """
-    return cut_scan(matrix, dendrogram)[0]
+    assignment = cut_scan(matrix, dendrogram)[0]
+    return assignment.k, assignment, silhouette(matrix, assignment)
 
 
 def silhouette_scan(matrix, dendrogram):

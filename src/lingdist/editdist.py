@@ -9,8 +9,8 @@ Every distance runs one DP kernel, the row step `_dp_row`: from a row of
 prefix distances and the costs of the next row symbol against the column
 word, the next row.  Its floats equal those of the plain
 ``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.  Each call
-codes its words' symbols as small ints over their sorted alphabet and reads
-each symbol's dense cost row from the table once.  `raw_distance` and
+codes its words' symbols as small ints over their sorted alphabet and builds
+each symbol's dense cost row over that alphabet once.  `raw_distance` and
 `alignments` stack the rows into the full table.  A matrix runs one pair
 table over its distinct variants, sorted: each unordered pair once, and a
 row word reuses the rows of the prefix it shares with the previous row word
@@ -63,14 +63,12 @@ class Alignment:
 
 def _coded_words(words, table):
     """`words` as tuples of integer codes in their sorted alphabet, and that
-    alphabet's dense cost rows, `dense[code(s)][code(t)] == table.cost(s, t)`
-    (read from `cost_row`, so symbols no rule covers cost the default
-    mismatch).  Codes keep the symbols' order, so coded words sort as the
-    words do."""
+    alphabet's dense cost rows, `dense[code(s)][code(t)] == table.cost(s, t)`,
+    one `cost` call per symbol pair of the alphabet.  Codes keep the symbols'
+    order, so coded words sort as the words do."""
     alphabet = sorted({s for w in words for s in w})
     code = {s: i for i, s in enumerate(alphabet)}
-    default = table.default_mismatch
-    dense = [[row.get(t, default) for t in alphabet] for row in map(table.cost_row, alphabet)]
+    dense = [[table.cost(s, t) for t in alphabet] for s in alphabet]
     return [tuple(map(code.__getitem__, w)) for w in words], dense
 
 

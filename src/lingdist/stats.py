@@ -30,7 +30,6 @@ from .errors import (ColumnTooShort, DegenerateData, DegenerateX, EmptyInput,
 @dataclass
 class AnalysisFrame:
     columns: dict  # name -> sequence of reals, insertion ordered, equal lengths
-    row_labels: list | None = None
 
     def __post_init__(self):
         lengths = {len(vals) for vals in self.columns.values()}
@@ -38,9 +37,6 @@ class AnalysisFrame:
             raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
         if lengths and 0 in lengths:
             raise LengthMismatch("columns must not be empty")
-        if self.row_labels is not None and lengths \
-                and len(self.row_labels) != lengths.pop():
-            raise LengthMismatch("row label count does not match column length")
 
     @property
     def names(self):

@@ -13,13 +13,15 @@ Lookup precedence, first match wins:
   identity > zero pair > shared vowel family > explicit pair rule
   > long/short counterpart > generic vowel-vowel > default mismatch
 
-A table's rules are fixed at construction.  `cost_row` fills a per-symbol
-cache of resolved costs on first use; filling it is idempotent, so a table
-(and its `with_gap` clones, which share the cache) stays safe to share.
+The constructor resolves every rule into one map from unordered symbol pair
+to cost.  It fills the map in the reverse of that order, generic vowel pairs
+first and zero pairs last, so each rule overwrites exactly the rules it
+beats; `cost` is then identity, one lookup, or the default mismatch.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .errors import DuplicatePairRule, ParseError, UndefinedClass, UnknownTableName
 
@@ -72,40 +74,52 @@ class SubstitutionTable:
         for cname, w in (classes or {}).items():
             self.classes[cname] = WeightClass(cname, float(w)).weight
 
-        self._pairs = {}
+        pairs = {}
         for s1, s2, rule in pair_rules:
             cost = self._resolve(rule)
             key = _pair(s1, s2)
-            if key in self._pairs and self._pairs[key] != cost:
+            if key in pairs and pairs[key] != cost:
                 raise DuplicatePairRule(
-                    f"pair {s1}/{s2} bound to both {self._pairs[key]} and {cost}")
-            self._pairs[key] = cost
+                    f"pair {s1}/{s2} bound to both {pairs[key]} and {cost}")
+            pairs[key] = cost
 
-        self._zero = set()
+        zero = set()
         for s1, s2 in zero_pairs:
             key = _pair(s1, s2)
-            if key in self._pairs and self._pairs[key] != 0.0:
-                raise DuplicatePairRule(f"pair {s1}/{s2} is both zero and {self._pairs[key]}")
-            self._zero.add(key)
+            if key in pairs and pairs[key] != 0.0:
+                raise DuplicatePairRule(f"pair {s1}/{s2} is both zero and {pairs[key]}")
+            zero.add(key)
 
-        self._vowel_sets = {fam: {fam} for fam in VOWEL_FAMILIES}
+        families = {fam: {fam} for fam in VOWEL_FAMILIES}
         for fam, members in (vowel_sets or {}).items():
-            if fam not in self._vowel_sets:
+            if fam not in families:
                 raise ParseError(f"unknown vowel family {fam!r}")
-            self._vowel_sets[fam].update(members)
-        self._vowel_union = set().union(*self._vowel_sets.values())
+            families[fam].update(members)
+        vowels = set().union(*families.values())
 
-        self._long_short = {}
+        long_shorts = {}
         for long_s, short_s, cname in long_short:
             cost = self._resolve(cname)
             key = _pair(long_s, short_s)
-            if self._long_short.get(key, cost) != cost:
+            if long_shorts.get(key, cost) != cost:
                 raise DuplicatePairRule(f"longshort {long_s}/{short_s} bound to both "
-                                        f"{self._long_short[key]} and {cost}")
-            self._long_short[key] = cost
+                                        f"{long_shorts[key]} and {cost}")
+            long_shorts[key] = cost
 
-        self._known = None  # frozenset of known symbols, built on first use
-        self._rows = {}  # symbol -> cost row, filled by cost_row
+        # The module docstring's precedence, lowest first, so each rule
+        # overwrites the rules it beats; combinations of a sorted set yield
+        # `_pair` keys.
+        self._costs = {}
+        if "vowel" in self.classes:
+            self._costs.update(dict.fromkeys(combinations(sorted(vowels), 2),
+                                             self.classes["vowel"]))
+        self._costs.update(long_shorts)
+        self._costs.update(pairs)
+        for members in families.values():
+            self._costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
+        self._costs.update(dict.fromkeys(zero, 0.0))
+        self._symbols = frozenset(chain(vowels, *pairs, *zero, *long_shorts))
+        self._pair_rules = len(pairs)
 
     def _resolve(self, rule):
         if isinstance(rule, str):
@@ -120,56 +134,15 @@ class SubstitutionTable:
     def cost(self, s1, s2):
         """Substitution cost between two symbols. Total: unknown symbols fall
         back to the default mismatch cost."""
-        if s1 == s2:
-            return 0.0
-        key = _pair(s1, s2)
-        if key in self._zero:
-            return 0.0
-        for members in self._vowel_sets.values():
-            if s1 in members and s2 in members:
-                return 0.0
-        got = self._pairs.get(key)
-        if got is None:
-            got = self._long_short.get(key)
-        if got is not None:
-            return got
-        if s1 in self._vowel_union and s2 in self._vowel_union:
-            vowel = self.classes.get("vowel")
-            if vowel is not None:
-                return vowel
-        return self.default_mismatch
-
-    def cost_row(self, s1):
-        """`{s2: cost(s1, s2)}` for every known symbol s2 and for s1 itself.
-
-        Any other s2 matches no rule, so its cost is `default_mismatch`:
-        `cost_row(s1).get(s2, default_mismatch)` equals `cost(s1, s2)` for
-        every s2.  Rows are computed on first use and kept.
-        """
-        row = self._rows.get(s1)
-        if row is None:
-            row = {s2: self.cost(s1, s2) for s2 in self.known_symbols() | {s1}}
-            self._rows[s1] = row
-        return row
+        return 0.0 if s1 == s2 else self._costs.get(_pair(s1, s2), self.default_mismatch)
 
     def known_symbols(self):
         """Every symbol mentioned by some rule of this table, as a frozenset."""
-        if self._known is None:
-            known = set()
-            for s1, s2 in self._pairs:
-                known.update((s1, s2))
-            for s1, s2 in self._zero:
-                known.update((s1, s2))
-            for members in self._vowel_sets.values():
-                known.update(members)
-            for long_s, short_s in self._long_short:
-                known.update((long_s, short_s))
-            self._known = frozenset(known)
-        return self._known
+        return self._symbols
 
     def with_gap(self, gap_penalty):
         """Copy of this table with a different gap penalty.  Costs do not
-        depend on the gap, so the copy shares the cost-row cache."""
+        depend on the gap, so the copy shares the resolved cost map."""
         clone = SubstitutionTable.__new__(SubstitutionTable)
         clone.__dict__.update(self.__dict__)
         clone.gap_penalty = cost_value("gap penalty", gap_penalty)
@@ -177,7 +150,7 @@ class SubstitutionTable:
 
     def __repr__(self):
         label = self.name or "custom"
-        return f"SubstitutionTable({label}, {len(self._pairs)} pair rules)"
+        return f"SubstitutionTable({label}, {self._pair_rules} pair rules)"
 
 
 def parse_table(text, name=None):

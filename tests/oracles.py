@@ -8,7 +8,8 @@ matrices, density and Bhattacharyya coefficient below are the plain forms
 the fast paths replaced: one `table.cost` call per cell, no pair memo, one
 `exp` per value, one bin lookup per value.  The clustering references are
 the pair-dict agglomeration and the per-k cut scan that the
-nearest-neighbour and top-down forms replaced.
+nearest-neighbour and top-down forms replaced.  `ReferenceTable` is the rule
+interpreter that the substitution table's resolved cost map replaced.
 """
 
 import math
@@ -17,7 +18,7 @@ import random
 from lingdist.cluster import LINKAGES, Dendrogram, cut, silhouette
 from lingdist.errors import EmptyInput, TooFewItems
 from lingdist.stats import bandwidth_nrd0, sturges_bins
-from lingdist.subst import SubstitutionTable
+from lingdist.subst import VOWEL_FAMILIES, SubstitutionTable
 
 
 def naive_lev(a, b, cost, gap=1.0):
@@ -92,6 +93,78 @@ def direct_silhouette(matrix, assignment):
 
 
 _COST_CHOICES = (0.0, 0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 1.0)
+
+
+def _pair(s1, s2):
+    return (s1, s2) if s1 <= s2 else (s2, s1)
+
+
+class ReferenceTable:
+    """Costs of a table DSL text that `parse_table` accepts, by the rule
+    interpreter `SubstitutionTable` had before it resolved its rules into one
+    map: `cost` walks the rules in precedence order on every call.  It
+    repeats none of the validation."""
+
+    def __init__(self, text):
+        self.classes = {}
+        self.default_mismatch = 1.0
+        lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+        lines = [(fields[0], fields[1:]) for fields in lines if fields]
+        for kind, args in lines:
+            if kind == "weight":
+                self.classes[args[0]] = float(args[1])
+            elif kind == "default":
+                self.default_mismatch = float(args[0])
+        self._pairs = {}
+        self._zero = set()
+        self._vowel_sets = {fam: {fam} for fam in VOWEL_FAMILIES}
+        self._long_short = {}
+        for kind, args in lines:
+            if kind == "pair":
+                try:
+                    cost = float(args[2])
+                except ValueError:
+                    cost = self.classes[args[2]]
+                self._pairs[_pair(args[0], args[1])] = cost
+            elif kind == "zero":
+                self._zero.add(_pair(args[0], args[1]))
+            elif kind == "vset":
+                self._vowel_sets[args[0]].update(args[1:])
+            elif kind == "longshort":
+                self._long_short[_pair(args[0], args[1])] = self.classes[args[2]]
+        self._vowel_union = set().union(*self._vowel_sets.values())
+
+    def cost(self, s1, s2):
+        if s1 == s2:
+            return 0.0
+        key = _pair(s1, s2)
+        if key in self._zero:
+            return 0.0
+        for members in self._vowel_sets.values():
+            if s1 in members and s2 in members:
+                return 0.0
+        got = self._pairs.get(key)
+        if got is None:
+            got = self._long_short.get(key)
+        if got is not None:
+            return got
+        if s1 in self._vowel_union and s2 in self._vowel_union:
+            vowel = self.classes.get("vowel")
+            if vowel is not None:
+                return vowel
+        return self.default_mismatch
+
+    def known_symbols(self):
+        known = set()
+        for s1, s2 in self._pairs:
+            known.update((s1, s2))
+        for s1, s2 in self._zero:
+            known.update((s1, s2))
+        for members in self._vowel_sets.values():
+            known.update(members)
+        for long_s, short_s in self._long_short:
+            known.update((long_s, short_s))
+        return frozenset(known)
 
 
 def random_table(rng: random.Random, alphabet="abcdefgh", default_mismatch=1.0):

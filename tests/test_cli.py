@@ -275,6 +275,17 @@ def test_cluster_truth_missing_label(tmp_path):
                     "--truth", str(bad_truth), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_cluster_truth_repeated_label(tmp_path, capsys):
+    truth = open(FIXTURES / "sheep_truth.csv").read().strip().splitlines()
+    bad_truth = tmp_path / "truth.csv"
+    bad_truth.write_text("\n".join(truth + ["swaledale,southern"]) + "\n")
+    assert "swaledale,northern" in truth
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--k", "2",
+                    "--truth", str(bad_truth), "--out", str(tmp_path / "out")]) == 3
+    assert "'swaledale' listed twice" in capsys.readouterr().err
+    assert files_under(tmp_path) == ["truth.csv"]
+
+
 def test_relationship_on_sheep(fixtures_dir, tmp_path):
     out = tmp_path / "out"
     code = run_cli(["relationship", "--lexicon", SHEEP,

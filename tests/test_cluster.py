@@ -245,9 +245,11 @@ def test_cut_scan_rescans_when_rounding_lifts_both_halves():
     assert math.fsum([0.7] * 3) / 3 < 0.7
     for linkage in LINKAGES:
         d = agglomerate(m, linkage)
-        (k, assignment, report), means = cut_scan(m, d)
+        assignment, means = cut_scan(m, d)
+        k, best_assignment, report = best_cut(m, d)
         (want_k, want_assignment, want_report), want_means = reference_cut_scan(m, d)
         assert (k, assignment) == (want_k, want_assignment)
+        assert best_assignment == want_assignment
         assert report.per_point == want_report.per_point
         assert [(k, v.hex()) for k, v in means] == [(k, v.hex()) for k, v in want_means]
 

@@ -1,7 +1,7 @@
 """The fast kernels against the plain references in `oracles.py`.
 
-Cost rows against `SubstitutionTable.cost`, the coded DP against the
-exponential recursion and the per-cell DP, the concept, language and
+`SubstitutionTable.cost` against the rule interpreter, the coded DP against
+the exponential recursion and the per-cell DP, the concept, language and
 all-to-all matrices of the shared-prefix pair table against per-pair ones on
 built-in and random tables (also on words built from one stem), the
 distinct-value density against one `exp` per value, the counted
@@ -16,17 +16,17 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from oracles import (naive_lev, random_distance_matrix, random_table,
+from oracles import (ReferenceTable, naive_lev, random_distance_matrix, random_table,
                      reference_agglomerate, reference_concept_values,
                      reference_bhattacharyya, reference_cut_scan,
                      reference_entry_distance, reference_kde,
                      reference_language_values, reference_raw_distance)
 
-from lingdist.cluster import LINKAGES, agglomerate, cut_scan
+from lingdist.cluster import LINKAGES, agglomerate, best_cut, cut_scan
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
                                language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
@@ -45,56 +45,50 @@ def bits(values):
     return [v.hex() for v in values]
 
 
-def assert_rows_match_cost(table):
-    symbols = sorted(table.known_symbols() | set(UNKNOWN))
-    for s1 in symbols:
-        row = table.cost_row(s1)
-        assert set(row) <= table.known_symbols() | {s1}
-        for s2 in symbols:
-            assert row.get(s2, table.default_mismatch) == table.cost(s1, s2), (s1, s2)
-
-
-@pytest.mark.parametrize("name", sorted(BUILTIN_TABLES))
-def test_cost_rows_equal_cost_on_builtin_tables(name):
-    assert_rows_match_cost(builtin_table(name))
-
-
 @st.composite
 def dsl_tables(draw):
     """Random table DSL text: classes, pair and zero rules on distinct symbol
-    pairs (so no rule conflicts), vowel sets, long/short rules, gap and
-    default."""
+    pairs (so no rule conflicts), vowel sets, long/short rules (often on a
+    pair that a pair or zero rule binds too), gap and default."""
     lines = [f"weight {cname} {draw(st.sampled_from(COSTS))}"
              for cname in ("c1", "c2", "vowel")]
     classes = st.sampled_from(("c1", "c2", "vowel"))
     all_pairs = [(x, y) for i, x in enumerate(DSL_SYMBOLS) for y in DSL_SYMBOLS[i + 1:]]
-    for s1, s2 in draw(st.lists(st.sampled_from(all_pairs), max_size=25, unique=True)):
+    ruled = draw(st.lists(st.sampled_from(all_pairs), max_size=25, unique=True))
+    for s1, s2 in ruled:
         rule = draw(st.one_of(st.just("zero"), classes, st.sampled_from(COSTS)))
         lines.append(f"zero {s1} {s2}" if rule == "zero" else f"pair {s1} {s2} {rule}")
     for fam in draw(st.lists(st.sampled_from("aeiouy"), max_size=3, unique=True)):
         members = draw(st.lists(st.sampled_from(DSL_SYMBOLS), min_size=1, max_size=3))
         lines.append(f"vset {fam} {' '.join(members)}")
-    for long_s, short_s in draw(st.lists(st.sampled_from(all_pairs), max_size=4)):
+    long_short_pairs = st.sampled_from(all_pairs)
+    if ruled:
+        long_short_pairs |= st.sampled_from(ruled)
+    for long_s, short_s in draw(st.lists(long_short_pairs, max_size=4)):
         lines.append(f"longshort {long_s} {short_s} {draw(classes)}")
     lines.append(f"gap {draw(st.sampled_from((0.5, 1.0, 1.5)))}")
     lines.append(f"default {draw(st.sampled_from((0.7, 1.0, 2.0)))}")
     return "\n".join(lines)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(dsl_tables())
-def test_cost_rows_equal_cost_on_random_tables(text):
+@example(BUILTIN_TABLES["editable"])
+@example(BUILTIN_TABLES["editableGaby"])
+def test_cost_equals_rule_interpreter(text):
     try:
         table = parse_table(text)
     except LingdistError:
         assume(False)
-    assert_rows_match_cost(table)
-
-
-def test_with_gap_clone_rows_equal_cost():
-    base = builtin_table("editable")
-    base.cost_row("a")  # fill part of the shared cache before cloning
-    assert_rows_match_cost(base.with_gap(0.35))
+    reference = ReferenceTable(text)
+    assert table.known_symbols() == reference.known_symbols()
+    clone = table.with_gap(0.35)
+    symbols = sorted(reference.known_symbols() | set(UNKNOWN))
+    for s1 in symbols:
+        for s2 in symbols:
+            want = reference.cost(s1, s2).hex()
+            assert table.cost(s1, s2).hex() == want, (s1, s2)
+            assert clone.cost(s1, s2).hex() == want, (s1, s2)
 
 
 words = st.text(alphabet=WORD_SYMBOLS, max_size=4)
@@ -338,11 +332,13 @@ def test_agglomerate_equals_pair_dict_reference(matrix):
 def test_cut_scan_equals_per_k_reference(matrix):
     for linkage in LINKAGES:
         dendrogram = agglomerate(matrix, linkage)
-        (k, assignment, report), means = cut_scan(matrix, dendrogram)
+        assignment, means = cut_scan(matrix, dendrogram)
+        k, best_assignment, report = best_cut(matrix, dendrogram)
         (want_k, want_assignment, want_report), want_means = \
             reference_cut_scan(matrix, dendrogram)
         assert k == want_k
         assert assignment == want_assignment
+        assert best_assignment == want_assignment
         assert report_bits(report) == report_bits(want_report)
         assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
 

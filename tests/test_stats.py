@@ -24,8 +24,6 @@ def test_frame_validation():
         AnalysisFrame({"a": [1.0, 2.0], "b": [1.0]})
     with pytest.raises(LengthMismatch):
         AnalysisFrame({"a": []})
-    with pytest.raises(LengthMismatch):
-        AnalysisFrame({"a": [1.0]}, row_labels=["r1", "r2"])
 
 
 def test_mean_sd_constant_column():
