@@ -1,6 +1,7 @@
 """The fast kernels against the plain references in `oracles.py`.
 
-`SubstitutionTable.cost` against the rule interpreter, the coded DP against
+`SubstitutionTable.cost` and `with_gap` clones against the rule interpreter
+on built-in and random tables, the coded DP against
 the exponential recursion and the per-cell DP, the concept, language and
 all-to-all matrices of the shared-prefix pair table against per-pair ones on
 built-in and random tables (also on words built from one stem), the
@@ -16,7 +17,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -71,24 +72,41 @@ def dsl_tables(draw):
     return "\n".join(lines)
 
 
+def assert_cost_matches_interpreter(table, text):
+    """`cost` bit for bit and `known_symbols` as the rule interpreter gives
+    them for the same DSL text, on every pair of the known symbols plus two
+    that no rule covers."""
+    reference = ReferenceTable(text)
+    assert table.known_symbols() == reference.known_symbols()
+    symbols = sorted(reference.known_symbols() | set(UNKNOWN))
+    for s1 in symbols:
+        for s2 in symbols:
+            assert table.cost(s1, s2).hex() == reference.cost(s1, s2).hex(), (s1, s2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TABLES))
+def test_cost_rows_equal_cost_on_builtin_tables(name):
+    assert_cost_matches_interpreter(builtin_table(name), BUILTIN_TABLES[name])
+
+
 @settings(max_examples=100, deadline=None)
 @given(dsl_tables())
-@example(BUILTIN_TABLES["editable"])
-@example(BUILTIN_TABLES["editableGaby"])
-def test_cost_equals_rule_interpreter(text):
+def test_cost_rows_equal_cost_on_random_tables(text):
     try:
         table = parse_table(text)
     except LingdistError:
         assume(False)
-    reference = ReferenceTable(text)
-    assert table.known_symbols() == reference.known_symbols()
-    clone = table.with_gap(0.35)
-    symbols = sorted(reference.known_symbols() | set(UNKNOWN))
-    for s1 in symbols:
-        for s2 in symbols:
-            want = reference.cost(s1, s2).hex()
-            assert table.cost(s1, s2).hex() == want, (s1, s2)
-            assert clone.cost(s1, s2).hex() == want, (s1, s2)
+    assert_cost_matches_interpreter(table, text)
+    assert_cost_matches_interpreter(table.with_gap(0.35), text)
+
+
+def test_with_gap_clone_rows_equal_cost():
+    for name, text in sorted(BUILTIN_TABLES.items()):
+        base = builtin_table(name)
+        clone = base.with_gap(0.35)
+        assert clone.gap_penalty == 0.35
+        assert_cost_matches_interpreter(clone, text)
+        assert_cost_matches_interpreter(base, text)
 
 
 words = st.text(alphabet=WORD_SYMBOLS, max_size=4)
