@@ -19,10 +19,12 @@ nothing but regular files with artifact suffixes (.csv .oc .svg .nwk .txt);
 anything else is a usage error and --out is left as it was.  Given identical
 inputs and flags, every artifact is byte-identical between runs.
 
-Lexicon symbols that no rule of the table mentions cost the default
+Lexicon symbols that no rule of the table prices cost the default
 mismatch; the run lists them in one warning on stderr and goes on.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 limit exceeded.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 limit exceeded.  Each
+error class names its code (`lingdist.errors`); an input file that cannot be
+read or is not UTF-8 is a data error.  No failure ends in a traceback.
 """
 
 import argparse
@@ -37,13 +39,10 @@ from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, stats, subst, svgplot
-from .errors import (LimitExceeded, LingdistError, ParseError, TooFewItems,
-                     TooFewLanguages, UnknownTableName, UsageError)
+from .errors import DegenerateData, LingdistError, ParseError, UsageError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
-EXIT_LIMIT = 4
 
 ARTIFACT_SUFFIXES = frozenset((".csv", ".oc", ".svg", ".nwk", ".txt"))
 
@@ -52,28 +51,26 @@ def _fmt(value):
     return format(value, ".12g")
 
 
+def _parse_file(path, parse, **options):
+    """`parse` applied to the file's text; a ParseError names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text, **options)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _load_lexicon(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LingdistError(str(exc)) from exc
-    try:
-        return lexicon.parse_lexicon(text)
-    except LingdistError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _parse_file(path, lexicon.parse_lexicon)
 
 
 def _load_table(name_or_path, gap=None):
     if name_or_path in subst.BUILTIN_TABLES:
         table = subst.builtin_table(name_or_path)
     elif Path(name_or_path).exists():
-        try:
-            table = subst.parse_table(
-                Path(name_or_path).read_text(encoding="utf-8"), name=name_or_path)
-        except ParseError as exc:
-            raise ParseError(f"{name_or_path}: {exc}") from exc
+        table = _parse_file(name_or_path, subst.parse_table, name=name_or_path)
     else:
-        raise UnknownTableName(
+        raise UsageError(
             f"{name_or_path!r} is neither a built-in table nor an existing file")
     if gap is not None:
         table = table.with_gap(gap)
@@ -147,10 +144,10 @@ def _csv_text(header, rows):
 
 def cmd_words_analyse(lex, table, args):
     if len(lex.languages) < 2:
-        raise TooFewLanguages("words-analyse needs at least 2 languages")
+        raise DegenerateData("words-analyse needs at least 2 languages")
     names = lex.concept_names()
     if not names:
-        raise TooFewItems("words-analyse needs at least 1 concept, the lexicon has none")
+        raise DegenerateData("words-analyse needs at least 1 concept, the lexicon has none")
     artifacts = {}
 
     columns = {}
@@ -316,13 +313,14 @@ def cmd_all_to_all(lex, table, args):
 
     forced_k = args.k if args.k is not None else lex.n_concepts
     if forced_k < 2:
-        raise TooFewLanguages("forced cut needs k >= 2; give --k explicitly")
+        raise DegenerateData("forced cut needs k >= 2; give --k explicitly")
     forced = hc.cut(dend, forced_k)
 
     if args.truth is not None:
         truth = _read_truth(args.truth)
     else:
-        truth = {label: label.rsplit(":", 1)[1] for label in matrix.labels}
+        truth = {f"{lang}:{cname}": cname
+                 for lang in lex.languages for cname in lex.concept_names()}
     purity_report = hc.purity(forced, truth)
 
     artifacts = {
@@ -400,15 +398,9 @@ def main(argv=None):
         table = _load_table(args.table, args.gap)
         _warn_uncovered(lex, table)
         _write_artifacts(args.out, args.run(lex, table, args))
-    except LimitExceeded as exc:
+    except (LingdistError, OSError, UnicodeError) as exc:
         print(f"lingdist: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except UsageError as exc:
-        print(f"lingdist: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LingdistError, OSError) as exc:
-        print(f"lingdist: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return getattr(exc, "exit_code", EXIT_DATA)
     return EXIT_OK
 
 

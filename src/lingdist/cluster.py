@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import BadK, DegenerateData, MissingTruthLabel, TooFewItems
+from .errors import DegenerateData
 from .svgplot import Canvas, PALETTE
 
 LINKAGES = ("single", "complete", "average")
@@ -93,7 +93,7 @@ def agglomerate(matrix, linkage="complete"):
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     n = matrix.n
     if n < 2:
-        raise TooFewItems(f"need at least 2 items to cluster, got {n}")
+        raise DegenerateData(f"need at least 2 items to cluster, got {n}")
 
     # dist[x][y] is the distance between the nodes held in slots x and y; the
     # merged node takes its smaller child's slot.
@@ -157,7 +157,7 @@ def cut(dendrogram, k):
     """
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
-        raise BadK(f"k must be in 1..{n}, got {k}")
+        raise DegenerateData(f"k must be in 1..{n}, got {k}")
     members = {i: [i] for i in range(n)}
     for t, (a, b, _h) in enumerate(dendrogram.merges[:n - k]):
         members[n + t] = members.pop(a) + members.pop(b)
@@ -185,7 +185,7 @@ def silhouette(matrix, assignment):
     n = matrix.n
     k = assignment.k
     if not 2 <= k <= n - 1:
-        raise BadK(f"silhouette needs 2 <= k <= {n - 1}, got k={k}")
+        raise DegenerateData(f"silhouette needs 2 <= k <= {n - 1}, got k={k}")
     idx_of = {label: i for i, label in enumerate(matrix.labels)}
     if set(assignment.member_of) != set(idx_of):
         raise ValueError("assignment labels do not match the matrix labels")
@@ -249,7 +249,7 @@ def cut_scan(matrix, dendrogram):
     """
     n = matrix.n
     if n < 3:
-        raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
+        raise DegenerateData(f"need at least 3 items to scan cuts, got {n}")
     means = _scan_means(matrix.rows(), dendrogram)
     k = max(means, key=itemgetter(1))[0]  # max keeps the first, smallest k, of equal means
     return cut(dendrogram, k), means
@@ -328,7 +328,7 @@ def purity(assignment, truth):
     counts = {}
     for label, cid in assignment.member_of.items():
         if label not in truth:
-            raise MissingTruthLabel(f"no truth class for {label!r}")
+            raise DegenerateData(f"no truth class for {label!r}")
         counts.setdefault(cid, {})
         cls = truth[label]
         counts[cid][cls] = counts[cid].get(cls, 0) + 1

@@ -34,8 +34,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import (BothEmpty, DegenerateData, FormatError, IndexOutOfRange,
-                     LimitExceeded, TooFewItems, TooFewLanguages)
+from .errors import DegenerateData, FormatError, LimitExceeded
 
 GAP = None  # gap marker inside alignment columns
 
@@ -126,7 +125,7 @@ def normalized_distance(a, b, table):
     """raw_distance divided by the longer sequence's length."""
     longer = max(len(a), len(b))
     if longer == 0:
-        raise BothEmpty("normalized distance of two empty sequences is undefined")
+        raise DegenerateData("normalized distance of two empty sequences is undefined")
     return raw_distance(a, b, table) / longer
 
 
@@ -330,7 +329,7 @@ def language_matrix(lex, table):
     concepts."""
     langs = lex.languages
     if len(langs) < 2:
-        raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
+        raise DegenerateData(f"need at least 2 languages, got {len(langs)}")
     count = lex.n_concepts
     if count == 0:
         return DistanceMatrix(langs, repeat(0.0, len(langs) * (len(langs) - 1) // 2))
@@ -347,9 +346,9 @@ def concept_matrix(lex, concept_index, table):
     distinct variant pair computed once."""
     langs = lex.languages
     if len(langs) < 2:
-        raise TooFewLanguages(f"need at least 2 languages, got {len(langs)}")
+        raise DegenerateData(f"need at least 2 languages, got {len(langs)}")
     if not 0 <= concept_index < lex.n_concepts:
-        raise IndexOutOfRange(
+        raise DegenerateData(
             f"concept index {concept_index} outside 0..{lex.n_concepts - 1}")
     entries = [lex.entries[lang][concept_index] for lang in langs]
     return DistanceMatrix(langs, _entry_triangle(entries, table))
@@ -359,23 +358,25 @@ def all_to_all_matrix(lex, table):
     """Distance between every (language, concept) item pair.
 
     Items are labeled ``language:concept`` and compared regardless of
-    whether the concepts match.  Like a concept's matrix, it runs each
-    distinct variant pair once, so a variant repeated across items costs
-    no extra DP.
+    whether the concepts match; names holding ``:`` can give two items one
+    label, which raises DegenerateData.  Like a concept's matrix, it runs
+    each distinct variant pair once, so a variant repeated across items
+    costs no extra DP.
     """
     langs = lex.languages
     if not langs:
-        raise TooFewLanguages("need at least 1 language")
+        raise DegenerateData("need at least 1 language")
     names = lex.concept_names()
-    labels = []
-    items = []
+    items = {}
     for lang in langs:
         for ci, cname in enumerate(names):
-            labels.append(f"{lang}:{cname}")
-            items.append(lex.entries[lang][ci])
+            label = f"{lang}:{cname}"
+            if label in items:
+                raise DegenerateData(f"two items are labeled {label!r}")
+            items[label] = lex.entries[lang][ci]
     if not items:
-        raise TooFewItems("all-to-all needs at least 1 concept, the lexicon has none")
-    return DistanceMatrix(labels, _entry_triangle(items, table))
+        raise DegenerateData("all-to-all needs at least 1 concept, the lexicon has none")
+    return DistanceMatrix(list(items), _entry_triangle(list(items.values()), table))
 
 
 # --- OC matrix format --------------------------------------------------------

@@ -17,7 +17,7 @@ without it columns are addressed as w1..wN.
 
 from dataclasses import dataclass, field
 
-from .errors import DuplicateLanguage, InconsistentArity, ParseError
+from .errors import ParseError
 
 _STRUCTURAL = ",[]()."
 _RESERVED = _STRUCTURAL + "%"
@@ -204,15 +204,15 @@ def parse_lexicon(text):
         ts.take(")", "')'")
         ts.take(".", "terminating '.'")
         if language in entries:
-            raise DuplicateLanguage(f"language {language!r} occurs twice")
+            raise ParseError(f"language {language!r} occurs twice")
         entries[language] = tuple(words)
 
     lengths = {lang: len(words) for lang, words in entries.items()}
     if lengths and len(set(lengths.values())) > 1:
         detail = ", ".join(f"{lang}={n}" for lang, n in lengths.items())
-        raise InconsistentArity(f"word lists differ in length: {detail}")
+        raise ParseError(f"word lists differ in length: {detail}")
     if concepts is not None and entries and len(concepts) != next(iter(lengths.values())):
-        raise InconsistentArity(
+        raise ParseError(
             f"{len(concepts)} concept names for {next(iter(lengths.values()))} words")
     return Lexicon(functor, entries, concepts)
 
@@ -244,7 +244,7 @@ def symbols_used(lex):
 
 
 def validate_against_table(lex, table):
-    """Symbols with no rule membership in `table`, sorted.
+    """Symbols that no rule of `table` prices, sorted.
 
     Listed symbols only ever match via the default mismatch cost; that is
     legal but usually means the table was written for a different encoding.

@@ -23,8 +23,7 @@ from itertools import chain
 from operator import mul
 
 from .editdist import DistanceMatrix
-from .errors import (ColumnTooShort, DegenerateData, DegenerateX, EmptyInput,
-                     LengthMismatch, NonPositiveX, ZeroVariance)
+from .errors import DegenerateData
 
 
 @dataclass
@@ -34,9 +33,9 @@ class AnalysisFrame:
     def __post_init__(self):
         lengths = {len(vals) for vals in self.columns.values()}
         if len(lengths) > 1:
-            raise LengthMismatch(f"columns differ in length: {sorted(lengths)}")
+            raise DegenerateData(f"columns differ in length: {sorted(lengths)}")
         if lengths and 0 in lengths:
-            raise LengthMismatch("columns must not be empty")
+            raise DegenerateData("columns must not be empty")
 
     @property
     def names(self):
@@ -60,7 +59,7 @@ def mean_sd(frame):
     rows = []
     for name, values in frame.columns.items():
         if len(values) < 2:
-            raise ColumnTooShort(f"column {name!r} needs >= 2 values for sd")
+            raise DegenerateData(f"column {name!r} needs >= 2 values for sd")
         m, sd = _mean_sd(values)
         rows.append((name, m, sd, m * sd))
     return rows
@@ -69,10 +68,10 @@ def mean_sd(frame):
 def tscore(values):
     """Shift and scale to mean 50, sample standard deviation 10."""
     if len(values) < 2:
-        raise ZeroVariance("t-score needs at least 2 values")
+        raise DegenerateData("t-score needs at least 2 values")
     m, sd = _mean_sd(values)
     if sd == 0.0:
-        raise ZeroVariance("t-score undefined for constant values")
+        raise DegenerateData("t-score undefined for constant values")
     return [50.0 + 10.0 * (x - m) / sd for x in values]
 
 
@@ -169,7 +168,7 @@ def bhattacharyya(a, b, bins=None):
     raises DegenerateData.
     """
     if not a or not b:
-        raise EmptyInput("both value lists must be non-empty")
+        raise DegenerateData("both value lists must be non-empty")
     return _bhatt_counted(_counted(a), _counted(b), bins)
 
 
@@ -224,7 +223,7 @@ def bhatt_matrix(frame, bins=None):
     """
     names = frame.names
     if len(names) < 2:
-        raise EmptyInput("need at least 2 columns")
+        raise DegenerateData("need at least 2 columns")
     counted = [_counted(frame.columns[name]) for name in names]
     return names, array("d", (_bhatt_counted(counted[i], counted[j], bins)
                               for i, j in DistanceMatrix.upper_pairs(len(names))))
@@ -252,14 +251,14 @@ def linregress(x, y, log10_x=False):
     sums and squares beyond the float range, raise DegenerateData.
     """
     if len(x) != len(y):
-        raise LengthMismatch(f"x has {len(x)} values, y has {len(y)}")
+        raise DegenerateData(f"x has {len(x)} values, y has {len(y)}")
     if len(x) < 3:
-        raise LengthMismatch(f"need at least 3 paired values, got {len(x)}")
+        raise DegenerateData(f"need at least 3 paired values, got {len(x)}")
     if not all(map(math.isfinite, chain(x, y))):
         raise DegenerateData("regression needs finite x and y values")
     if log10_x:
         if any(v <= 0.0 for v in x):
-            raise NonPositiveX("log10 regression needs every x > 0")
+            raise DegenerateData("log10 regression needs every x > 0")
         x = [math.log10(v) for v in x]
     n = len(x)
     try:
@@ -267,7 +266,7 @@ def linregress(x, y, log10_x=False):
         my = math.fsum(y) / n
         sxx = math.fsum((v - mx) ** 2 for v in x)
         if sxx == 0.0:
-            raise DegenerateX("x has zero variance")
+            raise DegenerateData("x has zero variance")
         sxy = math.fsum((vx - mx) * (vy - my) for vx, vy in zip(x, y))
         slope = sxy / sxx
         intercept = my - slope * mx

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import DuplicatePairRule, ParseError, UndefinedClass, UnknownTableName
+from .errors import ParseError, UsageError
 
 VOWEL_FAMILIES = ("a", "e", "i", "o", "u", "y")
 
@@ -61,7 +61,7 @@ class SubstitutionTable:
     members (the family letter itself is always a member), and `long_short`
     is an iterable of (long, short, class_name).  Pair and long/short rules
     bind an unordered symbol pair: a pair bound to two different costs by
-    rules of one kind raises DuplicatePairRule.  `gap_penalty` and
+    rules of one kind raises ParseError.  `gap_penalty` and
     `default_mismatch` go through `cost_value`.
     """
 
@@ -79,7 +79,7 @@ class SubstitutionTable:
             cost = self._resolve(rule)
             key = _pair(s1, s2)
             if key in pairs and pairs[key] != cost:
-                raise DuplicatePairRule(
+                raise ParseError(
                     f"pair {s1}/{s2} bound to both {pairs[key]} and {cost}")
             pairs[key] = cost
 
@@ -87,7 +87,7 @@ class SubstitutionTable:
         for s1, s2 in zero_pairs:
             key = _pair(s1, s2)
             if key in pairs and pairs[key] != 0.0:
-                raise DuplicatePairRule(f"pair {s1}/{s2} is both zero and {pairs[key]}")
+                raise ParseError(f"pair {s1}/{s2} is both zero and {pairs[key]}")
             zero.add(key)
 
         families = {fam: {fam} for fam in VOWEL_FAMILIES}
@@ -102,7 +102,7 @@ class SubstitutionTable:
             cost = self._resolve(cname)
             key = _pair(long_s, short_s)
             if long_shorts.get(key, cost) != cost:
-                raise DuplicatePairRule(f"longshort {long_s}/{short_s} bound to both "
+                raise ParseError(f"longshort {long_s}/{short_s} bound to both "
                                         f"{long_shorts[key]} and {cost}")
             long_shorts[key] = cost
 
@@ -118,13 +118,12 @@ class SubstitutionTable:
         for members in families.values():
             self._costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
         self._costs.update(dict.fromkeys(zero, 0.0))
-        self._symbols = frozenset(chain(vowels, *pairs, *zero, *long_shorts))
         self._pair_rules = len(pairs)
 
     def _resolve(self, rule):
         if isinstance(rule, str):
             if rule not in self.classes:
-                raise UndefinedClass(f"weight class {rule!r} is not defined")
+                raise ParseError(f"weight class {rule!r} is not defined")
             return self.classes[rule]
         cost = float(rule)
         if not 0.0 <= cost <= 1.0:
@@ -137,8 +136,9 @@ class SubstitutionTable:
         return 0.0 if s1 == s2 else self._costs.get(_pair(s1, s2), self.default_mismatch)
 
     def known_symbols(self):
-        """Every symbol mentioned by some rule of this table, as a frozenset."""
-        return self._symbols
+        """The symbols some rule gives a cost, as a frozenset; any other
+        symbol costs the default mismatch against every symbol but itself."""
+        return frozenset(chain.from_iterable(self._costs))
 
     def with_gap(self, gap_penalty):
         """Copy of this table with a different gap penalty.  Costs do not
@@ -389,5 +389,5 @@ def builtin_table(name):
         dsl = BUILTIN_TABLES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_TABLES))
-        raise UnknownTableName(f"no built-in table {name!r} (choose from: {known})") from None
+        raise UsageError(f"no built-in table {name!r} (choose from: {known})") from None
     return parse_table(dsl, name=name)

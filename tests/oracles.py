@@ -16,7 +16,7 @@ import math
 import random
 
 from lingdist.cluster import LINKAGES, Dendrogram, cut, silhouette
-from lingdist.errors import EmptyInput, TooFewItems
+from lingdist.errors import DegenerateData
 from lingdist.stats import bandwidth_nrd0, sturges_bins
 from lingdist.subst import VOWEL_FAMILIES, SubstitutionTable
 
@@ -103,7 +103,9 @@ class ReferenceTable:
     """Costs of a table DSL text that `parse_table` accepts, by the rule
     interpreter `SubstitutionTable` had before it resolved its rules into one
     map: `cost` walks the rules in precedence order on every call.  It
-    repeats none of the validation."""
+    repeats none of the validation.  `known_symbols` lists the symbols some
+    rule prices: a vowel family's letter alone, with no `vowel` class, costs
+    the default mismatch against every other symbol and is not known."""
 
     def __init__(self, text):
         self.classes = {}
@@ -161,7 +163,10 @@ class ReferenceTable:
         for s1, s2 in self._zero:
             known.update((s1, s2))
         for members in self._vowel_sets.values():
-            known.update(members)
+            if len(members) > 1:
+                known.update(members)
+        if "vowel" in self.classes:
+            known.update(self._vowel_union)
         for long_s, short_s in self._long_short:
             known.update((long_s, short_s))
         return frozenset(known)
@@ -261,7 +266,7 @@ def reference_bhattacharyya(a, b, bins=None):
     default bin count is Sturges' rule on the combined sample size.
     """
     if not a or not b:
-        raise EmptyInput("both value lists must be non-empty")
+        raise DegenerateData("both value lists must be non-empty")
     if bins is None:
         bins = sturges_bins(len(a) + len(b))
     if bins < 1:
@@ -290,7 +295,7 @@ def reference_agglomerate(matrix, linkage="complete"):
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     n = matrix.n
     if n < 2:
-        raise TooFewItems(f"need at least 2 items to cluster, got {n}")
+        raise DegenerateData(f"need at least 2 items to cluster, got {n}")
 
     size = {i: 1 for i in range(n)}
     rows = matrix.rows()
@@ -343,7 +348,7 @@ def reference_cut_scan(matrix, dendrogram):
     """
     n = matrix.n
     if n < 3:
-        raise TooFewItems(f"need at least 3 items to scan cuts, got {n}")
+        raise DegenerateData(f"need at least 3 items to scan cuts, got {n}")
     best, means = None, []
     for k in range(2, n):
         assignment = cut(dendrogram, k)

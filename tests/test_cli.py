@@ -8,7 +8,10 @@ import pytest
 
 import lingdist
 from conftest import FIXTURES
+from lingdist import cli
 from lingdist.cli import main as cli_main
+from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
+                             ParseError, UsageError)
 from test_golden import CASES, GOLDEN
 
 SHEEP = str(FIXTURES / "sheep.pl")
@@ -70,6 +73,51 @@ def test_words_analyse_empty_lexicon_fails(tmp_path):
 def test_missing_lexicon_file(tmp_path):
     assert run_cli(["cluster", "--lexicon", str(tmp_path / "nope.pl"),
                     "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("exc, code", [
+    (LingdistError("base"), 3),
+    (UsageError("usage"), 2),
+    (ParseError("parse", line=7), 3),
+    (FormatError("format"), 3),
+    (DegenerateData("degenerate"), 3),
+    (LimitExceeded("limit"), 4),
+    (OSError("os"), 3),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 3),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_each_error_class_maps_to_its_exit_code(exc, code, monkeypatch, tmp_path, capsys):
+    def fail(path):
+        raise exc
+    monkeypatch.setattr(cli, "_load_lexicon", fail)
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"lingdist: {exc}\n"
+    assert files_under(tmp_path) == []
+
+
+def _non_utf8(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode() + b"\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["lexicon", "table", "truth", "geo"])
+def test_non_utf8_input_is_data_error(kind, tmp_path, capsys):
+    truth = open(FIXTURES / "sheep_truth.csv").read()
+    geo = open(SHEEP_GEO).read()
+    args = {
+        "lexicon": ["cluster", "--lexicon", _non_utf8(tmp_path, "bad.pl", "w(a,[b")],
+        "table": ["cluster", "--lexicon", SHEEP,
+                  "--table", _non_utf8(tmp_path, "bad.tbl", "pair b p 0.2\n# ")],
+        "truth": ["cluster", "--lexicon", SHEEP, "--k", "2",
+                  "--truth", _non_utf8(tmp_path, "bad.csv", truth)],
+        "geo": ["relationship", "--lexicon", SHEEP,
+                "--geo", _non_utf8(tmp_path, "bad.csv", geo)],
+    }[kind]
+    assert run_cli(args + ["--out", str(tmp_path / "out")]) == 3
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert error.startswith("lingdist: 'utf-8' codec can't decode byte 0xff")
+    assert [line for line in warnings if not line.startswith("lingdist: warning:")] == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_builtin_table_is_usage_error(fixtures_dir, tmp_path):
@@ -223,6 +271,20 @@ def test_uncovered_symbols_warn_and_keep_golden_bytes(tmp_path, capsys):
         "lingdist: warning: symbols not in table editable: l, r (default mismatch cost)\n")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == GOLDEN["cluster"]
+
+
+def test_uncovered_vowels_warn(tmp_path, capsys):
+    # no `vowel` class and no vset: a vowel letter has no rule of its own
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("".join(f"n(l{i},[{w}]).\n"
+                                for i, w in enumerate(["bo", "py", "po", "by", "bu", "pi"])))
+    table_path = tmp_path / "bp.tbl"
+    table_path.write_text("pair b p 0.2\n")
+    assert run_cli(["cluster", "--lexicon", str(lex_path), "--table", str(table_path),
+                    "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        f"lingdist: warning: symbols not in table {table_path}: i, o, u, y "
+        "(default mismatch cost)\n")
 
 
 def test_covered_symbols_do_not_warn(tmp_path, capsys):
@@ -404,6 +466,28 @@ def test_all_to_all_shapes_and_purity(tmp_path):
     assert float(purity_rows[-1][3]) == 1.0
     assert (out / "clusters_k3.csv").exists()
     assert (out / "clusters_best.csv").exists()
+
+
+def test_all_to_all_repeated_label_is_data_error(tmp_path, capsys):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("#concepts: x:y,y\nn(a,[pat,ko]).\nn(a:x,[bat,go]).\n")
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--k", "2",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "lingdist: two items are labeled 'a:x:y'\n"
+    assert files_under(tmp_path) == ["toy.pl"]
+
+
+def test_all_to_all_default_truth_is_the_concept_name(tmp_path):
+    # concept x:y must not be scored as class y: each cut cluster holds
+    # one word, which stands for x:y in two languages and y in the third
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("#concepts: x:y,y\nn(a,[pat,kolo]).\nn(b,[kolo,pat]).\n"
+                        "n(c,[pat,kolo]).\n")
+    out = tmp_path / "out"
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "purity.csv").read_text().splitlines()))
+    assert sorted(row[2] for row in rows[1:-1]) == ["x:y", "y"]
+    assert rows[-1] == ["overall", "6", "", "0.666666666667"]
 
 
 def test_all_to_all_sheep_runs(tmp_path):

@@ -15,8 +15,7 @@ from lingdist.editdist import (GAP, DistanceMatrix, alignments,
                                entry_distance, language_matrix,
                                normalized_distance, raw_distance, read_oc,
                                write_oc)
-from lingdist.errors import (BothEmpty, DegenerateData, FormatError,
-                             IndexOutOfRange, LimitExceeded, TooFewLanguages)
+from lingdist.errors import DegenerateData, FormatError, LimitExceeded
 from lingdist.lexicon import WordEntry, parse_lexicon
 from lingdist.subst import SubstitutionTable, builtin_table
 
@@ -68,7 +67,7 @@ def test_empty_sequences():
     assert raw_distance("abc", "", table) == 3.0
     assert raw_distance("", "", table) == 0.0
     assert normalized_distance("", "ab", table) == 1.0
-    with pytest.raises(BothEmpty):
+    with pytest.raises(DegenerateData, match=r"normalized distance of two empty sequences is undefined"):
         normalized_distance("", "", table)
 
 
@@ -225,7 +224,7 @@ def test_language_matrix():
         for j in range(3):
             assert rows[i][j] == rows[j][i]
     assert rows == reference_language_values(LEX3, table)
-    with pytest.raises(TooFewLanguages):
+    with pytest.raises(DegenerateData, match=r"need at least 2 languages, got 1"):
         language_matrix(parse_lexicon("n(a,[x])."), table)
 
 
@@ -260,9 +259,9 @@ def test_concept_matrix():
     assert m.labels == ["romani", "english", "french"]
     expected = entry_distance(LEX3.entries["english"][1], LEX3.entries["french"][1], table)
     assert m.get("english", "french") == expected
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DegenerateData, match=r"concept index 3 outside 0\.\.2"):
         concept_matrix(LEX3, 3, table)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DegenerateData, match=r"concept index -1 outside 0\.\.2"):
         concept_matrix(LEX3, -1, table)
 
 
@@ -276,7 +275,7 @@ def test_all_to_all_matrix():
     # spot-check a cross-concept cell against a direct recomputation
     expected = entry_distance(lex.entries["a"][0], lex.entries["b"][2], table)
     assert m.get("a:w1", "b:w3") == expected
-    with pytest.raises(TooFewLanguages):
+    with pytest.raises(DegenerateData, match=r"need at least 1 language"):
         all_to_all_matrix(parse_lexicon(""), table)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lingdist.errors import DuplicateLanguage, InconsistentArity, ParseError
+from lingdist.errors import ParseError
 from lingdist.lexicon import (Lexicon, WordEntry, parse_lexicon,
                               serialize_lexicon, symbols_used,
                               validate_against_table)
@@ -69,7 +69,7 @@ def test_concept_names_default():
 
 
 def test_concepts_header_arity_mismatch():
-    with pytest.raises(InconsistentArity):
+    with pytest.raises(ParseError, match=r"3 concept names for 2 words"):
         parse_lexicon("#concepts: one,two,three\nnum(x,[a,b]).")
 
 
@@ -106,12 +106,12 @@ def test_mixed_functor_rejected():
 
 
 def test_inconsistent_arity():
-    with pytest.raises(InconsistentArity):
+    with pytest.raises(ParseError, match=r"word lists differ in length: a=2, b=1"):
         parse_lexicon("n(a,[x,y]).\nn(b,[x]).")
 
 
 def test_duplicate_language():
-    with pytest.raises(DuplicateLanguage):
+    with pytest.raises(ParseError, match=r"language 'a' occurs twice"):
         parse_lexicon("n(a,[x]).\nn(a,[y]).")
 
 

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from lingdist.errors import (DuplicatePairRule, ParseError, UndefinedClass,
-                             UnknownTableName)
+from lingdist.errors import ParseError, UsageError
 from lingdist.subst import SubstitutionTable, WeightClass, builtin_table, parse_table
 
 
@@ -43,7 +42,7 @@ def test_tables_differ_where_documented():
 
 
 def test_unknown_table_name():
-    with pytest.raises(UnknownTableName):
+    with pytest.raises(UsageError, match=r"no built-in table 'nosuch'"):
         builtin_table("nosuch")
 
 
@@ -67,12 +66,12 @@ def test_parse_table_gap_and_default():
 
 
 def test_parse_table_undefined_class():
-    with pytest.raises(UndefinedClass):
+    with pytest.raises(ParseError, match=r"weight class 'nosuchclass' is not defined"):
         parse_table("pair b p nosuchclass\n")
 
 
 def test_parse_table_conflicting_pair():
-    with pytest.raises(DuplicatePairRule):
+    with pytest.raises(ParseError, match=r"pair b/a bound to both 0\.2 and 0\.4"):
         parse_table("pair a b 0.2\npair b a 0.4\n")
 
 
@@ -82,7 +81,7 @@ def test_parse_table_exact_duplicate_ok():
 
 
 def test_parse_table_zero_vs_pair_conflict():
-    with pytest.raises(DuplicatePairRule):
+    with pytest.raises(ParseError, match=r"pair a/b is both zero and 0\.2"):
         parse_table("pair a b 0.2\nzero a b\n")
 
 
@@ -104,6 +103,14 @@ def test_weight_class_range():
         WeightClass("w", 1.2)
 
 
+def test_known_symbols_are_the_priced_symbols():
+    # a vowel letter alone, with no `vowel` class, is priced by no rule
+    assert parse_table("pair b p 0.2\n").known_symbols() == {"b", "p"}
+    assert parse_table("vset a A\n").known_symbols() == {"a", "A"}
+    vowel = parse_table("weight vowel 0.2\n").known_symbols()
+    assert vowel == set("aeiouy")
+
+
 def test_vowel_sets_extension():
     table = parse_table("weight vowel 0.2\nvset a ä\n")
     assert table.cost("a", "ä") == 0.0      # same family
@@ -121,9 +128,9 @@ LONGSHORT_CLASSES = "weight x 0.2\nweight y 0.7\n"
 
 def test_longshort_conflicting_orientations():
     # one unordered pair bound to two costs, whichever symbol is the long one
-    with pytest.raises(DuplicatePairRule):
+    with pytest.raises(ParseError, match=r"longshort b/a bound to both"):
         parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort b a y\n")
-    with pytest.raises(DuplicatePairRule):
+    with pytest.raises(ParseError, match=r"longshort a/b bound to both"):
         parse_table(LONGSHORT_CLASSES + "longshort a b x\nlongshort a b y\n")
 
 
