@@ -24,7 +24,13 @@ mismatch; the run lists them in one warning on stderr and goes on.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 limit exceeded.  Each
 error class names its code (`lingdist.errors`); an input file that cannot be
-read or is not UTF-8 is a data error.  No failure ends in a traceback.
+read or is not UTF-8 is a data error, and the message names the file.  No
+failure ends in a traceback.
+
+A run is one short process, so set-up counts.  This module imports only what
+`all-to-all` runs; `words-analyse` and `relationship` import `stats` and
+`svgplot` themselves, and `cluster.export_svg` imports `svgplot` when it
+draws.
 """
 
 import argparse
@@ -38,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 from . import cluster as hc
-from . import editdist, lexicon, stats, subst, svgplot
+from . import editdist, lexicon, subst
 from .errors import DegenerateData, LingdistError, ParseError, UsageError
 
 EXIT_OK = 0
@@ -51,9 +57,22 @@ def _fmt(value):
     return format(value, ".12g")
 
 
+def _read(path, newline=None):
+    """The file's text; a file that is not UTF-8 is a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _csv_rows(path):
+    return csv.reader(io.StringIO(_read(path, newline=""), newline=""))
+
+
 def _parse_file(path, parse, **options):
     """`parse` applied to the file's text; a ParseError names the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path)
     try:
         return parse(text, **options)
     except ParseError as exc:
@@ -143,6 +162,8 @@ def _csv_text(header, rows):
 # Each subcommand maps (lexicon, table, parsed arguments) to {file name: text}.
 
 def cmd_words_analyse(lex, table, args):
+    from . import stats, svgplot
+
     if len(lex.languages) < 2:
         raise DegenerateData("words-analyse needs at least 2 languages")
     names = lex.concept_names()
@@ -209,16 +230,15 @@ def _purity_csv(report):
 
 def _read_truth(path):
     truth = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or (row[0], *row[1:2]) == ("label", "class"):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: truth rows need 2 fields, got {row!r}")
-            label = row[0].strip()
-            if label in truth:
-                raise ParseError(f"{path}: label {label!r} listed twice")
-            truth[label] = row[1].strip()
+    for row in _csv_rows(path):
+        if not row or (row[0], *row[1:2]) == ("label", "class"):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"{path}: truth rows need 2 fields, got {row!r}")
+        label = row[0].strip()
+        if label in truth:
+            raise ParseError(f"{path}: label {label!r} listed twice")
+        truth[label] = row[1].strip()
     return truth
 
 
@@ -246,27 +266,28 @@ def cmd_cluster(lex, table, args):
 def _read_geo(path):
     """Unordered pair distances from a CSV of place_a,place_b,distance_km."""
     geo = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or tuple(row[:3]) == ("place_a", "place_b", "distance_km"):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}: geo rows need 3 fields, got {row!r}")
-            a, b = row[0].strip(), row[1].strip()
-            try:
-                d = float(row[2])
-            except ValueError:
-                raise ParseError(f"{path}: bad distance {row[2]!r}") from None
-            if not (math.isfinite(d) and d >= 0.0):
-                raise ParseError(f"{path}: distance {row[2]!r} is not finite and >= 0")
-            key = (a, b) if a <= b else (b, a)
-            if key in geo:
-                raise ParseError(f"{path}: pair {a}/{b} listed twice")
-            geo[key] = d
+    for row in _csv_rows(path):
+        if not row or tuple(row[:3]) == ("place_a", "place_b", "distance_km"):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}: geo rows need 3 fields, got {row!r}")
+        a, b = row[0].strip(), row[1].strip()
+        try:
+            d = float(row[2])
+        except ValueError:
+            raise ParseError(f"{path}: bad distance {row[2]!r}") from None
+        if not (math.isfinite(d) and d >= 0.0):
+            raise ParseError(f"{path}: distance {row[2]!r} is not finite and >= 0")
+        key = (a, b) if a <= b else (b, a)
+        if key in geo:
+            raise ParseError(f"{path}: pair {a}/{b} listed twice")
+        geo[key] = d
     return geo
 
 
 def cmd_relationship(lex, table, args):
+    from . import stats, svgplot
+
     matrix = editdist.language_matrix(lex, table)
     geo = _read_geo(args.geo)
 

@@ -32,6 +32,8 @@ alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
 operations.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
 balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
 runs for the best k only; `best_cut` adds that cut's `silhouette` report.
+`export_svg` imports `svgplot` when it is called, so a run that draws no
+dendrogram never loads it.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
 `silhouette` each work on a square from `matrix.rows()` and release it before
@@ -39,19 +41,20 @@ the next builds its own, so at most one square copy exists at a time.
 """
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._record import Record
 from .errors import DegenerateData
-from .svgplot import Canvas, PALETTE
 
 LINKAGES = ("single", "complete", "average")
 
 
-@dataclass
-class Dendrogram:
-    leaf_labels: tuple
-    merges: tuple  # (node_a, node_b, height), node ids as described above
+class Dendrogram(Record):
+    _fields = ("leaf_labels", "merges")
+
+    def __init__(self, leaf_labels, merges):
+        self.leaf_labels = leaf_labels  # a tuple
+        self.merges = merges  # tuple of (node_a, node_b, height), node ids as described above
 
     @property
     def n_leaves(self):
@@ -63,10 +66,12 @@ class Dendrogram:
         return {n + t: merge for t, merge in enumerate(self.merges)}
 
 
-@dataclass
-class ClusterAssignment:
-    k: int
-    member_of: dict  # label -> cluster id in 1..k
+class ClusterAssignment(Record):
+    _fields = ("k", "member_of")
+
+    def __init__(self, k, member_of):
+        self.k = k
+        self.member_of = member_of  # label -> cluster id in 1..k
 
     def clusters(self):
         """Cluster id -> list of labels, insertion ordered."""
@@ -76,10 +81,12 @@ class ClusterAssignment:
         return out
 
 
-@dataclass
-class SilhouetteReport:
-    per_point: dict  # label -> s(i) in [-1, 1]
-    mean: float
+class SilhouetteReport(Record):
+    _fields = ("per_point", "mean")
+
+    def __init__(self, per_point, mean):
+        self.per_point = per_point  # label -> s(i) in [-1, 1]
+        self.mean = mean
 
 
 def agglomerate(matrix, linkage="complete"):
@@ -315,12 +322,14 @@ def silhouette_scan(matrix, dendrogram):
     return cut_scan(matrix, dendrogram)[1] if matrix.n >= 3 else []
 
 
-@dataclass
-class PurityReport:
-    per_cluster: dict  # cluster id -> purity in (0, 1]
-    majority: dict     # cluster id -> majority truth class
-    sizes: dict        # cluster id -> member count
-    overall: float     # size-weighted mean purity
+class PurityReport(Record):
+    _fields = ("per_cluster", "majority", "sizes", "overall")
+
+    def __init__(self, per_cluster, majority, sizes, overall):
+        self.per_cluster = per_cluster  # cluster id -> purity in (0, 1]
+        self.majority = majority        # cluster id -> majority truth class
+        self.sizes = sizes              # cluster id -> member count
+        self.overall = overall          # size-weighted mean purity
 
 
 def purity(assignment, truth):
@@ -412,6 +421,8 @@ def export_svg(dendrogram, assignment=None, width=720, row_height=18):
     proportional to merge height.  With an assignment, leaf labels are
     colored by cluster.
     """
+    from .svgplot import PALETTE, Canvas  # loaded only by the runs that draw
+
     n = dendrogram.n_leaves
     order = _leaf_order(dendrogram)
     max_h = max((h for _a, _b, h in dendrogram.merges), default=1.0) or 1.0

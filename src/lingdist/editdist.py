@@ -31,9 +31,10 @@ can make an indirect route cheaper than the direct substitution.
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
+from operator import lt
 
+from ._record import FrozenRecord, Record
 from .errors import DegenerateData, FormatError, LimitExceeded
 
 GAP = None  # gap marker inside alignment columns
@@ -42,12 +43,13 @@ GAP = None  # gap marker inside alignment columns
 _GAP_LEFT, _MATCH, _GAP_RIGHT = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(FrozenRecord):
     """One co-optimal alignment: columns of (left, right), GAP for gaps."""
 
-    columns: tuple
-    raw_cost: float
+    _fields = ("columns", "raw_cost")
+
+    def __init__(self, columns, raw_cost):
+        self._set(columns=columns, raw_cost=raw_cost)
 
     def left_word(self):
         return "".join(s for s, _ in self.columns if s is not GAP)
@@ -189,19 +191,17 @@ def entry_distance(e1, e2, table):
 
 # --- distance matrices -------------------------------------------------------
 
-@dataclass
-class DistanceMatrix:
+class DistanceMatrix(Record):
     """Labeled symmetric matrix with zero diagonal, stored as `values`: one
     array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
     order, the order of every flat listing (the OC file, the `words-analyse`
     columns, `pairs.csv`).  The constructor takes any iterable of them."""
 
-    labels: list
-    values: array
+    _fields = ("labels", "values")
 
-    def __post_init__(self):
-        self.labels = list(self.labels)
-        self.values = array("d", self.values)
+    def __init__(self, labels, values):
+        self.labels = list(labels)
+        self.values = array("d", values)
         n = len(self.labels)
         if n < 1:
             raise ValueError("matrix needs at least one item")
@@ -209,7 +209,7 @@ class DistanceMatrix:
             raise ValueError("matrix labels must be unique")
         if len(self.values) != n * (n - 1) // 2:
             raise ValueError(f"{n} items need {n * (n - 1) // 2} values, got {len(self.values)}")
-        if any(v < 0.0 for v in self.values):
+        if any(map(lt, self.values, repeat(0.0))):  # v < 0.0: NaN and -0.0 pass
             raise ValueError("distances must be non-negative")
 
     @staticmethod
@@ -359,7 +359,9 @@ def all_to_all_matrix(lex, table):
 
     Items are labeled ``language:concept`` and compared regardless of
     whether the concepts match; names holding ``:`` can give two items one
-    label, which raises DegenerateData.  Like a concept's matrix, it runs
+    label, which raises DegenerateData, and a label the OC format cannot
+    hold (a concept name with inner whitespace) raises FormatError, both
+    before any distance is computed.  Like a concept's matrix, it runs
     each distinct variant pair once, so a variant repeated across items
     costs no extra DP.
     """
@@ -376,6 +378,8 @@ def all_to_all_matrix(lex, table):
             items[label] = lex.entries[lang][ci]
     if not items:
         raise DegenerateData("all-to-all needs at least 1 concept, the lexicon has none")
+    for label in items:
+        _check_label(label)
     return DistanceMatrix(list(items), _entry_triangle(list(items.values()), table))
 
 
@@ -385,11 +389,16 @@ def all_to_all_matrix(lex, table):
 # triangle row by row (`DistanceMatrix.upper_rows`): line i holds the
 # n-i distances d(i, i+1..n), space separated, 6 decimal places.
 
+def _check_label(label):
+    """FormatError unless the OC format can hold `label`."""
+    if not label or any(c.isspace() for c in label):
+        raise FormatError(f"label {label!r} is empty or contains whitespace")
+
+
 def write_oc(matrix, sink):
     """Write a matrix in OC format to a path or text file object."""
     for label in matrix.labels:
-        if not label or any(c.isspace() for c in label):
-            raise FormatError(f"label {label!r} is empty or contains whitespace")
+        _check_label(label)
     lines = [str(matrix.n)]
     lines.extend(matrix.labels)
     for label, row in zip(matrix.labels[:-1], matrix.upper_rows()):

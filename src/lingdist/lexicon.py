@@ -15,32 +15,33 @@ An optional header line ``#concepts: one,two,...`` names the word columns;
 without it columns are addressed as w1..wN.
 """
 
-from dataclasses import dataclass, field
-
+from ._record import FrozenRecord, Record
 from .errors import ParseError
 
 _STRUCTURAL = ",[]()."
 _RESERVED = _STRUCTURAL + "%"
 
 
-@dataclass(frozen=True)
-class WordEntry:
+class WordEntry(FrozenRecord):
     """One concept slot in one language: a word or its synonym set."""
 
-    variants: tuple
+    _fields = ("variants",)
 
-    def __post_init__(self):
-        if not self.variants or any(not v for v in self.variants):
+    def __init__(self, variants):
+        self._set(variants=variants)  # a tuple
+        if not variants or any(not v for v in variants):
             raise ValueError("word entry needs at least one non-empty variant")
 
 
-@dataclass
-class Lexicon:
+class Lexicon(Record):
     """Parsed word database. Treat as immutable once built."""
 
-    functor: str | None
-    entries: dict  # language name -> tuple[WordEntry, ...], insertion ordered
-    concepts: tuple | None = None
+    _fields = ("functor", "entries", "concepts")
+
+    def __init__(self, functor, entries, concepts=None):
+        self.functor = functor    # str or None
+        self.entries = entries    # language name -> tuple[WordEntry, ...], insertion ordered
+        self.concepts = concepts  # tuple or None
 
     @property
     def languages(self):

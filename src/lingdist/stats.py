@@ -18,20 +18,20 @@ count: bin counts are integers, and equal values always share a bin.
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 
+from ._record import Record
 from .editdist import DistanceMatrix
 from .errors import DegenerateData
 
 
-@dataclass
-class AnalysisFrame:
-    columns: dict  # name -> sequence of reals, insertion ordered, equal lengths
+class AnalysisFrame(Record):
+    _fields = ("columns",)
 
-    def __post_init__(self):
-        lengths = {len(vals) for vals in self.columns.values()}
+    def __init__(self, columns):
+        self.columns = columns  # name -> sequence of reals, insertion ordered, equal lengths
+        lengths = {len(vals) for vals in columns.values()}
         if len(lengths) > 1:
             raise DegenerateData(f"columns differ in length: {sorted(lengths)}")
         if lengths and 0 in lengths:
@@ -75,11 +75,13 @@ def tscore(values):
     return [50.0 + 10.0 * (x - m) / sd for x in values]
 
 
-@dataclass
-class DensityCurve:
-    xs: list
-    ys: list
-    bandwidth: float
+class DensityCurve(Record):
+    _fields = ("xs", "ys", "bandwidth")
+
+    def __init__(self, xs, ys, bandwidth):
+        self.xs = xs
+        self.ys = ys
+        self.bandwidth = bandwidth
 
 
 def _quantile(sorted_values, p):
@@ -235,12 +237,14 @@ def bhatt_distance_matrix(names, bcs):
     return DistanceMatrix(names, (1.0 - bc for bc in bcs))
 
 
-@dataclass
-class RegressionResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    n: int
+class RegressionResult(Record):
+    _fields = ("slope", "intercept", "r_squared", "n")
+
+    def __init__(self, slope, intercept, r_squared, n):
+        self.slope = slope
+        self.intercept = intercept
+        self.r_squared = r_squared
+        self.n = n
 
 
 def linregress(x, y, log10_x=False):

@@ -20,24 +20,23 @@ beats; `cost` is then identity, one lookup, or the default mismatch.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
 
+from ._record import FrozenRecord
 from .errors import ParseError, UsageError
 
 VOWEL_FAMILIES = ("a", "e", "i", "o", "u", "y")
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(FrozenRecord):
     """A named substitution weight in [0, 1]."""
 
-    name: str
-    weight: float
+    _fields = ("name", "weight")
 
-    def __post_init__(self):
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight class {self.name!r}: {self.weight} outside [0, 1]")
+    def __init__(self, name, weight):
+        self._set(name=name, weight=weight)
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"weight class {name!r}: {weight} outside [0, 1]")
 
 
 def cost_value(what, value):

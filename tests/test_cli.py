@@ -113,9 +113,10 @@ def test_non_utf8_input_is_data_error(kind, tmp_path, capsys):
         "geo": ["relationship", "--lexicon", SHEEP,
                 "--geo", _non_utf8(tmp_path, "bad.csv", geo)],
     }[kind]
+    bad = tmp_path / {"lexicon": "bad.pl", "table": "bad.tbl"}.get(kind, "bad.csv")
     assert run_cli(args + ["--out", str(tmp_path / "out")]) == 3
     *warnings, error = capsys.readouterr().err.splitlines()
-    assert error.startswith("lingdist: 'utf-8' codec can't decode byte 0xff")
+    assert error.startswith(f"lingdist: {bad}: 'utf-8' codec can't decode byte 0xff")
     assert [line for line in warnings if not line.startswith("lingdist: warning:")] == []
     assert not (tmp_path / "out").exists()
 
@@ -474,6 +475,20 @@ def test_all_to_all_repeated_label_is_data_error(tmp_path, capsys):
     assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--k", "2",
                     "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "lingdist: two items are labeled 'a:x:y'\n"
+    assert files_under(tmp_path) == ["toy.pl"]
+
+
+def test_all_to_all_refuses_a_whitespace_label_before_any_distance(
+        tmp_path, capsys, monkeypatch):
+    def no_distances(entries, table):
+        raise AssertionError("distances computed for an unwritable label")
+    monkeypatch.setattr(lingdist.editdist, "_entry_triangle", no_distances)
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("#concepts: big dog,cat\nn(a,[pat,ko]).\nn(b,[bat,go]).\n")
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--k", "2",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "lingdist: label 'a:big dog' is empty or contains whitespace\n")
     assert files_under(tmp_path) == ["toy.pl"]
 
 

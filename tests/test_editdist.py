@@ -304,6 +304,9 @@ def test_distance_matrix_upper_order():
             DistanceMatrix("abc", cells)
     with pytest.raises(ValueError):
         DistanceMatrix("ab", (-1.0,))  # negative cell
+    # the check is v < 0.0, so NaN and -0.0 pass and are kept bit for bit
+    assert math.isnan(DistanceMatrix("ab", (math.nan,)).values[0])
+    assert math.copysign(1.0, DistanceMatrix("ab", (-0.0,)).values[0]) == -1.0
 
 
 def test_oc_round_trip():
