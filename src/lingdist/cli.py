@@ -67,7 +67,11 @@ def _read(path, newline=None):
 
 
 def _csv_rows(path):
-    return csv.reader(io.StringIO(_read(path, newline=""), newline=""))
+    """The file's CSV rows; CSV the reader refuses is a ParseError naming the file."""
+    try:
+        return list(csv.reader(io.StringIO(_read(path, newline=""), newline="")))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_file(path, parse, **options):

@@ -32,8 +32,13 @@ alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
 operations.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
 balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
 runs for the best k only; `best_cut` adds that cut's `silhouette` report.
-`export_svg` imports `svgplot` when it is called, so a run that draws no
-dendrogram never loads it.
+
+The exports walk the merges forward: merge t builds node n+t from its two
+children's results, which are then dropped, so nothing recurses and a tree of
+any depth exports.  Newick branch lengths are ultrametric: a merge at height
+h sits at h/2 and a leaf at 0.  `export_svg` walks twice, for the leaf order
+and then to draw, 720 wide with an 18-high row per leaf.  It imports
+`svgplot` when called, so a run that draws no dendrogram never loads it.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
 `silhouette` each work on a square from `matrix.rows()` and release it before
@@ -60,11 +65,6 @@ class Dendrogram(Record):
     def n_leaves(self):
         return len(self.leaf_labels)
 
-    def children(self):
-        """Map from internal node id to (node_a, node_b, height)."""
-        n = self.n_leaves
-        return {n + t: merge for t, merge in enumerate(self.merges)}
-
 
 class ClusterAssignment(Record):
     _fields = ("k", "member_of")
@@ -72,13 +72,6 @@ class ClusterAssignment(Record):
     def __init__(self, k, member_of):
         self.k = k
         self.member_of = member_of  # label -> cluster id in 1..k
-
-    def clusters(self):
-        """Cluster id -> list of labels, insertion ordered."""
-        out = {}
-        for label, cid in self.member_of.items():
-            out.setdefault(cid, []).append(label)
-        return out
 
 
 class SilhouetteReport(Record):
@@ -359,15 +352,6 @@ def purity(assignment, truth):
 
 # --- export -------------------------------------------------------------------
 
-def _node_positions(dendrogram):
-    """Ultrametric node heights: a merge at height h sits at h/2, leaves at 0,
-    so the path between any two leaves through their join spans h."""
-    pos = {i: 0.0 for i in range(dendrogram.n_leaves)}
-    for t, (_a, _b, h) in enumerate(dendrogram.merges):
-        pos[dendrogram.n_leaves + t] = h / 2.0
-    return pos
-
-
 def _newick_label(label):
     if any(c in label for c in ",():;[]' \t"):
         return "'" + label.replace("'", "''") + "'"
@@ -376,57 +360,34 @@ def _newick_label(label):
 
 def export_newick(dendrogram):
     """Newick text with ultrametric branch lengths."""
-    pos = _node_positions(dendrogram)
-    children = dendrogram.children()
-
-    def render(node, parent_pos):
-        if node < dendrogram.n_leaves:
-            label = _newick_label(dendrogram.leaf_labels[node])
-            return f"{label}:{format(parent_pos, 'g')}"
-        a, b, _h = children[node]
-        here = pos[node]
-        inner = f"({render(a, here)},{render(b, here)})"
-        return f"{inner}:{format(parent_pos - here, 'g')}"
-
-    if not dendrogram.merges:
-        return _newick_label(dendrogram.leaf_labels[0]) + ";"
-    root = dendrogram.n_leaves + len(dendrogram.merges) - 1
-    a, b, _h = children[root]
-    here = pos[root]
-    return f"({render(a, here)},{render(b, here)});"
+    text = [_newick_label(label) for label in dendrogram.leaf_labels]
+    pos = [0.0] * dendrogram.n_leaves
+    for a, b, h in dendrogram.merges:
+        here = h / 2.0
+        text.append(f"({text[a]}:{format(here - pos[a], 'g')},"
+                    f"{text[b]}:{format(here - pos[b], 'g')})")
+        pos.append(here)
+        text[a] = text[b] = None
+    return text[-1] + ";"
 
 
-def _leaf_order(dendrogram):
-    """Leaves in display order: depth-first, children in merge order."""
-    if not dendrogram.merges:
-        return list(range(dendrogram.n_leaves))
-    children = dendrogram.children()
-    order = []
-    stack = [dendrogram.n_leaves + len(dendrogram.merges) - 1]
-    while stack:
-        node = stack.pop()
-        if node < dendrogram.n_leaves:
-            order.append(node)
-        else:
-            a, b, _h = children[node]
-            stack.append(b)
-            stack.append(a)
-    return order
-
-
-def export_svg(dendrogram, assignment=None, width=720, row_height=18):
+def export_svg(dendrogram, assignment=None):
     """Render the dendrogram as an SVG document string.
 
-    Leaves sit on the right, the root on the left, horizontal position
-    proportional to merge height.  With an assignment, leaf labels are
-    colored by cluster.
+    Leaves sit on the right in depth-first order, children in merge order,
+    the root on the left, horizontal position proportional to merge height.
+    With an assignment, leaf labels are colored by cluster.
     """
     from .svgplot import PALETTE, Canvas  # loaded only by the runs that draw
 
     n = dendrogram.n_leaves
-    order = _leaf_order(dendrogram)
+    leaves = [[i] for i in range(n)]  # per node: its leaves in display order
+    for a, b, _h in dendrogram.merges:
+        leaves.append(leaves[a] + leaves[b])
+        leaves[a] = leaves[b] = None
+    order = leaves[-1]
     max_h = max((h for _a, _b, h in dendrogram.merges), default=1.0) or 1.0
-    margin = 36
+    width, row_height, margin = 720, 18, 36
     label_w = 8 * max(len(label) for label in dendrogram.leaf_labels) + 12
     plot_w = width - margin - label_w - margin
     height = margin * 2 + row_height * n
@@ -435,21 +396,17 @@ def export_svg(dendrogram, assignment=None, width=720, row_height=18):
     def x_of(h):
         return margin + plot_w * (1.0 - h / max_h)
 
-    ys = {}
+    ys = [0.0] * n
     for row, leaf in enumerate(order):
         ys[leaf] = margin + row_height * (row + 0.5)
-    for t, (a, b, h) in enumerate(dendrogram.merges):
-        ys[n + t] = (ys[a] + ys[b]) / 2.0
-
-    heights = {i: 0.0 for i in range(n)}
-    for t, (_a, _b, h) in enumerate(dendrogram.merges):
-        heights[n + t] = h
-
-    for t, (a, b, h) in enumerate(dendrogram.merges):
+    heights = [0.0] * n
+    for a, b, h in dendrogram.merges:
         x = x_of(h)
         canvas.line(x, ys[a], x, ys[b], stroke="#555555")
         for child in (a, b):
             canvas.line(x, ys[child], x_of(heights[child]), ys[child], stroke="#555555")
+        ys.append((ys[a] + ys[b]) / 2.0)
+        heights.append(h)
 
     for leaf in order:
         label = dendrogram.leaf_labels[leaf]

@@ -439,8 +439,7 @@ def read_oc(source):
     labels = []
     for line in lines[1:1 + n]:
         label = line.strip()
-        if not label or any(c.isspace() for c in label):
-            raise FormatError(f"bad label line {line!r}")
+        _check_label(label)
         labels.append(label)
     if len(set(labels)) != n:
         raise FormatError("matrix labels must be unique")

@@ -2,7 +2,8 @@
 
 Hand-rolled on purpose: every run must produce byte-identical documents, so
 coordinates are formatted with fixed precision and nothing here depends on
-fonts, system state, or a plotting library.
+fonts, system state, or a plotting library.  Each chart has one fixed size:
+bars 720 x 320, density curves 480 x 300, scatter plots 480 x 340.
 """
 
 PALETTE = (
@@ -25,33 +26,33 @@ def escape(text):
 class Canvas:
     """Collects SVG elements and renders a standalone document."""
 
-    def __init__(self, width, height, background="#ffffff"):
+    def __init__(self, width, height):
         self.width = width
         self.height = height
         self._parts = [
             f'<rect x="0" y="0" width="{_n(width)}" height="{_n(height)}" '
-            f'fill="{background}"/>'
+            'fill="#ffffff"/>'
         ]
 
-    def line(self, x1, y1, x2, y2, stroke="#333333", width=1.0):
+    def line(self, x1, y1, x2, y2, stroke):
         self._parts.append(
             f'<line x1="{_n(x1)}" y1="{_n(y1)}" x2="{_n(x2)}" y2="{_n(y2)}" '
-            f'stroke="{stroke}" stroke-width="{_n(width)}"/>')
+            f'stroke="{stroke}" stroke-width="1.00"/>')
 
-    def rect(self, x, y, w, h, fill="#1b6ca8"):
+    def rect(self, x, y, w, h, fill):
         self._parts.append(
             f'<rect x="{_n(x)}" y="{_n(y)}" width="{_n(w)}" height="{_n(h)}" '
             f'fill="{fill}"/>')
 
-    def circle(self, cx, cy, r, fill="#1b6ca8"):
+    def circle(self, cx, cy):
         self._parts.append(
-            f'<circle cx="{_n(cx)}" cy="{_n(cy)}" r="{_n(r)}" fill="{fill}"/>')
+            f'<circle cx="{_n(cx)}" cy="{_n(cy)}" r="2.50" fill="#1b6ca8"/>')
 
-    def polyline(self, points, stroke="#1b6ca8", width=1.5):
+    def polyline(self, points, stroke):
         coords = " ".join(f"{_n(x)},{_n(y)}" for x, y in points)
         self._parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_n(width)}"/>')
+            'stroke-width="1.50"/>')
 
     def text(self, x, y, content, fill="#222222", size=11, anchor="start"):
         self._parts.append(
@@ -73,8 +74,7 @@ class Canvas:
 def _frame(canvas, x0, y0, x1, y1, title):
     canvas.line(x0, y1, x1, y1, stroke="#888888")
     canvas.line(x0, y0, x0, y1, stroke="#888888")
-    if title:
-        canvas.text((x0 + x1) / 2.0, 16, title, anchor="middle", size=12)
+    canvas.text((x0 + x1) / 2.0, 16, title, anchor="middle", size=12)
 
 
 def _span(values):
@@ -84,8 +84,9 @@ def _span(values):
     return lo, hi
 
 
-def grouped_bars(categories, series, width=720, height=320, title=""):
+def grouped_bars(categories, series, title):
     """Grouped bar chart; `series` is a list of (name, values) pairs."""
+    width, height = 720, 320
     canvas = Canvas(width, height)
     x0, y0, x1, y1 = 50, 28, width - 20, height - 46
     _frame(canvas, x0, y0, x1, y1, title)
@@ -110,8 +111,9 @@ def grouped_bars(categories, series, width=720, height=320, title=""):
     return canvas.tostring()
 
 
-def curve_plot(xs, ys, width=480, height=300, title="", stroke="#1b6ca8"):
+def curve_plot(xs, ys, title):
     """Single curve with axes, e.g. a density estimate."""
+    width, height = 480, 300
     canvas = Canvas(width, height)
     x0, y0, x1, y1 = 50, 28, width - 20, height - 40
     _frame(canvas, x0, y0, x1, y1, title)
@@ -122,7 +124,7 @@ def curve_plot(xs, ys, width=480, height=300, title="", stroke="#1b6ca8"):
          y1 - (y / hi_y) * (y1 - y0))
         for x, y in zip(xs, ys)
     ]
-    canvas.polyline(points, stroke=stroke)
+    canvas.polyline(points, stroke="#1b6ca8")
     canvas.text(x0, y1 + 14, format(lo_x, ".3g"), size=10, fill="#666666")
     canvas.text(x1, y1 + 14, format(hi_x, ".3g"), anchor="end", size=10, fill="#666666")
     canvas.text(x0 - 6, y0 + 8, format(hi_y, ".3g"), anchor="end", size=10, fill="#666666")
@@ -130,9 +132,9 @@ def curve_plot(xs, ys, width=480, height=300, title="", stroke="#1b6ca8"):
     return canvas.tostring()
 
 
-def scatter_plot(xs, ys, slope=None, intercept=None, width=480, height=340,
-                 title="", x_label="", y_label=""):
-    """Scatter of (x, y) points with an optional fitted line."""
+def scatter_plot(xs, ys, slope, intercept, title, x_label, y_label):
+    """Scatter of (x, y) points with the fitted line y = slope * x + intercept."""
+    width, height = 480, 340
     canvas = Canvas(width, height)
     x0, y0, x1, y1 = 56, 28, width - 20, height - 52
     _frame(canvas, x0, y0, x1, y1, title)
@@ -145,17 +147,14 @@ def scatter_plot(xs, ys, slope=None, intercept=None, width=480, height=340,
     def py(y):
         return y1 - (y - lo_y) / (hi_y - lo_y) * (y1 - y0)
 
-    if slope is not None:
-        drawn = [(px(x), py(slope * x + intercept)) for x in (lo_x, hi_x)]
-        canvas.polyline(drawn, stroke="#c0392b", width=1.5)
+    drawn = [(px(x), py(slope * x + intercept)) for x in (lo_x, hi_x)]
+    canvas.polyline(drawn, stroke="#c0392b")
     for x, y in zip(xs, ys):
-        canvas.circle(px(x), py(y), 2.5, fill="#1b6ca8")
+        canvas.circle(px(x), py(y))
     canvas.text(x0, y1 + 14, format(lo_x, ".3g"), size=10, fill="#666666")
     canvas.text(x1, y1 + 14, format(hi_x, ".3g"), anchor="end", size=10, fill="#666666")
     canvas.text(x0 - 6, y0 + 8, format(hi_y, ".3g"), anchor="end", size=10, fill="#666666")
     canvas.text(x0 - 6, y1 + 4, format(lo_y, ".3g"), anchor="end", size=10, fill="#666666")
-    if x_label:
-        canvas.text((x0 + x1) / 2.0, height - 12, x_label, anchor="middle", size=10)
-    if y_label:
-        canvas.text(14, y0 - 10, y_label, size=10)
+    canvas.text((x0 + x1) / 2.0, height - 12, x_label, anchor="middle", size=10)
+    canvas.text(14, y0 - 10, y_label, size=10)
     return canvas.tostring()

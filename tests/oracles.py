@@ -9,13 +9,15 @@ the fast paths replaced: one `table.cost` call per cell, no pair memo, one
 `exp` per value, one bin lookup per value.  The clustering references are
 the pair-dict agglomeration and the per-k cut scan that the
 nearest-neighbour and top-down forms replaced.  `ReferenceTable` is the rule
-interpreter that the substitution table's resolved cost map replaced.
+interpreter that the substitution table's resolved cost map replaced.  The
+export references are the recursive Newick writer and the depth-first leaf
+order that the forward passes over the merges replaced.
 """
 
 import math
 import random
 
-from lingdist.cluster import LINKAGES, Dendrogram, cut, silhouette
+from lingdist.cluster import LINKAGES, Dendrogram, _newick_label, cut, silhouette
 from lingdist.errors import DegenerateData
 from lingdist.stats import bandwidth_nrd0, sturges_bins
 from lingdist.subst import VOWEL_FAMILIES, SubstitutionTable
@@ -357,3 +359,110 @@ def reference_cut_scan(matrix, dendrogram):
         if best is None or report.mean > best[2].mean:
             best = (k, assignment, report)
     return best, means
+
+
+def _children(dendrogram):
+    """Map from internal node id to (node_a, node_b, height)."""
+    n = dendrogram.n_leaves
+    return {n + t: merge for t, merge in enumerate(dendrogram.merges)}
+
+
+def _node_positions(dendrogram):
+    """Ultrametric node heights: a merge at height h sits at h/2, leaves at 0,
+    so the path between any two leaves through their join spans h."""
+    pos = {i: 0.0 for i in range(dendrogram.n_leaves)}
+    for t, (_a, _b, h) in enumerate(dendrogram.merges):
+        pos[dendrogram.n_leaves + t] = h / 2.0
+    return pos
+
+
+def reference_export_newick(dendrogram):
+    """Newick text with ultrametric branch lengths, one recursive call per
+    tree level: the form `export_newick` replaced, kept verbatim but for the
+    child map, which `Dendrogram.children()` gave.  A tree deeper than the
+    recursion limit raises RecursionError."""
+    pos = _node_positions(dendrogram)
+    children = _children(dendrogram)
+
+    def render(node, parent_pos):
+        if node < dendrogram.n_leaves:
+            label = _newick_label(dendrogram.leaf_labels[node])
+            return f"{label}:{format(parent_pos, 'g')}"
+        a, b, _h = children[node]
+        here = pos[node]
+        inner = f"({render(a, here)},{render(b, here)})"
+        return f"{inner}:{format(parent_pos - here, 'g')}"
+
+    if not dendrogram.merges:
+        return _newick_label(dendrogram.leaf_labels[0]) + ";"
+    root = dendrogram.n_leaves + len(dendrogram.merges) - 1
+    a, b, _h = children[root]
+    here = pos[root]
+    return f"({render(a, here)},{render(b, here)});"
+
+
+def reference_leaf_order(dendrogram):
+    """Leaves in display order: depth-first, children in merge order."""
+    if not dendrogram.merges:
+        return list(range(dendrogram.n_leaves))
+    children = _children(dendrogram)
+    order = []
+    stack = [dendrogram.n_leaves + len(dendrogram.merges) - 1]
+    while stack:
+        node = stack.pop()
+        if node < dendrogram.n_leaves:
+            order.append(node)
+        else:
+            a, b, _h = children[node]
+            stack.append(b)
+            stack.append(a)
+    return order
+
+
+def reference_export_svg(dendrogram, assignment=None, width=720, row_height=18):
+    """The SVG dendrogram drawn from `reference_leaf_order` and node maps:
+    the form `export_svg` replaced, kept verbatim but for the helper name."""
+    from lingdist.svgplot import PALETTE, Canvas
+
+    n = dendrogram.n_leaves
+    order = reference_leaf_order(dendrogram)
+    max_h = max((h for _a, _b, h in dendrogram.merges), default=1.0) or 1.0
+    margin = 36
+    label_w = 8 * max(len(label) for label in dendrogram.leaf_labels) + 12
+    plot_w = width - margin - label_w - margin
+    height = margin * 2 + row_height * n
+    canvas = Canvas(width, height)
+
+    def x_of(h):
+        return margin + plot_w * (1.0 - h / max_h)
+
+    ys = {}
+    for row, leaf in enumerate(order):
+        ys[leaf] = margin + row_height * (row + 0.5)
+    for t, (a, b, h) in enumerate(dendrogram.merges):
+        ys[n + t] = (ys[a] + ys[b]) / 2.0
+
+    heights = {i: 0.0 for i in range(n)}
+    for t, (_a, _b, h) in enumerate(dendrogram.merges):
+        heights[n + t] = h
+
+    for t, (a, b, h) in enumerate(dendrogram.merges):
+        x = x_of(h)
+        canvas.line(x, ys[a], x, ys[b], stroke="#555555")
+        for child in (a, b):
+            canvas.line(x, ys[child], x_of(heights[child]), ys[child], stroke="#555555")
+
+    for leaf in order:
+        label = dendrogram.leaf_labels[leaf]
+        color = "#222222"
+        if assignment is not None:
+            color = PALETTE[(assignment.member_of[label] - 1) % len(PALETTE)]
+        canvas.text(x_of(0.0) + 6, ys[leaf] + 4, label, fill=color)
+
+    axis_y = height - margin / 2.0
+    canvas.line(x_of(max_h), axis_y, x_of(0.0), axis_y, stroke="#999999")
+    for frac in (0.0, 0.5, 1.0):
+        h = max_h * frac
+        canvas.line(x_of(h), axis_y - 3, x_of(h), axis_y + 3, stroke="#999999")
+        canvas.text(x_of(h) - 10, axis_y + 14, format(h, ".3g"), fill="#666666", size=10)
+    return canvas.tostring()

@@ -121,6 +121,22 @@ def test_non_utf8_input_is_data_error(kind, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["truth", "geo"])
+def test_oversized_csv_field_is_data_error(kind, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    source = FIXTURES / "sheep_truth.csv" if kind == "truth" else SHEEP_GEO
+    bad.write_text(open(source).read() + "x" * (csv.field_size_limit() + 1) + ",1\n")
+    args = {
+        "truth": ["cluster", "--lexicon", SHEEP, "--k", "2", "--truth", str(bad)],
+        "geo": ["relationship", "--lexicon", SHEEP, "--geo", str(bad)],
+    }[kind]
+    assert run_cli(args + ["--out", str(tmp_path / "out")]) == 3
+    *warnings, error = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"lingdist: {bad}: field larger than field limit")
+    assert [line for line in warnings if not line.startswith("lingdist: warning:")] == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_builtin_table_is_usage_error(fixtures_dir, tmp_path):
     assert run_cli(["cluster", "--lexicon", str(fixtures_dir / "colours.pl"),
                     "--table", "definitely-not-a-table",

@@ -381,6 +381,7 @@ def test_oc_2x2_exact_text():
     "2\nA\nB\nfoo\n",                # non-numeric cell
     "2\nA\nB\n-0.5\n",               # negative distance
     "2\nA B\nC\n0.1\n",              # whitespace in label
+    "2\n \nB\n0.1\n",                # blank label
     "2\nA\nA\n0.1\n",                # repeated label
 ])
 def test_oc_format_errors(bad):

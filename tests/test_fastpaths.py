@@ -7,14 +7,16 @@ all-to-all matrices of the shared-prefix pair table against per-pair ones on
 built-in and random tables (also on words built from one stem), the
 distinct-value density against one `exp` per value, the counted
 Bhattacharyya coefficients against one bin lookup per value, the
-nearest-neighbour agglomeration against the pair-dict one, and the top-down
-cut scan against one `cut` and `silhouette` per k.  Every comparison is
+nearest-neighbour agglomeration against the pair-dict one, the top-down
+cut scan against one `cut` and `silhouette` per k, and the forward-pass
+Newick and SVG exports against the recursive ones.  Every comparison is
 exact, bit for bit.  scipy's `linkage`, where installed, is a second oracle
 for the agglomeration on matrices without ties.
 """
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,10 +26,12 @@ from conftest import FIXTURES
 from oracles import (ReferenceTable, naive_lev, random_distance_matrix, random_table,
                      reference_agglomerate, reference_concept_values,
                      reference_bhattacharyya, reference_cut_scan,
-                     reference_entry_distance, reference_kde,
+                     reference_entry_distance, reference_export_newick,
+                     reference_export_svg, reference_kde,
                      reference_language_values, reference_raw_distance)
 
-from lingdist.cluster import LINKAGES, agglomerate, best_cut, cut_scan
+from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut, cut_scan,
+                              export_newick, export_svg)
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
                                language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
@@ -380,6 +384,45 @@ def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
         cut_scan(matrix, dendrogram)
     with pytest.raises(DegenerateData):
         reference_cut_scan(matrix, dendrogram)  # through `silhouette`
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.booleans(), st.integers(0, 2**32))
+def test_exports_equal_recursive_reference(n, tied, seed):
+    rng = random.Random(seed)
+    matrix = random_distance_matrix(rng, n)
+    if tied:  # five levels, so many merges share a height, some of them 0
+        matrix = DistanceMatrix(matrix.labels, [round(v * 4) / 4 for v in matrix.values])
+    for linkage in LINKAGES:
+        dendrogram = agglomerate(matrix, linkage)
+        assignment = cut(dendrogram, rng.randint(1, n))
+        assert export_newick(dendrogram) == reference_export_newick(dendrogram)
+        # compared line by line: a failing report then names the first
+        # differing line instead of diffing two whole documents
+        assert export_svg(dendrogram).splitlines() == \
+            reference_export_svg(dendrogram).splitlines()
+        assert export_svg(dendrogram, assignment).splitlines() == \
+            reference_export_svg(dendrogram, assignment).splitlines()
+
+
+def test_one_leaf_exports_equal_recursive_reference():
+    dendrogram = Dendrogram(("only leaf",), ())
+    assert export_newick(dendrogram) == reference_export_newick(dendrogram) == "'only leaf';"
+    assert export_svg(dendrogram) == reference_export_svg(dendrogram)
+
+
+def test_deep_chain_exports_without_recursion():
+    n = 1500  # deeper than the default recursion limit of 1000
+    merges = [(0, 1, 1 / 7)] + [(n + t - 1, t + 1, (t + 1) / 7) for t in range(1, n - 1)]
+    dendrogram = Dendrogram(tuple(f"w{i}" for i in range(n)), tuple(merges))
+    text = export_newick(dendrogram)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * n)
+    try:
+        assert text == reference_export_newick(dendrogram)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert export_svg(dendrogram).splitlines() == reference_export_svg(dendrogram).splitlines()
 
 
 def test_agglomerate_matches_scipy_linkage_on_tie_free_matrices():
