@@ -60,6 +60,15 @@ class Dendrogram(Record):
     def __init__(self, leaf_labels, merges):
         self.leaf_labels = leaf_labels  # a tuple
         self.merges = merges  # tuple of (node_a, node_b, height), node ids as described above
+        n = len(leaf_labels)
+        if n < 1 or len(merges) != n - 1:
+            raise ValueError(f"need n >= 1 leaves and n - 1 merges, got {n} and {len(merges)}")
+        live = set(range(n))  # nodes made and not yet merged
+        for t, (a, b, _) in enumerate(merges):
+            if a == b or a not in live or b not in live:
+                raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
+            live -= {a, b}
+            live.add(n + t)
 
     @property
     def n_leaves(self):

@@ -156,30 +156,26 @@ def alignments(a, b, table, limit=10000):
     total = d[len(a)][len(b)]
 
     found = []
-    stack = []  # columns in reverse order while backtracking
-
-    def walk(i, j):
+    todo = [(len(a), len(b), ())]  # a path holds its columns as (column, rest)
+    while todo:
+        i, j, path = todo.pop()
         if i == 0 and j == 0:
             if len(found) >= limit:
                 raise LimitExceeded(
                     f"more than {limit} co-optimal alignments; raise the limit")
-            found.append(tuple(reversed(stack)))
-            return
+            columns = []
+            while path:
+                column, path = path
+                columns.append(column)
+            found.append(tuple(columns))
+            continue
         here = d[i][j]
-        if j > 0 and d[i][j - 1] + gap == here:
-            stack.append((GAP, b[j - 1]))
-            walk(i, j - 1)
-            stack.pop()
-        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
-            stack.append((a[i - 1], b[j - 1]))
-            walk(i - 1, j - 1)
-            stack.pop()
         if i > 0 and d[i - 1][j] + gap == here:
-            stack.append((a[i - 1], GAP))
-            walk(i - 1, j)
-            stack.pop()
-
-    walk(len(a), len(b))
+            todo.append((i - 1, j, ((a[i - 1], GAP), path)))
+        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
+            todo.append((i - 1, j - 1, ((a[i - 1], b[j - 1]), path)))
+        if j > 0 and d[i][j - 1] + gap == here:
+            todo.append((i, j - 1, ((GAP, b[j - 1]), path)))
     found.sort(key=lambda cols: [_column_kind(c) for c in cols])
     return [Alignment(cols, total) for cols in found]
 

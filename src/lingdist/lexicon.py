@@ -11,15 +11,30 @@ whitespace is insignificant outside atoms.  An atom is any maximal run of
 characters excluding ``,[]() .%`` and whitespace; capitals are ordinary
 symbol characters (they encode distinct phonemes).
 
+Synonym sets do not nest, so the dialect is a regular language: each fact
+is matched whole by one regular expression, in time linear in its length.
+A malformed fact is reported by the line it starts on, quoting its first
+40 characters.
+
 An optional header line ``#concepts: one,two,...`` names the word columns;
 without it columns are addressed as w1..wN.
 """
 
+import re
+
 from ._record import FrozenRecord, Record
 from .errors import ParseError
 
-_STRUCTURAL = ",[]()."
-_RESERVED = _STRUCTURAL + "%"
+# `_FACT` matches one whole fact.  Every `\s*` stands between two tokens,
+# never next to another `\s*`, so a fact that does not match fails in time
+# linear in its length.
+_ATOM = r"[^\s,\[\]().%]+"
+_ENTRY = rf"(?:{_ATOM}|\[\s*{_ATOM}\s*(?:,\s*{_ATOM}\s*)*\])"
+_FACT = re.compile(rf"""
+    ({_ATOM}) \s* \( \s* ({_ATOM}) \s* , \s*
+    \[ \s* ((?:{_ENTRY} \s* (?:, \s* {_ENTRY} \s*)*)?) \]
+    \s* \) \s* \. \s*""", re.VERBOSE)
+_ENTRIES = re.compile(rf"({_ATOM})|\[([^\]]*)\]")
 
 
 class WordEntry(FrozenRecord):
@@ -59,7 +74,7 @@ class Lexicon(Record):
         return [f"w{i + 1}" for i in range(self.n_concepts)]
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- parser ----------------------------------------------------------------
 
 def _extract_concepts(text):
     """Pull the optional `#concepts:` header out, keep line numbers stable."""
@@ -86,127 +101,30 @@ def _extract_concepts(text):
     return concepts, "\n".join(kept)
 
 
-def _tokenize(text):
-    """Yield (kind, value, line) where kind is 'atom' or a structural char."""
-    tokens = []
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in _STRUCTURAL:
-            tokens.append((ch, ch, line))
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in _RESERVED:
-                i += 1
-            tokens.append(("atom", text[start:i], line))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-
-    def done(self):
-        return self._pos >= len(self._tokens)
-
-    def peek(self):
-        return self._tokens[self._pos] if not self.done() else (None, None, None)
-
-    def take(self, kind, what):
-        if self.done():
-            raise ParseError(f"unexpected end of input, expected {what}")
-        got_kind, value, line = self._tokens[self._pos]
-        if got_kind != kind:
-            raise ParseError(f"expected {what}, got {value!r}", line=line)
-        self._pos += 1
-        return value, line
-
-    def atom(self, what):
-        return self.take("atom", what)
-
-
-# --- parser ----------------------------------------------------------------
-
-def _parse_entry(ts):
-    kind, _, line = ts.peek()
-    if kind == "atom":
-        word, _ = ts.atom("word")
-        return WordEntry((word,))
-    if kind == "[":
-        ts.take("[", "'['")
-        variants = []
-        while True:
-            k, v, ln = ts.peek()
-            if k == "[":
-                raise ParseError("synonym lists cannot be nested further", line=ln)
-            if k == "]" and not variants:
-                raise ParseError("empty synonym set", line=ln)
-            variants.append(ts.atom("synonym")[0])
-            k, v, ln = ts.peek()
-            if k == ",":
-                ts.take(",", "','")
-            elif k == "]":
-                ts.take("]", "']'")
-                return WordEntry(tuple(variants))
-            else:
-                raise ParseError(f"expected ',' or ']' in synonym set, got {v!r}", line=ln)
-    raise ParseError("expected a word or synonym set", line=line)
-
-
-def _parse_word_list(ts):
-    ts.take("[", "word list")
-    entries = []
-    kind, _, _ = ts.peek()
-    if kind == "]":
-        ts.take("]", "']'")
-        return entries
-    while True:
-        entries.append(_parse_entry(ts))
-        kind, value, line = ts.peek()
-        if kind == ",":
-            ts.take(",", "','")
-        elif kind == "]":
-            ts.take("]", "']'")
-            return entries
-        else:
-            raise ParseError(f"expected ',' or ']' in word list, got {value!r}", line=line)
-
-
 def parse_lexicon(text):
     """Parse a language database; see the module docstring for the dialect."""
     concepts, body = _extract_concepts(text)
-    ts = _TokenStream(_tokenize(body))
+    body = re.sub(r"%.*", "", body)
     functor = None
     entries = {}
-    while not ts.done():
-        name, line = ts.atom("fact functor")
-        if functor is None:
-            functor = name
-        elif name != functor:
+    pos = len(body) - len(body.lstrip())
+    while pos < len(body):
+        fact = _FACT.match(body, pos)
+        if fact is None:
+            raise ParseError(f"malformed fact {body[pos:pos + 40]!r}",
+                             line=body.count("\n", 0, pos) + 1)
+        name, language, words = fact.groups()
+        functor = functor or name
+        if name != functor:
             raise ParseError(
                 f"all facts must share one functor, got {name!r} after {functor!r}",
-                line=line)
-        ts.take("(", "'('")
-        language, lang_line = ts.atom("language name")
-        ts.take(",", "','")
-        words = _parse_word_list(ts)
-        ts.take(")", "')'")
-        ts.take(".", "terminating '.'")
+                line=body.count("\n", 0, pos) + 1)
         if language in entries:
             raise ParseError(f"language {language!r} occurs twice")
-        entries[language] = tuple(words)
+        entries[language] = tuple(
+            WordEntry((atom,) if atom else tuple(v.strip() for v in synonyms.split(",")))
+            for atom, synonyms in _ENTRIES.findall(words))
+        pos = fact.end()
 
     lengths = {lang: len(words) for lang, words in entries.items()}
     if lengths and len(set(lengths.values())) > 1:

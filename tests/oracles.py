@@ -11,14 +11,17 @@ the pair-dict agglomeration and the per-k cut scan that the
 nearest-neighbour and top-down forms replaced.  `ReferenceTable` is the rule
 interpreter that the substitution table's resolved cost map replaced.  The
 export references are the recursive Newick writer and the depth-first leaf
-order that the forward passes over the merges replaced.
+order that the forward passes over the merges replaced.  The lexicon
+reference is the tokenizer, token stream and recursive-descent parser that
+one regular grammar per fact replaced.
 """
 
 import math
 import random
 
 from lingdist.cluster import LINKAGES, Dendrogram, _newick_label, cut, silhouette
-from lingdist.errors import DegenerateData
+from lingdist.errors import DegenerateData, ParseError
+from lingdist.lexicon import Lexicon, WordEntry, _extract_concepts
 from lingdist.stats import bandwidth_nrd0, sturges_bins
 from lingdist.subst import VOWEL_FAMILIES, SubstitutionTable
 
@@ -466,3 +469,140 @@ def reference_export_svg(dendrogram, assignment=None, width=720, row_height=18):
         canvas.line(x_of(h), axis_y - 3, x_of(h), axis_y + 3, stroke="#999999")
         canvas.text(x_of(h) - 10, axis_y + 14, format(h, ".3g"), fill="#666666", size=10)
     return canvas.tostring()
+
+
+# --- lexicon parser ----------------------------------------------------------
+
+_STRUCTURAL = ",[]()."
+_RESERVED = _STRUCTURAL + "%"
+
+
+def _tokenize(text):
+    """Yield (kind, value, line) where kind is 'atom' or a structural char."""
+    tokens = []
+    line = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+        elif ch.isspace():
+            i += 1
+        elif ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in _STRUCTURAL:
+            tokens.append((ch, ch, line))
+            i += 1
+        else:
+            start = i
+            while i < n and not text[i].isspace() and text[i] not in _RESERVED:
+                i += 1
+            tokens.append(("atom", text[start:i], line))
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._pos = 0
+
+    def done(self):
+        return self._pos >= len(self._tokens)
+
+    def peek(self):
+        return self._tokens[self._pos] if not self.done() else (None, None, None)
+
+    def take(self, kind, what):
+        if self.done():
+            raise ParseError(f"unexpected end of input, expected {what}")
+        got_kind, value, line = self._tokens[self._pos]
+        if got_kind != kind:
+            raise ParseError(f"expected {what}, got {value!r}", line=line)
+        self._pos += 1
+        return value, line
+
+    def atom(self, what):
+        return self.take("atom", what)
+
+
+def _parse_entry(ts):
+    kind, _, line = ts.peek()
+    if kind == "atom":
+        word, _ = ts.atom("word")
+        return WordEntry((word,))
+    if kind == "[":
+        ts.take("[", "'['")
+        variants = []
+        while True:
+            k, v, ln = ts.peek()
+            if k == "[":
+                raise ParseError("synonym lists cannot be nested further", line=ln)
+            if k == "]" and not variants:
+                raise ParseError("empty synonym set", line=ln)
+            variants.append(ts.atom("synonym")[0])
+            k, v, ln = ts.peek()
+            if k == ",":
+                ts.take(",", "','")
+            elif k == "]":
+                ts.take("]", "']'")
+                return WordEntry(tuple(variants))
+            else:
+                raise ParseError(f"expected ',' or ']' in synonym set, got {v!r}", line=ln)
+    raise ParseError("expected a word or synonym set", line=line)
+
+
+def _parse_word_list(ts):
+    ts.take("[", "word list")
+    entries = []
+    kind, _, _ = ts.peek()
+    if kind == "]":
+        ts.take("]", "']'")
+        return entries
+    while True:
+        entries.append(_parse_entry(ts))
+        kind, value, line = ts.peek()
+        if kind == ",":
+            ts.take(",", "','")
+        elif kind == "]":
+            ts.take("]", "']'")
+            return entries
+        else:
+            raise ParseError(f"expected ',' or ']' in word list, got {value!r}", line=line)
+
+
+def reference_parse_lexicon(text):
+    """The tokenizer and recursive-descent parser that one regular grammar
+    per fact replaced, as they were."""
+    concepts, body = _extract_concepts(text)
+    ts = _TokenStream(_tokenize(body))
+    functor = None
+    entries = {}
+    while not ts.done():
+        name, line = ts.atom("fact functor")
+        if functor is None:
+            functor = name
+        elif name != functor:
+            raise ParseError(
+                f"all facts must share one functor, got {name!r} after {functor!r}",
+                line=line)
+        ts.take("(", "'('")
+        language, lang_line = ts.atom("language name")
+        ts.take(",", "','")
+        words = _parse_word_list(ts)
+        ts.take(")", "')'")
+        ts.take(".", "terminating '.'")
+        if language in entries:
+            raise ParseError(f"language {language!r} occurs twice")
+        entries[language] = tuple(words)
+
+    lengths = {lang: len(words) for lang, words in entries.items()}
+    if lengths and len(set(lengths.values())) > 1:
+        detail = ", ".join(f"{lang}={n}" for lang, n in lengths.items())
+        raise ParseError(f"word lists differ in length: {detail}")
+    if concepts is not None and entries and len(concepts) != next(iter(lengths.values())):
+        raise ParseError(
+            f"{len(concepts)} concept names for {next(iter(lengths.values()))} words")
+    return Lexicon(functor, entries, concepts)

@@ -332,6 +332,22 @@ def test_purity_overall_weighted_by_size():
     assert report.overall == pytest.approx((2 + 1) / 4)
 
 
+@pytest.mark.parametrize("labels, merges", [
+    ((), ()),
+    (("a", "b", "c"), ((0, 1, 0.5),)),
+    (("a", "b"), ((0, 1, 0.5), (2, 2, 0.6))),
+    (("a", "b"), ((0, 0, 0.5),)),
+    (("a", "b", "c"), ((0, 3, 0.5), (1, 2, 0.6))),
+    (("a", "b", "c"), ((-1, 1, 0.5), (2, 3, 0.6))),
+    (("a", "b", "c"), ((0, 1, 0.5), (0, 2, 0.6))),
+    (("a", "b", "c", "d"), ((0, 1, 0.1), (4, 2, 0.2), (4, 3, 0.3))),
+], ids=["no-leaves", "too-few-merges", "too-many-merges", "self-merge",
+        "node-not-yet-made", "negative-id", "leaf-merged-twice", "node-merged-twice"])
+def test_dendrogram_must_be_one_full_tree(labels, merges):
+    with pytest.raises(ValueError):
+        Dendrogram(labels, merges)
+
+
 def test_newick_two_leaves():
     d = Dendrogram(("A", "B"), ((0, 1, 0.4),))
     assert export_newick(d) == "(A:0.2,B:0.2);"

@@ -61,6 +61,14 @@ def test_identity_distance_and_alignment():
     assert all(l == r for l, r in found[0].columns)
 
 
+def test_alignments_of_long_words_without_recursion():
+    # 1,200 traceback steps, past the default recursion limit of 1,000
+    found = alignments("a" * 1200, "a" * 1200, builtin_table("editable"))
+    assert len(found) == 1
+    assert found[0].raw_cost == 0.0
+    assert found[0].columns == (("a", "a"),) * 1200
+
+
 def test_empty_sequences():
     table = SubstitutionTable()
     assert raw_distance("", "abc", table) == 3.0

@@ -1,8 +1,12 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import reference_parse_lexicon
 
 from lingdist.errors import ParseError
 from lingdist.lexicon import (Lexicon, WordEntry, parse_lexicon,
@@ -100,6 +104,36 @@ def test_syntax_errors(bad):
         parse_lexicon(bad)
 
 
+def test_malformed_fact_is_reported_by_its_first_line():
+    text = "n(a,[x,y]).\n\n% a comment\nn(b,\n  [p,,q]).\n"
+    with pytest.raises(ParseError) as info:
+        parse_lexicon(text)
+    assert info.value.line == 4
+    assert str(info.value) == "line 4: malformed fact 'n(b,\\n  [p,,q]).'"
+
+
+def test_malformed_fact_quotes_forty_characters():
+    fact = "n(a,[" + ",".join(["word"] * 20) + "]"
+    with pytest.raises(ParseError, match=re.escape(repr(fact[:40]))):
+        parse_lexicon(fact)
+
+
+SPACES = " " * 200_000
+
+
+@pytest.mark.parametrize("text", [
+    "f(a,[" + SPACES + "x]",
+    "f(a,[x" + SPACES + ",y",
+    "f(a,[[x," + SPACES + "y",
+    "f(a,[[" + SPACES + "x" + SPACES + "]" + SPACES,
+], ids=["unclosed-list", "after-atom-before-comma", "synonym-set", "synonym-set-edges"])
+def test_long_whitespace_fails_in_linear_time(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_lexicon(text)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_mixed_functor_rejected():
     with pytest.raises(ParseError):
         parse_lexicon("numbers(a,[x]).\nwords(b,[y]).")
@@ -176,6 +210,50 @@ def test_round_trip_property(lex):
     again = parse_lexicon(serialize_lexicon(lex))
     assert again == lex
     assert again.languages == lex.languages
+
+
+# Text between tokens: nothing, whitespace (also beyond ASCII), or a comment.
+FILLER = st.sampled_from(["", "", " ", "\t", "\n", " \n  ", "\u3000", "% note\n"])
+# Single-character edits, also to structural characters, line breaks and `#`.
+EDIT_CHARS = st.sampled_from(list(",[]().%# \n\t\x0b\x85\u2028ab"))
+# Insertions also of a few pieces one character cannot make: an empty set,
+# nesting, and a comment that splits an atom.
+INSERTS = st.one_of(EDIT_CHARS, st.sampled_from(["[]", ",[]", "[[", "]]", "%c\n"]))
+
+
+@st.composite
+def lexicon_texts(draw):
+    """A lexicon, its text with filler between tokens, and that text edited."""
+    lex = draw(lexicons())
+    text = serialize_lexicon(lex)
+    header, body = text.split("\n", 1) if lex.concepts is not None else ("", text)
+    pieces = re.split(r"([,\[\]().\n])", body)
+    spaced = header + "\n" * bool(header) + "".join(p + draw(FILLER) for p in pieces)
+    edited = spaced
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(edited)))
+        kind = draw(st.sampled_from(["delete", "insert", "substitute"]))
+        piece = "" if kind == "delete" else draw(INSERTS if kind == "insert" else EDIT_CHARS)
+        edited = edited[:at] + piece + edited[at + (kind != "insert"):]
+    return lex, spaced, edited
+
+
+def _outcome(parse, text):
+    try:
+        lex = parse(text)
+    except ParseError:
+        return None
+    return lex, lex.languages
+
+
+@settings(max_examples=500, deadline=None)
+@given(lexicon_texts())
+def test_grammar_agrees_with_reference_parser(case):
+    lex, spaced, edited = case
+    assert _outcome(parse_lexicon, spaced) == _outcome(reference_parse_lexicon, spaced) \
+        == (lex, lex.languages)
+    assert _outcome(parse_lexicon, edited) == _outcome(reference_parse_lexicon, edited)
+
 
 def test_symbols_used_small():
     lex = parse_lexicon("n(french,[un,de]).")
