@@ -179,7 +179,7 @@ def cmd_words_analyse(lex, table, args):
     pair_labels = None
     for ci, cname in enumerate(names):
         matrix = editdist.concept_matrix(lex, ci, table)
-        artifacts[f"{cname}.oc"] = editdist.write_oc(matrix, io.StringIO())
+        artifacts[f"{cname}.oc"] = editdist.write_oc(matrix)
         if pair_labels is None:
             pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
         columns[cname] = matrix.values
@@ -194,15 +194,20 @@ def cmd_words_analyse(lex, table, args):
          ("mean*sd", [r[3] for r in summary])],
         title="per-word distance statistics")
 
+    tscores = {}
     for cname in names:
-        curve = stats.kde(columns[cname])
+        try:
+            curve = stats.kde(columns[cname])
+            tscores[cname] = stats.tscore(columns[cname])
+        except DegenerateData as exc:
+            raise DegenerateData(f"concept {cname!r}: {exc}") from None
         artifacts[f"density_{cname}.csv"] = _csv_text(
             ("x", "density"),
             [(_fmt(x), _fmt(y)) for x, y in zip(curve.xs, curve.ys)])
         artifacts[f"density_{cname}.svg"] = svgplot.curve_plot(
             curve.xs, curve.ys, title=f"density: {cname}")
 
-    scored = stats.AnalysisFrame({name: stats.tscore(columns[name]) for name in names})
+    scored = stats.AnalysisFrame(tscores)
     artifacts["tscore.csv"] = _csv_text(
         ["pair"] + names,
         [[pair_labels[r]] + [_fmt(scored.columns[name][r]) for name in names]
@@ -252,7 +257,7 @@ def cmd_cluster(lex, table, args):
     best_assignment, means = hc.cut_scan(matrix, dend)
 
     artifacts = {
-        "languages.oc": editdist.write_oc(matrix, io.StringIO()),
+        "languages.oc": editdist.write_oc(matrix),
         "dendrogram.nwk": hc.export_newick(dend) + "\n",
         "dendrogram.svg": hc.export_svg(dend, best_assignment),
         "clusters.csv": _cluster_csv(best_assignment),
@@ -349,7 +354,7 @@ def cmd_all_to_all(lex, table, args):
     purity_report = hc.purity(forced, truth)
 
     artifacts = {
-        "all_to_all.oc": editdist.write_oc(matrix, io.StringIO()),
+        "all_to_all.oc": editdist.write_oc(matrix),
         "clusters_best.csv": _cluster_csv(best_assignment),
         f"clusters_k{forced_k}.csv": _cluster_csv(forced),
         "purity.csv": _purity_csv(purity_report),

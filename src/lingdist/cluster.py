@@ -35,10 +35,12 @@ runs for the best k only; `best_cut` adds that cut's `silhouette` report.
 
 The exports walk the merges forward: merge t builds node n+t from its two
 children's results, which are then dropped, so nothing recurses and a tree of
-any depth exports.  Newick branch lengths are ultrametric: a merge at height
-h sits at h/2 and a leaf at 0.  `export_svg` walks twice, for the leaf order
-and then to draw, 720 wide with an 18-high row per leaf.  It imports
-`svgplot` when called, so a run that draws no dendrogram never loads it.
+any depth exports.  Newick branch lengths are ultrametric: a leaf sits at 0,
+and a merge at height h at h/2, and never below its children (an average
+update of equal distances can round a merge one ulp below a child), as in
+`export_svg`.  That walks twice, for the leaf order and then to draw, 720
+wide with an 18-high row per leaf.  It imports `svgplot` when called, so a
+run that draws no dendrogram never loads it.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
 `silhouette` each work on a square from `matrix.rows()` and release it before
@@ -372,7 +374,7 @@ def export_newick(dendrogram):
     text = [_newick_label(label) for label in dendrogram.leaf_labels]
     pos = [0.0] * dendrogram.n_leaves
     for a, b, h in dendrogram.merges:
-        here = h / 2.0
+        here = max(h / 2.0, pos[a], pos[b])  # never below a child
         text.append(f"({text[a]}:{format(here - pos[a], 'g')},"
                     f"{text[b]}:{format(here - pos[b], 'g')})")
         pos.append(here)
@@ -410,6 +412,7 @@ def export_svg(dendrogram, assignment=None):
         ys[leaf] = margin + row_height * (row + 0.5)
     heights = [0.0] * n
     for a, b, h in dendrogram.merges:
+        h = max(h, heights[a], heights[b])  # never below a child
         x = x_of(h)
         canvas.line(x, ys[a], x, ys[b], stroke="#555555")
         for child in (a, b):

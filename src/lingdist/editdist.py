@@ -22,8 +22,8 @@ Words with synonym sets compare by the closest cross-pair match.  The
 language matrix is the mean of the per-concept triangles of entry
 distances.  A DistanceMatrix holds its labels and its upper triangle, 8
 bytes a cell; only the clustering code builds the square, through `rows()`.
-Matrices serialize to the OC text format (count, labels, then the upper
-triangle row by row).
+`write_oc` turns a matrix into OC text (count, labels, then the upper
+triangle row by row) and `read_oc` parses that text; neither touches a file.
 
 Note the triangle inequality is NOT guaranteed: tables with zero-cost pairs
 can make an indirect route cheaper than the direct substitution.
@@ -391,38 +391,26 @@ def _check_label(label):
         raise FormatError(f"label {label!r} is empty or contains whitespace")
 
 
-def write_oc(matrix, sink):
-    """Write a matrix in OC format to a path or text file object."""
+def write_oc(matrix):
+    """The OC text of a matrix; FormatError if `read_oc` could not read it back."""
     for label in matrix.labels:
         _check_label(label)
-    lines = [str(matrix.n)]
-    lines.extend(matrix.labels)
+    lines = [str(matrix.n), *matrix.labels]
     for label, row in zip(matrix.labels[:-1], matrix.upper_rows()):
         if not all(map(math.isfinite, row)):
             # read_oc refuses non-finite cells, so never write one
             raise FormatError(f"row {label!r} holds a non-finite distance")
         lines.append(" ".join(f"{v:.6f}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def read_oc(source):
-    """Read an OC-format matrix from a path or a text file object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def read_oc(text):
+    """The DistanceMatrix an OC text holds; FormatError if it is malformed."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise FormatError("empty matrix file")
+        raise FormatError("empty matrix text")
     try:
         n = int(lines[0].strip())
     except ValueError:
@@ -432,11 +420,9 @@ def read_oc(source):
     expected = 1 + n + (n - 1)
     if len(lines) != expected:
         raise FormatError(f"expected {expected} lines for n={n}, got {len(lines)}")
-    labels = []
-    for line in lines[1:1 + n]:
-        label = line.strip()
+    labels = [line.strip() for line in lines[1:1 + n]]
+    for label in labels:
         _check_label(label)
-        labels.append(label)
     if len(set(labels)) != n:
         raise FormatError("matrix labels must be unique")
 

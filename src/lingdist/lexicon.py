@@ -14,7 +14,8 @@ symbol characters (they encode distinct phonemes).
 Synonym sets do not nest, so the dialect is a regular language: each fact
 is matched whole by one regular expression, in time linear in its length.
 A malformed fact is reported by the line it starts on, quoting its first
-40 characters.
+40 characters; a repeated language, and the first word list whose length
+differs from the first fact's, by the line their fact starts on.
 
 An optional header line ``#concepts: one,two,...`` names the word columns;
 without it columns are addressed as w1..wN.
@@ -107,32 +108,36 @@ def parse_lexicon(text):
     body = re.sub(r"%.*", "", body)
     functor = None
     entries = {}
+    lines = {}  # language -> the line its fact starts on
     pos = len(body) - len(body.lstrip())
+    line = body.count("\n", 0, pos) + 1
     while pos < len(body):
         fact = _FACT.match(body, pos)
         if fact is None:
-            raise ParseError(f"malformed fact {body[pos:pos + 40]!r}",
-                             line=body.count("\n", 0, pos) + 1)
+            raise ParseError(f"malformed fact {body[pos:pos + 40]!r}", line=line)
         name, language, words = fact.groups()
         functor = functor or name
         if name != functor:
             raise ParseError(
                 f"all facts must share one functor, got {name!r} after {functor!r}",
-                line=body.count("\n", 0, pos) + 1)
+                line=line)
         if language in entries:
-            raise ParseError(f"language {language!r} occurs twice")
+            raise ParseError(f"language {language!r} occurs twice", line=line)
+        lines[language] = line
         entries[language] = tuple(
             WordEntry((atom,) if atom else tuple(v.strip() for v in synonyms.split(",")))
             for atom, synonyms in _ENTRIES.findall(words))
+        line += body.count("\n", pos, fact.end())
         pos = fact.end()
 
     lengths = {lang: len(words) for lang, words in entries.items()}
-    if lengths and len(set(lengths.values())) > 1:
+    first = next(iter(lengths.values()), None)
+    odd = [lang for lang, n in lengths.items() if n != first]
+    if odd:
         detail = ", ".join(f"{lang}={n}" for lang, n in lengths.items())
-        raise ParseError(f"word lists differ in length: {detail}")
-    if concepts is not None and entries and len(concepts) != next(iter(lengths.values())):
-        raise ParseError(
-            f"{len(concepts)} concept names for {next(iter(lengths.values()))} words")
+        raise ParseError(f"word lists differ in length: {detail}", line=lines[odd[0]])
+    if concepts is not None and entries and len(concepts) != first:
+        raise ParseError(f"{len(concepts)} concept names for {first} words")
     return Lexicon(functor, entries, concepts)
 
 

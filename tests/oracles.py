@@ -371,11 +371,12 @@ def _children(dendrogram):
 
 
 def _node_positions(dendrogram):
-    """Ultrametric node heights: a merge at height h sits at h/2, leaves at 0,
-    so the path between any two leaves through their join spans h."""
+    """Ultrametric node heights: a merge at height h sits at h/2, and never
+    below its children, leaves at 0, so the path between any two leaves
+    through their join spans h wherever the heights do not fall."""
     pos = {i: 0.0 for i in range(dendrogram.n_leaves)}
-    for t, (_a, _b, h) in enumerate(dendrogram.merges):
-        pos[dendrogram.n_leaves + t] = h / 2.0
+    for t, (a, b, h) in enumerate(dendrogram.merges):
+        pos[dendrogram.n_leaves + t] = max(h / 2.0, pos[a], pos[b])
     return pos
 
 
@@ -424,7 +425,8 @@ def reference_leaf_order(dendrogram):
 
 def reference_export_svg(dendrogram, assignment=None, width=720, row_height=18):
     """The SVG dendrogram drawn from `reference_leaf_order` and node maps:
-    the form `export_svg` replaced, kept verbatim but for the helper name."""
+    the form `export_svg` replaced, kept verbatim but for the helper name and
+    a node drawn no lower than its children."""
     from lingdist.svgplot import PALETTE, Canvas
 
     n = dendrogram.n_leaves
@@ -446,11 +448,11 @@ def reference_export_svg(dendrogram, assignment=None, width=720, row_height=18):
         ys[n + t] = (ys[a] + ys[b]) / 2.0
 
     heights = {i: 0.0 for i in range(n)}
-    for t, (_a, _b, h) in enumerate(dendrogram.merges):
-        heights[n + t] = h
-
     for t, (a, b, h) in enumerate(dendrogram.merges):
-        x = x_of(h)
+        heights[n + t] = max(h, heights[a], heights[b])
+
+    for t, (a, b, _h) in enumerate(dendrogram.merges):
+        x = x_of(heights[n + t])
         canvas.line(x, ys[a], x, ys[b], stroke="#555555")
         for child in (a, b):
             canvas.line(x, ys[child], x_of(heights[child]), ys[child], stroke="#555555")

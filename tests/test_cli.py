@@ -194,6 +194,16 @@ def test_bandwidth_underflow_is_data_error(gap, tmp_path):
     assert files_under(tmp_path) == []
 
 
+def test_undefined_concept_statistic_names_the_concept(tmp_path, capsys):
+    lex_path = tmp_path / "same.pl"
+    lex_path.write_text("n(a,[mama,uno]).\nn(b,[mama,una]).\nn(c,[mama,eins]).\n")
+    assert run_cli(["words-analyse", "--lexicon", str(lex_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["same.pl"]
+    assert capsys.readouterr().err.endswith(
+        "lingdist: concept 'w1': density needs at least 2 distinct values\n")
+
+
 def test_distance_sum_overflow_is_data_error(tmp_path):
     # gaps this large give distance sums beyond the float range
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--gap", "1e308",
@@ -337,6 +347,22 @@ def test_cluster_silhouette_scan_range(tmp_path):
     rows = list(csv.reader((out / "silhouette.csv").read_text().splitlines()))
     ks = [int(k) for k, _ in rows[1:]]
     assert ks == list(range(2, 8))  # 2..n-1 for 8 dialects
+
+
+def test_average_linkage_rounding_gives_no_negative_branch(tmp_path):
+    # five languages all 0.7 apart; the average update (1*0.7 + 2*0.7)/3
+    # rounds one ulp below 0.7, so a merge falls below its child
+    lex_path = tmp_path / "five.pl"
+    lex_path.write_text("".join(f"n(l{i},[{','.join(c * 7 + 'aaa')}]).\n"
+                                for i, c in enumerate("qwxjr", 1)))
+    trees = {}
+    for linkage in ("average", "complete"):
+        out = tmp_path / linkage
+        assert run_cli(["cluster", "--lexicon", str(lex_path), "--linkage", linkage,
+                        "--out", str(out)]) == 0
+        trees[linkage] = (out / "dendrogram.nwk").read_text()
+    assert trees["average"] == trees["complete"] == \
+        "((l3:0.35,l4:0.35):0,(l5:0.35,(l1:0.35,l2:0.35):0):0);\n"
 
 
 def test_cluster_two_languages_is_data_error(tmp_path):

@@ -358,6 +358,13 @@ def test_newick_three_leaves_ultrametric():
     assert export_newick(d) == "(C:0.3,(A:0.1,B:0.1):0.2);"
 
 
+def test_exports_never_place_a_merge_below_its_children():
+    low = Dendrogram(("a", "b", "c"), ((0, 1, 0.8), (2, 3, 0.2)))
+    level = Dendrogram(("a", "b", "c"), ((0, 1, 0.8), (2, 3, 0.8)))
+    assert export_newick(low) == "(c:0.4,(a:0.4,b:0.4):0);"
+    assert export_svg(low) == export_svg(level)
+
+
 def test_newick_quotes_awkward_labels():
     d = Dendrogram(("a:1", "b c"), ((0, 1, 0.4),))
     assert export_newick(d) == "('a:1':0.2,'b c':0.2);"

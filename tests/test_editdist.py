@@ -1,4 +1,3 @@
-import io
 import math
 import random
 from array import array
@@ -322,15 +321,15 @@ def test_oc_round_trip():
     for n in (1, 2, 3, 7):
         labels = [f"item{i}" for i in range(n)]
         m = DistanceMatrix(labels, [rng.uniform(0.0, 2.0) for _ in range(n * (n - 1) // 2)])
-        text = write_oc(m, io.StringIO())
-        m2 = read_oc(io.StringIO(text))
+        text = write_oc(m)
+        m2 = read_oc(text)
         assert m2.labels == m.labels
         rows, rows2 = m.rows(), m2.rows()
         for i in range(n):
             for j in range(n):
                 assert rows2[i][j] == pytest.approx(rows[i][j], abs=5e-7)
         # a second write emits identical bytes
-        assert write_oc(m2, io.StringIO()) == write_oc(m2, io.StringIO())
+        assert write_oc(m2) == write_oc(m2)
 
 
 labels = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8) \
@@ -368,17 +367,17 @@ def test_square_rows_get_and_upper_agree(matrix):
 def test_oc_text_survives_read_and_write(matrix):
     if any(map(math.isinf, matrix.values)):
         with pytest.raises(FormatError):  # read_oc could not read it back
-            write_oc(matrix, io.StringIO())
+            write_oc(matrix)
         return
-    text = write_oc(matrix, io.StringIO())
-    back = read_oc(io.StringIO(text))
+    text = write_oc(matrix)
+    back = read_oc(text)
     assert back.labels == matrix.labels
-    assert write_oc(back, io.StringIO()) == text
+    assert write_oc(back) == text
 
 
 def test_oc_2x2_exact_text():
     m = DistanceMatrix(["A", "B"], [0.25])
-    assert write_oc(m, io.StringIO()) == "2\nA\nB\n0.250000\n"
+    assert write_oc(m) == "2\nA\nB\n0.250000\n"
 
 
 @pytest.mark.parametrize("bad", [
@@ -394,10 +393,10 @@ def test_oc_2x2_exact_text():
 ])
 def test_oc_format_errors(bad):
     with pytest.raises(FormatError):
-        read_oc(io.StringIO(bad))
+        read_oc(bad)
 
 
 def test_oc_write_rejects_bad_labels():
     m = DistanceMatrix(["a b", "c"], [1.0])
     with pytest.raises(FormatError):
-        write_oc(m, io.StringIO())
+        write_oc(m)

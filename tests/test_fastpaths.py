@@ -395,14 +395,19 @@ def test_exports_equal_recursive_reference(n, tied, seed):
         matrix = DistanceMatrix(matrix.labels, [round(v * 4) / 4 for v in matrix.values])
     for linkage in LINKAGES:
         dendrogram = agglomerate(matrix, linkage)
+        # the same tree with its heights shuffled, so merges fall below children
+        heights = [h for _a, _b, h in dendrogram.merges]
+        rng.shuffle(heights)
+        inverted = Dendrogram(dendrogram.leaf_labels, tuple(
+            (a, b, h) for (a, b, _h), h in zip(dendrogram.merges, heights)))
         assignment = cut(dendrogram, rng.randint(1, n))
-        assert export_newick(dendrogram) == reference_export_newick(dendrogram)
-        # compared line by line: a failing report then names the first
-        # differing line instead of diffing two whole documents
-        assert export_svg(dendrogram).splitlines() == \
-            reference_export_svg(dendrogram).splitlines()
-        assert export_svg(dendrogram, assignment).splitlines() == \
-            reference_export_svg(dendrogram, assignment).splitlines()
+        for tree in (dendrogram, inverted):
+            assert export_newick(tree) == reference_export_newick(tree)
+            # compared line by line: a failing report then names the first
+            # differing line instead of diffing two whole documents
+            assert export_svg(tree).splitlines() == reference_export_svg(tree).splitlines()
+            assert export_svg(tree, assignment).splitlines() == \
+                reference_export_svg(tree, assignment).splitlines()
 
 
 def test_one_leaf_exports_equal_recursive_reference():

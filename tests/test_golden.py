@@ -5,6 +5,8 @@ run.  A change that alters any output byte fails here; such a change must
 say why and update these values.  The synthetic lexicon `synth8x6.pl` has
 many tied distances; its `cluster` and `all-to-all` artifacts are pinned
 under every linkage, so the tie rules of the clustering are pinned too.
+Every `.oc` artifact also reads back through `read_oc` and writes back to
+the same text.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from conftest import FIXTURES
 from lingdist.cli import main as cli_main
+from lingdist.editdist import read_oc, write_oc
 
 CASES = {
     "words-analyse": ["words-analyse", "--lexicon", "sheep.pl"],
@@ -137,6 +140,12 @@ GOLDEN = {
 }
 
 
+def assert_oc_artifacts_round_trip(out):
+    for path in out.glob("*.oc"):
+        text = path.read_text(encoding="utf-8")
+        assert write_oc(read_oc(text)) == text, path.name
+
+
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_fixture_artifacts_are_byte_identical(command, tmp_path):
     args = [str(FIXTURES / a) if a.endswith((".pl", ".csv")) else a
@@ -145,6 +154,7 @@ def test_fixture_artifacts_are_byte_identical(command, tmp_path):
     assert cli_main(args + ["--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == GOLDEN[command]
+    assert_oc_artifacts_round_trip(out)
 
 
 SYNTH = FIXTURES / "synth8x6.pl"
@@ -227,3 +237,4 @@ def test_synthetic_artifacts_are_byte_identical(case, tmp_path):
                      "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == SYNTH_GOLDEN[case]
+    assert_oc_artifacts_round_trip(out)

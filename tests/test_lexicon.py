@@ -140,13 +140,20 @@ def test_mixed_functor_rejected():
 
 
 def test_inconsistent_arity():
-    with pytest.raises(ParseError, match=r"word lists differ in length: a=2, b=1"):
+    with pytest.raises(ParseError, match=r"^line 2: word lists differ in length: a=2, b=1$"):
         parse_lexicon("n(a,[x,y]).\nn(b,[x]).")
+    # the line of the first fact whose count differs from the first fact's
+    with pytest.raises(ParseError) as info:
+        parse_lexicon("n(a,[x,y]).\nn(b,[x,z]).\n% c\nn(c,\n[x]).\nn(d,[x,y,z]).")
+    assert info.value.line == 4
+    assert str(info.value) == "line 4: word lists differ in length: a=2, b=2, c=1, d=3"
 
 
 def test_duplicate_language():
-    with pytest.raises(ParseError, match=r"language 'a' occurs twice"):
+    with pytest.raises(ParseError, match=r"^line 2: language 'a' occurs twice$"):
         parse_lexicon("n(a,[x]).\nn(a,[y]).")
+    with pytest.raises(ParseError, match=r"^line 4: language 'a' occurs twice$"):
+        parse_lexicon("n(a,[x]).\n\n\nn(a,[y]).")
 
 
 def test_word_entry_rejects_empty():
