@@ -15,7 +15,8 @@ Synonym sets do not nest, so the dialect is a regular language: each fact
 is matched whole by one regular expression, in time linear in its length.
 A malformed fact is reported by the line it starts on, quoting its first
 40 characters; a repeated language, and the first word list whose length
-differs from the first fact's, by the line their fact starts on.
+differs from the first fact's, by the line their fact starts on; a header
+whose name count differs from the word lists', by the header's line.
 
 An optional header line ``#concepts: one,two,...`` names the word columns;
 without it columns are addressed as w1..wN.
@@ -78,8 +79,10 @@ class Lexicon(Record):
 # --- parser ----------------------------------------------------------------
 
 def _extract_concepts(text):
-    """Pull the optional `#concepts:` header out, keep line numbers stable."""
-    concepts = None
+    """Pull the optional `#concepts:` header out, keep line numbers stable.
+    Returns the concept names and the header's line (both None without a
+    header) and the text with the header line blanked."""
+    concepts = header_line = None
     kept = []
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
@@ -96,15 +99,16 @@ def _extract_concepts(text):
                     raise ParseError(f"concept name {name!r} is not a file name", line=ln)
             if len(set(concepts)) != len(concepts):
                 raise ParseError("duplicate concept name in #concepts: header", line=ln)
+            header_line = ln
             kept.append("")
         else:
             kept.append(line)
-    return concepts, "\n".join(kept)
+    return concepts, header_line, "\n".join(kept)
 
 
 def parse_lexicon(text):
     """Parse a language database; see the module docstring for the dialect."""
-    concepts, body = _extract_concepts(text)
+    concepts, header_line, body = _extract_concepts(text)
     body = re.sub(r"%.*", "", body)
     functor = None
     entries = {}
@@ -137,7 +141,8 @@ def parse_lexicon(text):
         detail = ", ".join(f"{lang}={n}" for lang, n in lengths.items())
         raise ParseError(f"word lists differ in length: {detail}", line=lines[odd[0]])
     if concepts is not None and entries and len(concepts) != first:
-        raise ParseError(f"{len(concepts)} concept names for {first} words")
+        raise ParseError(f"{len(concepts)} concept names for {first} words",
+                         line=header_line)
     return Lexicon(functor, entries, concepts)
 
 

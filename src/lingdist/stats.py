@@ -12,7 +12,8 @@ they equal the per-value computation bit for bit.  A density hands
 set bit k of a value's count instead of `count` copies of `t`; scaling by a
 power of two never rounds, so the exact sum, and with it the rounded float,
 is unchanged.  A coefficient bins each distinct value once and adds its
-count: bin counts are integers, and equal values always share a bin.
+count: bin counts are integers, and equal values always share a bin.  Only
+occupied bins are counted, so the cost does not grow with the bin count.
 """
 
 import math
@@ -166,8 +167,9 @@ def bhattacharyya(a, b, bins=None):
 
     Both samples share equal-width bins spanning their combined range; the
     default bin count is Sturges' rule on the combined sample size.  A value
-    that is not finite, or a range or bin width beyond the float range,
-    raises DegenerateData.
+    that is not finite, a range beyond the float range, or a bin width that
+    underflows (as for any bin count past the float range) raises
+    DegenerateData.
     """
     if not a or not b:
         raise DegenerateData("both value lists must be non-empty")
@@ -189,7 +191,10 @@ def _bhatt_counted(ca, cb, bins):
     A `Counter` keeps the first of equal keys, as `min` and `max` keep the
     first of equal values, so the range is the per-value one, signed zeros
     included.  Equal values share a bin, so binning each key once and adding
-    its count gives the same integer bin counts.
+    its count gives the same integer bin counts.  Only bins occupied in both
+    samples are summed: any other bin adds sqrt(0) = 0.0, and `fsum` is
+    correctly rounded in any order.  A value's bin is clamped to the last
+    before `int`, since a subnormal width can put it past the float range.
     """
     na, nb = ca.total(), cb.total()
     if bins is None:
@@ -200,17 +205,25 @@ def _bhatt_counted(ca, cb, bins):
     hi = max(max(ca), max(cb))
     if hi == lo:
         return 1.0
-    width = (hi - lo) / bins
+    try:
+        width = (hi - lo) / bins
+    except OverflowError:  # bins is past the float range
+        width = 0.0
     if not 0.0 < width < math.inf:
         raise DegenerateData(f"the range {lo!r} to {hi!r} overflows, or its bins underflow")
 
+    top = bins - 1
+
     def binned(counts):
-        out = [0] * bins
+        out = {}
         for x, count in counts.items():
-            out[min(bins - 1, int((x - lo) / width))] += count
+            q = (x - lo) / width
+            i = int(q) if q < top else top
+            out[i] = out.get(i, 0) + count
         return out
 
-    overlap = math.fsum(map(math.sqrt, map(mul, binned(ca), binned(cb))))
+    pa, pb = binned(ca), binned(cb)
+    overlap = math.fsum([math.sqrt(count * pb[i]) for i, count in pa.items() if i in pb])
     bc = overlap / math.sqrt(na * nb)
     return min(1.0, max(0.0, bc))
 

@@ -248,19 +248,56 @@ def _vowel_pair_lines():
     return "\n".join(lines)
 
 
-_WEIGHTS = """\
+# The rules both built-in tables share; each table adds its own below.
+_SHARED_DSL = """\
 weight vowel 0.2
 weight longvowel 0.1
 weight consonant1 0.2
 weight consonant1x2 0.4
 weight consonant1x3 0.8
 weight longconsonant 0.05
-"""
 
-_SHARED_TAIL = (
-    "# any two distinct vowels, long or short\n"
-    + _vowel_pair_lines()
-    + """
+gap 1
+default 1
+
+# consonant shift chains
+pair b p consonant1
+pair d t consonant1
+pair g k consonant1
+pair p f consonant1
+pair t T consonant1
+pair b f consonant1x2
+pair d T consonant1x2
+pair g C consonant1x2
+pair f v consonant1
+pair g j consonant1
+pair s z consonant1
+pair v w consonant1
+pair f w consonant1x2
+pair F w consonant1x2
+
+# alternate spellings of the same sound
+zero f F
+zero S š
+zero C č
+zero T θ
+
+# sibilants, affricates, back consonants
+pair š s consonant1
+pair S s consonant1
+pair C S consonant1
+pair C š consonant1
+pair č S consonant1
+pair č š consonant1
+pair K k consonant1
+pair K G consonant1
+pair Z z consonant1
+pair c s consonant1
+pair x k consonant1
+pair D d consonant1
+
+# any two distinct vowels, long or short
+""" + _vowel_pair_lines() + """
 
 # long vowels and consonants against their short counterparts
 longshort A a longvowel
@@ -272,109 +309,32 @@ longshort Y y longvowel
 longshort M m longconsonant
 longshort N n longconsonant
 """
-)
 
-EDITABLE_DSL = _WEIGHTS + """
-gap 1
-default 1
-
-# consonant shift chains
-pair b p consonant1
-pair d t consonant1
-pair g k consonant1
-pair p f consonant1
-pair t T consonant1
+EDITABLE_DSL = _SHARED_DSL + """
+# editable's own rules
 pair k C consonant1
 pair C h consonant1
-pair b f consonant1x2
-pair d T consonant1x2
-pair g C consonant1x2
 pair g h consonant1x3
-pair f v consonant1
-pair g j consonant1
-pair s z consonant1
-pair v w consonant1
-pair f w consonant1x2
-pair F w consonant1x2
-
-# alternate spellings of the same sound
-zero f F
-zero S š
-zero C č
-zero T θ
-
-# sibilants, affricates, back consonants
-pair š s consonant1
-pair S s consonant1
-pair C S consonant1
-pair C š consonant1
-pair č S consonant1
-pair č š consonant1
-pair K k consonant1
 pair G k consonant1
 pair G g consonant1
-pair K G consonant1
-pair Z z consonant1
-pair c s consonant1
-pair x k consonant1
-pair D d consonant1
+"""
 
-""" + _SHARED_TAIL
-
-EDITABLE_GABY_DSL = _WEIGHTS + """\
+EDITABLE_GABY_DSL = _SHARED_DSL + """
+# editableGaby's own rules: it re-weights k/C, C/h and g/h, and has no G/k
+# or G/g rule
 weight consonant1x1 0.2
-
-gap 1
-default 1
-
-# consonant shift chains
-pair b p consonant1
-pair d t consonant1
-pair g k consonant1
-pair p f consonant1
-pair t T consonant1
 pair k C consonant1x2
 pair C h consonant1x2
-pair b f consonant1x2
-pair d T consonant1x2
-pair g C consonant1x2
 pair g h consonant1x1
-pair f v consonant1
-pair g j consonant1
-pair s z consonant1
-pair v w consonant1
-pair f w consonant1x2
-pair F w consonant1x2
-
-# alternate spellings of the same sound
-zero f F
-zero S š
-zero C č
-zero T θ
-
-# sibilants, affricates, back consonants
-pair š s consonant1
-pair S s consonant1
-pair C S consonant1
-pair C š consonant1
-pair č S consonant1
-pair č š consonant1
-pair K k consonant1
 pair K g consonant1
 pair G Z consonant1
 pair G C consonant1
-pair K G consonant1
-pair Z z consonant1
 pair Z s consonant1x2
-pair c s consonant1
-pair x k consonant1
-pair D d consonant1
 pair H K consonant1
 pair H g consonant1
 pair H k consonant1
 pair H h consonant1
-
-""" + _SHARED_TAIL
+"""
 
 BUILTIN_TABLES = {
     "editable": EDITABLE_DSL,

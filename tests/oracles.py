@@ -578,7 +578,7 @@ def _parse_word_list(ts):
 def reference_parse_lexicon(text):
     """The tokenizer and recursive-descent parser that one regular grammar
     per fact replaced, as they were."""
-    concepts, body = _extract_concepts(text)
+    concepts, _header_line, body = _extract_concepts(text)
     ts = _TokenStream(_tokenize(body))
     functor = None
     entries = {}

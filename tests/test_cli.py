@@ -3,13 +3,18 @@ import hashlib
 import os
 import random
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lingdist
 from conftest import FIXTURES
 from lingdist import cli
 from lingdist.cli import main as cli_main
+from lingdist.editdist import read_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
 from test_golden import CASES, GOLDEN
@@ -579,3 +584,51 @@ def test_gap_override_changes_distances(tmp_path):
                         "--out", str(out)]) == 0
         outs[gap] = (out / "languages.oc").read_text()
     assert outs["1.0"] != outs["0.5"]
+
+
+# Edge values for the numeric flags: the smallest legal ones, integers past
+# what a list or a float can hold, zero, the smallest subnormal and a float
+# near the top of the range.
+EDGE_VALUES = ("1", "2", str(10**12), str(10**400), "0", "5e-324", "1e308")
+NUMERIC_FLAGS = {
+    "words-analyse": ("--bins", "--gap"),
+    "cluster": ("--k", "--gap"),
+    "all-to-all": ("--k", "--gap"),
+    "relationship": ("--gap",),
+}
+
+
+def tree(path):
+    """Every file and directory under `path`, with each file's bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(NUMERIC_FLAGS)), st.data())
+def test_numeric_flag_edge_values_keep_the_failure_contract(tmp_path, command, data):
+    """Exit 0, 2, 3 or 4 with no exception; a failing run leaves the tree
+    around --out as it was, and a run that succeeds writes OC files that
+    read back.  --out sometimes holds a previous run's artifact."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    out = root / "out"
+    if data.draw(st.booleans(), label="out exists"):
+        out.mkdir()
+        (out / "old.csv").write_text("stale\n")
+    args = [command, "--lexicon", SHEEP, "--out", str(out)]
+    if command == "relationship":
+        args += ["--geo", SHEEP_GEO]
+    for flag in NUMERIC_FLAGS[command]:
+        value = data.draw(st.none() | st.sampled_from(EDGE_VALUES), label=flag)
+        if value is not None:
+            args += [flag, value]
+    before = tree(root)
+    code = run_cli(args)
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert tree(root) == before
+        return
+    assert [p.name for p in root.iterdir()] == ["out"]
+    for path in out.glob("*.oc"):
+        read_oc(path.read_text(encoding="utf-8"))

@@ -291,7 +291,7 @@ def repeated_columns(draw, count, same_length):
     return [draw(st.lists(values, min_size=1, max_size=120)) for _ in range(count)]
 
 
-BHATT_BINS = st.sampled_from((None, 1, 2, 7, 64))
+BHATT_BINS = st.sampled_from((None, 1, 2, 7, 64, 10**5))
 
 
 @settings(max_examples=150, deadline=None)

@@ -77,6 +77,14 @@ def test_concepts_header_arity_mismatch():
         parse_lexicon("#concepts: one,two,three\nnum(x,[a,b]).")
 
 
+def test_concepts_header_arity_mismatch_names_the_header_line():
+    with pytest.raises(ParseError, match=r"^line 1: 3 concept names for 2 words$"):
+        parse_lexicon("#concepts: a,b,c\nn(x,[p,q]).\n")
+    with pytest.raises(ParseError) as info:
+        parse_lexicon("% words\nn(x,[p,q]).\n#concepts: a\nn(y,[r,s]).\n")
+    assert info.value.line == 3
+
+
 @pytest.mark.parametrize("names", ["a,a", ".,b", "..,b", "../x,b", "a\\b,c", "a\0b,c"])
 def test_concept_names_must_be_distinct_file_names(names):
     with pytest.raises(ParseError) as info:

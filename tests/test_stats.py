@@ -154,6 +154,15 @@ def test_bc_disjoint_supports():
     assert bhattacharyya([0.0, 0.1], [10.0, 10.1], bins=4) == 0.0
 
 
+def test_bc_counts_only_occupied_bins():
+    # 10**12 bins would take terabytes as a dense list; a and b share only
+    # the last bin, which holds 1 and 1 of 2 and 2 values
+    assert bhattacharyya([0.0, 1.0], [0.5, 1.0], bins=10**12) == 0.5
+    assert bhattacharyya([0.0, 1.0], [0.0, 1.0], bins=10**12) == 1.0
+    # the width rounds to the smallest subnormal, so 1.04e-15 / width is inf
+    assert bhattacharyya([0.0], [1.04e-15], bins=int(1.5e308)) == 0.0
+
+
 def test_bc_hand_case():
     got = bhattacharyya([1.0, 1.0, 2.0], [1.0, 2.0, 2.0], bins=2)
     # two bins: p=(2/3,1/3), q=(1/3,2/3); BC = 2*sqrt(2)/3
@@ -178,6 +187,7 @@ def test_bc_constant_identical_range():
     ([1.0, 2.0], [math.nan], None),
     ([1.0, math.nan], [1.0], None),  # min and max of the values skip the nan
     ([0.0], [5e-324], 64),  # the bin width underflows to 0
+    ([0.0], [1.0], 10**400),  # the bin count is past the float range
 ])
 def test_bc_non_finite_or_overflowing_range_is_degenerate_data(a, b, bins):
     with pytest.raises(DegenerateData):

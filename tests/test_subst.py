@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -39,6 +40,29 @@ def test_tables_differ_where_documented():
     assert ed.cost("g", "h") == 0.8 and gaby.cost("g", "h") == 0.2
     assert ed.cost("H", "g") == 1.0 and gaby.cost("H", "g") == 0.2
     assert ed.cost("G", "Z") == 1.0 and gaby.cost("G", "Z") == 0.2
+    assert ed.cost("G", "k") == 0.2 and gaby.cost("G", "k") == 1.0
+    assert ed.cost("G", "g") == 0.2 and gaby.cost("G", "g") == 1.0
+
+
+# sha256 of each built-in table's resolved costs, gap, default and classes,
+# as `resolved_digest` spells them.  Any rule dropped, added, re-weighted or
+# moved between the tables changes a digest.
+BUILTIN_TABLE_SHA256 = {
+    "editable": "ce31ead25affe0b738272990d201f3d187acedeb285e28f98bed2b2f8f2be8d2",
+    "editableGaby": "026a29d1cf97eb4c09a20aed72e15e2750a48d3914afef989d7ab373a9e6e245",
+}
+
+
+def resolved_digest(table):
+    text = repr((sorted((pair, cost.hex()) for pair, cost in table._costs.items()),
+                 table.gap_penalty.hex(), table.default_mismatch.hex(),
+                 sorted((name, weight.hex()) for name, weight in table.classes.items())))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TABLE_SHA256))
+def test_builtin_tables_resolve_to_pinned_costs(name):
+    assert resolved_digest(builtin_table(name)) == BUILTIN_TABLE_SHA256[name]
 
 
 def test_unknown_table_name():
