@@ -21,8 +21,8 @@ _EXPORTS = {
     "errors": ("LingdistError",),
     "lexicon": ("Lexicon", "WordEntry", "parse_lexicon", "serialize_lexicon",
                 "symbols_used", "validate_against_table"),
-    "stats": ("AnalysisFrame", "DensityCurve", "RegressionResult", "bhatt_distance_matrix",
-              "bhatt_matrix", "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"),
+    "stats": ("DensityCurve", "RegressionResult", "bhatt_distance_matrix", "bhatt_matrix",
+              "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"),
     "subst": ("SubstitutionTable", "WeightClass", "builtin_table", "parse_table"),
     "svgplot": (),
 }

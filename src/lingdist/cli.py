@@ -38,6 +38,7 @@ import csv
 import io
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -45,7 +46,7 @@ from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, subst
-from .errors import DegenerateData, LingdistError, ParseError, UsageError
+from .errors import DegenerateData, FormatError, LingdistError, ParseError, UsageError
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -55,6 +56,11 @@ ARTIFACT_SUFFIXES = frozenset((".csv", ".oc", ".svg", ".nwk", ".txt"))
 
 def _fmt(value):
     return format(value, ".12g")
+
+
+def _quote(text):
+    """`text` quoted for a message, at most its first 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def _read(path, newline=None):
@@ -67,9 +73,15 @@ def _read(path, newline=None):
 
 
 def _csv_rows(path):
-    """The file's CSV rows; CSV the reader refuses is a ParseError naming the file."""
+    """(line the row starts on, row) for each non-empty CSV row of the file;
+    CSV the reader refuses is a ParseError naming the file."""
+    reader = csv.reader(io.StringIO(_read(path, newline=""), newline=""))
+    line = 1
     try:
-        return list(csv.reader(io.StringIO(_read(path, newline=""), newline="")))
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -90,11 +102,11 @@ def _load_lexicon(path):
 def _load_table(name_or_path, gap=None):
     if name_or_path in subst.BUILTIN_TABLES:
         table = subst.builtin_table(name_or_path)
-    elif Path(name_or_path).exists():
+    elif os.path.exists(name_or_path):  # False, not OSError, for a name too long for a path
         table = _parse_file(name_or_path, subst.parse_table, name=name_or_path)
     else:
         raise UsageError(
-            f"{name_or_path!r} is neither a built-in table nor an existing file")
+            f"{_quote(name_or_path)} is neither a built-in table nor an existing file")
     if gap is not None:
         table = table.with_gap(gap)
     return table
@@ -174,46 +186,34 @@ def cmd_words_analyse(lex, table, args):
     if not names:
         raise DegenerateData("words-analyse needs at least 1 concept, the lexicon has none")
     artifacts = {}
+    columns, tscores = {}, {}
+    try:
+        for ci, cname in enumerate(names):
+            matrix = editdist.concept_matrix(lex, ci, table)
+            columns[cname] = matrix.values
+            artifacts[f"{cname}.oc"] = editdist.write_oc(matrix)
+            curve = stats.kde(matrix.values)
+            artifacts[f"density_{cname}.csv"] = _csv_text(
+                ("x", "density"),
+                [(_fmt(x), _fmt(y)) for x, y in zip(curve.xs, curve.ys)])
+            artifacts[f"density_{cname}.svg"] = svgplot.curve_plot(
+                curve.xs, curve.ys, title=f"density: {cname}")
+            tscores[cname] = stats.tscore(matrix.values)
+    except (DegenerateData, FormatError) as exc:
+        raise type(exc)(f"concept {cname!r}: {exc}") from None
 
-    columns = {}
-    pair_labels = None
-    for ci, cname in enumerate(names):
-        matrix = editdist.concept_matrix(lex, ci, table)
-        artifacts[f"{cname}.oc"] = editdist.write_oc(matrix)
-        if pair_labels is None:
-            pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
-        columns[cname] = matrix.values
-    summary = stats.mean_sd(stats.AnalysisFrame(columns))
-    artifacts["mean_sd.csv"] = _csv_text(
-        ("column", "mean", "sd", "mean_sd"),
-        [(name, _fmt(m), _fmt(sd), _fmt(prod)) for name, m, sd, prod in summary])
+    summary = stats.mean_sd(columns)
+    artifacts["mean_sd.csv"] = _csv_text(("column", "mean", "sd", "mean_sd"),
+                                         [(name, *map(_fmt, row)) for name, *row in summary])
+    _names, *series = zip(*summary)
     artifacts["mean_sd.svg"] = svgplot.grouped_bars(
-        names,
-        [("mean", [r[1] for r in summary]),
-         ("sd", [r[2] for r in summary]),
-         ("mean*sd", [r[3] for r in summary])],
-        title="per-word distance statistics")
-
-    tscores = {}
-    for cname in names:
-        try:
-            curve = stats.kde(columns[cname])
-            tscores[cname] = stats.tscore(columns[cname])
-        except DegenerateData as exc:
-            raise DegenerateData(f"concept {cname!r}: {exc}") from None
-        artifacts[f"density_{cname}.csv"] = _csv_text(
-            ("x", "density"),
-            [(_fmt(x), _fmt(y)) for x, y in zip(curve.xs, curve.ys)])
-        artifacts[f"density_{cname}.svg"] = svgplot.curve_plot(
-            curve.xs, curve.ys, title=f"density: {cname}")
-
-    scored = stats.AnalysisFrame(tscores)
+        names, list(zip(("mean", "sd", "mean*sd"), series)), title="per-word distance statistics")
+    pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
     artifacts["tscore.csv"] = _csv_text(
         ["pair"] + names,
-        [[pair_labels[r]] + [_fmt(scored.columns[name][r]) for name in names]
-         for r in range(len(pair_labels))])
+        [[label, *map(_fmt, row)] for label, row in zip(pair_labels, zip(*tscores.values()))])
 
-    bc_names, bcs = stats.bhatt_matrix(scored, bins=args.bins)
+    bc_names, bcs = stats.bhatt_matrix(tscores, bins=args.bins)
     artifacts["bhatt.csv"] = _csv_text(
         ("col_a", "col_b", "bc"),
         [(bc_names[i], bc_names[j], _fmt(bc)) for (i, j), bc in
@@ -239,14 +239,15 @@ def _purity_csv(report):
 
 def _read_truth(path):
     truth = {}
-    for row in _csv_rows(path):
-        if not row or (row[0], *row[1:2]) == ("label", "class"):
+    for line, row in _csv_rows(path):
+        if (row[0], *row[1:2]) == ("label", "class"):
             continue
+        where = f"{path}: line {line}"
         if len(row) != 2:
-            raise ParseError(f"{path}: truth rows need 2 fields, got {row!r}")
+            raise ParseError(f"{where}: truth rows need 2 fields, got {_quote(','.join(row))}")
         label = row[0].strip()
         if label in truth:
-            raise ParseError(f"{path}: label {label!r} listed twice")
+            raise ParseError(f"{where}: label {_quote(label)} listed twice")
         truth[label] = row[1].strip()
     return truth
 
@@ -275,21 +276,22 @@ def cmd_cluster(lex, table, args):
 def _read_geo(path):
     """Unordered pair distances from a CSV of place_a,place_b,distance_km."""
     geo = {}
-    for row in _csv_rows(path):
-        if not row or tuple(row[:3]) == ("place_a", "place_b", "distance_km"):
+    for line, row in _csv_rows(path):
+        if tuple(row[:3]) == ("place_a", "place_b", "distance_km"):
             continue
+        where = f"{path}: line {line}"
         if len(row) != 3:
-            raise ParseError(f"{path}: geo rows need 3 fields, got {row!r}")
+            raise ParseError(f"{where}: geo rows need 3 fields, got {_quote(','.join(row))}")
         a, b = row[0].strip(), row[1].strip()
         try:
             d = float(row[2])
         except ValueError:
-            raise ParseError(f"{path}: bad distance {row[2]!r}") from None
+            raise ParseError(f"{where}: bad distance {_quote(row[2])}") from None
         if not (math.isfinite(d) and d >= 0.0):
-            raise ParseError(f"{path}: distance {row[2]!r} is not finite and >= 0")
+            raise ParseError(f"{where}: distance {_quote(row[2])} is not finite and >= 0")
         key = (a, b) if a <= b else (b, a)
         if key in geo:
-            raise ParseError(f"{path}: pair {a}/{b} listed twice")
+            raise ParseError(f"{where}: pair {_quote(f'{a}/{b}')} listed twice")
         geo[key] = d
     return geo
 
@@ -368,10 +370,14 @@ def _int_at_least(minimum):
     def parse(text):
         try:
             value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        except ValueError:  # also past the 4,300 digits int() converts from a string
+            if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int()'s grammar
+                raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}") from None
+            from decimal import Decimal
+
+            value = int(Decimal(text))  # reads that grammar at any length
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_quote(text)}")
         return value
     return parse
 
@@ -379,8 +385,8 @@ def _int_at_least(minimum):
 def _cost(text):
     try:
         return subst.cost_value("the value", text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {_quote(text)}") from None
 
 
 def _build_parser():

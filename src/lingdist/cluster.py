@@ -168,7 +168,9 @@ def cut(dendrogram, k):
     """
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
-        raise DegenerateData(f"k must be in 1..{n}, got {k}")
+        # a k of more than 40 characters is not quoted; past 4,300 digits str(k) raises
+        got = f", got {k}" if -10**39 < k < 10**39 else ""
+        raise DegenerateData(f"k must be in 1..{n}{got}")
     members = {i: [i] for i in range(n)}
     for t, (a, b, _h) in enumerate(dendrogram.merges[:n - k]):
         members[n + t] = members.pop(a) + members.pop(b)

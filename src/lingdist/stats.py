@@ -1,8 +1,9 @@
 """Column statistics over per-word distance data.
 
-An AnalysisFrame is a named bundle of equal-length real columns, one per
-word/concept.  On top of it: mean and sample standard deviation summaries,
-Gaussian kernel density curves, t-score standardization (mean 50, sd 10),
+A column is a sequence of reals, one per word/concept; `mean_sd` and
+`bhatt_matrix` take a name -> column mapping, in the order they report.
+The statistics: mean and sample standard deviation summaries, Gaussian
+kernel density curves, t-score standardization (mean 50, sd 10),
 Bhattacharyya coefficients between columns, and simple least-squares
 regression with R-squared for the distance-vs-geography comparison.
 
@@ -27,22 +28,6 @@ from .editdist import DistanceMatrix
 from .errors import DegenerateData
 
 
-class AnalysisFrame(Record):
-    _fields = ("columns",)
-
-    def __init__(self, columns):
-        self.columns = columns  # name -> sequence of reals, insertion ordered, equal lengths
-        lengths = {len(vals) for vals in columns.values()}
-        if len(lengths) > 1:
-            raise DegenerateData(f"columns differ in length: {sorted(lengths)}")
-        if lengths and 0 in lengths:
-            raise DegenerateData("columns must not be empty")
-
-    @property
-    def names(self):
-        return list(self.columns)
-
-
 _OVERFLOW = "a sum or square of the values overflows a float"
 
 
@@ -55,10 +40,10 @@ def _mean_sd(values):
         raise DegenerateData(_OVERFLOW) from None
 
 
-def mean_sd(frame):
-    """Per column: (name, mean, sample sd, mean*sd)."""
+def mean_sd(columns):
+    """Per column of the name -> values mapping: (name, mean, sample sd, mean*sd)."""
     rows = []
-    for name, values in frame.columns.items():
+    for name, values in columns.items():
         if len(values) < 2:
             raise DegenerateData(f"column {name!r} needs >= 2 values for sd")
         m, sd = _mean_sd(values)
@@ -171,14 +156,14 @@ def bhattacharyya(a, b, bins=None):
     underflows (as for any bin count past the float range) raises
     DegenerateData.
     """
-    if not a or not b:
-        raise DegenerateData("both value lists must be non-empty")
     return _bhatt_counted(_counted(a), _counted(b), bins)
 
 
 def _counted(values):
-    """`Counter(values)`, refusing a value that is not finite."""
+    """`Counter(values)`, refusing an empty sample or a value that is not finite."""
     counts = Counter(values)
+    if not counts:
+        raise DegenerateData("both value lists must be non-empty")
     if not all(map(math.isfinite, counts)):
         raise DegenerateData("Bhattacharyya coefficients need finite values")
     return counts
@@ -228,18 +213,20 @@ def _bhatt_counted(ca, cb, bins):
     return min(1.0, max(0.0, bc))
 
 
-def bhatt_matrix(frame, bins=None):
-    """Bhattacharyya coefficient for every pair of columns.
+def bhatt_matrix(columns, bins=None):
+    """Bhattacharyya coefficient for every pair of columns of the name ->
+    values mapping.
 
-    The coefficients are meant for t-scored columns, so callers pass a frame
-    of `tscore` results.  Each column is counted once.  Returns (names,
-    coefficients): an `array('d')` with one coefficient per column pair, in
-    `DistanceMatrix.upper_pairs` order.
+    The coefficients are meant for t-scored columns, so callers pass
+    `tscore` results.  Each column is counted once; an empty one raises
+    DegenerateData, as in `bhattacharyya`.  Returns (names, coefficients):
+    the names in mapping order, and an `array('d')` with one coefficient
+    per column pair, in `DistanceMatrix.upper_pairs` order.
     """
-    names = frame.names
+    names = list(columns)
     if len(names) < 2:
         raise DegenerateData("need at least 2 columns")
-    counted = [_counted(frame.columns[name]) for name in names]
+    counted = [_counted(columns[name]) for name in names]
     return names, array("d", (_bhatt_counted(counted[i], counted[j], bins)
                               for i, j in DistanceMatrix.upper_pairs(len(names))))
 

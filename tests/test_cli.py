@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import random
 import stat
@@ -209,6 +212,15 @@ def test_undefined_concept_statistic_names_the_concept(tmp_path, capsys):
         "lingdist: concept 'w1': density needs at least 2 distinct values\n")
 
 
+def test_non_finite_oc_refusal_names_the_concept(tmp_path, capsys):
+    # gaps this large give infinite normalized distances, which OC cannot hold
+    assert run_cli(["words-analyse", "--lexicon", SHEEP, "--gap", "1e308",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == []
+    assert capsys.readouterr().err.endswith(
+        "lingdist: concept 'w1': row 'nidderdale' holds a non-finite distance\n")
+
+
 def test_distance_sum_overflow_is_data_error(tmp_path):
     # gaps this large give distance sums beyond the float range
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--gap", "1e308",
@@ -394,6 +406,44 @@ def test_cluster_truth_repeated_label(tmp_path, capsys):
                     "--truth", str(bad_truth), "--out", str(tmp_path / "out")]) == 3
     assert "'swaledale' listed twice" in capsys.readouterr().err
     assert files_under(tmp_path) == ["truth.csv"]
+
+
+TRUTH_TEXT = open(FIXTURES / "sheep_truth.csv").read()
+GEO_TEXT = open(SHEEP_GEO).read()
+
+
+def _with_line(text, n, line):
+    """`text` with its line `n` (from 1) replaced by `line`."""
+    lines = text.splitlines()
+    lines[n - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("truth", "label,class\nfoo\n", "line 2: truth rows need 2 fields, got 'foo'"),
+    ("truth", "\nswaledale,a\n\n\nswaledale,b\n",
+     "line 5: label 'swaledale' listed twice"),
+    ("truth", '"a\nb",c,d\n', "line 1: truth rows need 2 fields, got 'a\\nb,c,d'"),
+    ("truth", "label,class\n" + "x" * 60 + ",y,z\n",
+     "line 2: truth rows need 2 fields, got '" + "x" * 40 + "'..."),
+    ("geo", _with_line(GEO_TEXT, 3, "a,b"), "line 3: geo rows need 3 fields, got 'a,b'"),
+    ("geo", _with_line(GEO_TEXT, 4, "a,b,far"), "line 4: bad distance 'far'"),
+    ("geo", _with_line(GEO_TEXT, 5, "a,b,-1"), "line 5: distance '-1' is not finite and >= 0"),
+    ("geo", _with_line(GEO_TEXT, 6, "a,b,1" + "0" * 400),
+     "line 6: distance '1" + "0" * 39 + "'... is not finite and >= 0"),
+    ("geo", GEO_TEXT + "teesdale , swaledale,2\n",
+     "line 30: pair 'teesdale/swaledale' listed twice"),
+], ids=["truth-fields", "truth-twice", "truth-multiline-row", "truth-long-row", "geo-fields",
+        "geo-bad", "geo-negative", "geo-huge", "geo-twice"])
+def test_truth_and_geo_errors_name_their_line(kind, text, message, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("t.csv").write_text(text)
+    args = {"truth": ["cluster", "--k", "2", "--truth", "t.csv"],
+            "geo": ["relationship", "--geo", "t.csv"]}[kind]
+    assert run_cli(args + ["--lexicon", SHEEP, "--out", "out"]) == 3
+    assert capsys.readouterr().err.endswith(f"lingdist: t.csv: {message}\n")
+    assert files_under(tmp_path) == ["t.csv"]
 
 
 def test_relationship_on_sheep(fixtures_dir, tmp_path):
@@ -587,9 +637,11 @@ def test_gap_override_changes_distances(tmp_path):
 
 
 # Edge values for the numeric flags: the smallest legal ones, integers past
-# what a list or a float can hold, zero, the smallest subnormal and a float
-# near the top of the range.
-EDGE_VALUES = ("1", "2", str(10**12), str(10**400), "0", "5e-324", "1e308")
+# what a list or a float can hold, one past the 4,300 digits int() converts
+# from a string (built as a string: str() of it raises), zero, the smallest
+# subnormal and a float near the top of the range.
+EDGE_VALUES = ("1", "2", str(10**12), str(10**400), "1" + "0" * 5000, "0", "5e-324",
+               "1e308")
 NUMERIC_FLAGS = {
     "words-analyse": ("--bins", "--gap"),
     "cluster": ("--k", "--gap"),
@@ -632,3 +684,83 @@ def test_numeric_flag_edge_values_keep_the_failure_contract(tmp_path, command, d
     assert [p.name for p in root.iterdir()] == ["out"]
     for path in out.glob("*.oc"):
         read_oc(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_k_of_any_length_is_out_of_range(digits, tmp_path, capsys):
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--k", "1" + "0" * (digits - 1),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.endswith("lingdist: k must be in 1..8\n")
+    assert files_under(tmp_path) == []
+
+
+def test_integer_flags_read_int_literals_of_any_length():
+    parse = cli._int_at_least(1)
+    assert parse(" +1_000 ") == 1000
+    assert parse("0" * 5000 + "7") == 7
+    assert parse("1_" + "0" * 5000) == 10**5000
+    for text in ("1" + "0" * 5000 + "x", "1__" + "0" * 5000, "1e" + "0" * 5000, "-"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            parse(text)
+
+
+LONG_ARGUMENTS = ("1" + "0" * 5000, "-1" + "0" * 5000, "x" * 5000, "9" * 400, "-" + "9" * 60)
+
+
+@pytest.mark.parametrize("flag", ["--k", "--bins", "--gap", "--table"])
+@pytest.mark.parametrize("value", LONG_ARGUMENTS, ids=lambda value: value[:3])
+def test_messages_quote_at_most_40_characters_of_an_argument(flag, value, tmp_path, capsys):
+    command = "words-analyse" if flag == "--bins" else "cluster"
+    code = run_cli([command, "--lexicon", SHEEP, flag, value, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert value[:41] not in err
+
+
+def _edited_csv(draw, text):
+    """`text` as bytes with up to three drawn edits: a NUL, a 0xff byte or a
+    quote inserted, a field replaced by a huge number, a line dropped (a
+    missing pair or label) or repeated."""
+    lines = [line.encode() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3), label="edits")):
+        i = draw(st.integers(0, len(lines) - 1), label="line")
+        line = lines[i]
+        edit = draw(st.sampled_from(["nul", "ff", "quote", "huge", "drop", "repeat"]),
+                    label="edit")
+        at = draw(st.integers(0, len(line)), label="at")
+        if edit in ("nul", "ff", "quote"):
+            lines[i] = line[:at] + {"nul": b"\0", "ff": b"\xff", "quote": b'"'}[edit] + line[at:]
+        elif edit == "huge":
+            fields = line.split(b",")
+            fields[at % len(fields)] = draw(st.sampled_from(
+                [b"1" + b"0" * 400, b"1e999", b"-1" + b"0" * 400]), label="number")
+            lines[i] = b",".join(fields)
+        elif edit == "drop" and len(lines) > 1:
+            del lines[i]
+        else:
+            lines.insert(i, line)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["truth", "geo"]), st.data())
+def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, data):
+    """Exit 0, 2, 3 or 4 with no exception; a failing run changes nothing,
+    a run that succeeds changes nothing outside --out, and no message quotes
+    more than 40 characters of a huge number."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = root / "in.csv"
+    path.write_bytes(_edited_csv(data.draw, TRUTH_TEXT if kind == "truth" else GEO_TEXT))
+    args = {"truth": ["cluster", "--k", "2", "--truth", str(path)],
+            "geo": ["relationship", "--geo", str(path)]}[kind]
+    before = tree(root)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli(args + ["--lexicon", SHEEP, "--out", str(root / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "0" * 41 not in err.getvalue()
+    after = tree(root)
+    if code == 0:
+        assert {name for name in after if not name.startswith("out")} == set(before)
+        after = {name: data for name, data in after.items() if not name.startswith("out")}
+    assert after == before

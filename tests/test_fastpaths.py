@@ -36,7 +36,7 @@ from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix
                                language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
-from lingdist.stats import AnalysisFrame, bhatt_matrix, bhattacharyya, kde
+from lingdist.stats import bhatt_matrix, bhattacharyya, kde
 from lingdist.subst import BUILTIN_TABLES, builtin_table, parse_table
 
 UNKNOWN = ("l", "ж")  # in no rule of either built-in table
@@ -313,15 +313,15 @@ def test_bhattacharyya_bitwise_equals_per_value_reference(columns, bins):
        BHATT_BINS)
 def test_bhatt_matrix_bitwise_equals_per_value_reference(columns, bins):
     names = [f"c{i}" for i in range(len(columns))]
-    frame = AnalysisFrame(dict(zip(names, columns)))
+    named = dict(zip(names, columns))
     try:
         want = [reference_bhattacharyya(columns[i], columns[j], bins)
                 for i, j in DistanceMatrix.upper_pairs(len(columns))]
     except ZeroDivisionError:  # a bin width underflows to 0
         with pytest.raises(DegenerateData):
-            bhatt_matrix(frame, bins=bins)
+            bhatt_matrix(named, bins=bins)
         return
-    got_names, bcs = bhatt_matrix(frame, bins=bins)
+    got_names, bcs = bhatt_matrix(named, bins=bins)
     assert got_names == names
     assert bits(bcs) == bits(want)
 

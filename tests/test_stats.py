@@ -5,9 +5,8 @@ import pytest
 
 from lingdist.editdist import DistanceMatrix
 from lingdist.errors import DegenerateData
-from lingdist.stats import (AnalysisFrame, bhatt_distance_matrix,
-                            bhatt_matrix, bhattacharyya, kde, linregress,
-                            mean_sd, sturges_bins, tscore)
+from lingdist.stats import (bhatt_distance_matrix, bhatt_matrix, bhattacharyya,
+                            kde, linregress, mean_sd, sturges_bins, tscore)
 
 
 def trapezoid(xs, ys):
@@ -15,23 +14,16 @@ def trapezoid(xs, ys):
                for i in range(len(xs) - 1))
 
 
-# --- frames and mean/sd -----------------------------------------------------
-
-def test_frame_validation():
-    with pytest.raises(DegenerateData, match=r"columns differ in length: \[1, 2\]"):
-        AnalysisFrame({"a": [1.0, 2.0], "b": [1.0]})
-    with pytest.raises(DegenerateData, match=r"columns must not be empty"):
-        AnalysisFrame({"a": []})
-
+# --- mean/sd -----------------------------------------------------------------
 
 def test_mean_sd_constant_column():
-    rows = mean_sd(AnalysisFrame({"c": [5.0, 5.0, 5.0]}))
+    rows = mean_sd({"c": [5.0, 5.0, 5.0]})
     assert rows == [("c", 5.0, 0.0, 0.0)]
 
 
 def test_mean_sd_hand_case():
     # mean (0+1)/2, sd sqrt(((0-.5)^2+(1-.5)^2)/1) = sqrt(0.5)
-    [(name, m, sd, prod)] = mean_sd(AnalysisFrame({"c": [0.0, 1.0]}))
+    [(name, m, sd, prod)] = mean_sd({"c": [0.0, 1.0]})
     assert name == "c"
     assert m == 0.5
     assert sd == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -39,19 +31,19 @@ def test_mean_sd_hand_case():
 
 
 def test_mean_sd_empty_frame():
-    assert mean_sd(AnalysisFrame({})) == []
+    assert mean_sd({}) == []
 
 
 def test_mean_sd_column_too_short():
     with pytest.raises(DegenerateData, match=r"column 'c' needs >= 2 values for sd"):
-        mean_sd(AnalysisFrame({"c": [1.0]}))
+        mean_sd({"c": [1.0]})
 
 
 def test_mean_sd_product_recompute_property():
     rng = random.Random(11)
     for _ in range(30):
         values = [rng.uniform(-5, 5) for _ in range(rng.randint(2, 20))]
-        [(_n, m, sd, prod)] = mean_sd(AnalysisFrame({"x": values}))
+        [(_n, m, sd, prod)] = mean_sd({"x": values})
         assert prod == pytest.approx(m * sd, abs=1e-12)
 
 
@@ -197,9 +189,22 @@ def test_bc_non_finite_or_overflowing_range_is_degenerate_data(a, b, bins):
 
 
 def test_bhatt_matrix_non_finite_is_degenerate_data():
-    frame = AnalysisFrame({"a": [1.0, math.inf], "b": [1.0, 2.0], "c": [0.5, 3.0]})
     with pytest.raises(DegenerateData):
-        bhatt_matrix(frame)
+        bhatt_matrix({"a": [1.0, math.inf], "b": [1.0, 2.0], "c": [0.5, 3.0]})
+
+
+def test_columns_may_differ_in_length():
+    columns = {"a": [1.0, 2.0], "b": [1.0, 2.0, 4.0]}
+    assert [row[:2] for row in mean_sd(columns)] == [("a", 1.5), ("b", 7.0 / 3.0)]
+    names, bcs = bhatt_matrix(columns, bins=2)
+    assert names == ["a", "b"]
+    assert list(bcs) == [bhattacharyya(columns["a"], columns["b"], bins=2)]
+
+
+def test_bhatt_matrix_empty_column_is_degenerate_data():
+    for columns in ({"a": [], "b": [1.0]}, {"a": [1.0], "b": []}):
+        with pytest.raises(DegenerateData, match=r"both value lists must be non-empty"):
+            bhatt_matrix(columns)
 
 
 def test_bc_symmetry_and_range():
@@ -221,15 +226,14 @@ def test_sturges():
 
 
 def test_bhatt_matrix_duplicate_columns():
-    frame = AnalysisFrame({"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0],
-                           "c": [9.0, 1.0, 3.0]})
-    names, bcs = bhatt_matrix(frame)
+    columns = {"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0], "c": [9.0, 1.0, 3.0]}
+    names, bcs = bhatt_matrix(columns)
     assert names == ["a", "b", "c"]
     pairs = list(DistanceMatrix.upper_pairs(3))
     assert len(bcs) == len(pairs)
     assert bcs[pairs.index((0, 1))] == 1.0  # identical columns overlap fully
     # the same pairs with the columns in reverse order: the same coefficients
-    rev_names, rev_bcs = bhatt_matrix(AnalysisFrame(dict(reversed(frame.columns.items()))))
+    rev_names, rev_bcs = bhatt_matrix(dict(reversed(columns.items())))
     by_pair = {frozenset((rev_names[i], rev_names[j])): bc
                for (i, j), bc in zip(DistanceMatrix.upper_pairs(3), rev_bcs)}
     for (i, j), bc in zip(pairs, bcs):
@@ -237,27 +241,25 @@ def test_bhatt_matrix_duplicate_columns():
 
 
 def test_bhatt_matrix_matches_pairwise_calls():
-    frame = AnalysisFrame({"a": [1.0, 2.0, 4.0, 0.5], "b": [2.0, 1.0, 3.0, 8.0],
-                           "c": [9.0, 1.0, 3.0, 2.0]})
-    scored = AnalysisFrame({name: tscore(values) for name, values in frame.columns.items()})
+    columns = {"a": [1.0, 2.0, 4.0, 0.5], "b": [2.0, 1.0, 3.0, 8.0],
+               "c": [9.0, 1.0, 3.0, 2.0]}
+    scored = {name: tscore(values) for name, values in columns.items()}
     names, bcs = bhatt_matrix(scored, bins=3)
     pairs = list(DistanceMatrix.upper_pairs(3))
     assert len(bcs) == len(pairs)
     for (i, j), bc in zip(pairs, bcs):
-        direct = bhattacharyya(tscore(frame.columns[names[i]]),
-                               tscore(frame.columns[names[j]]), bins=3)
+        direct = bhattacharyya(tscore(columns[names[i]]), tscore(columns[names[j]]), bins=3)
         assert bc == direct
 
 
 def test_bhatt_matrix_needs_two_columns():
     with pytest.raises(DegenerateData, match=r"need at least 2 columns"):
-        bhatt_matrix(AnalysisFrame({"a": [1.0, 2.0]}))
+        bhatt_matrix({"a": [1.0, 2.0]})
 
 
 def test_bhatt_distance_matrix():
-    frame = AnalysisFrame({"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0],
-                           "c": [9.0, 1.0, 3.0]})
-    names, bcs = bhatt_matrix(frame)
+    columns = {"a": [1.0, 2.0, 4.0], "b": [1.0, 2.0, 4.0], "c": [9.0, 1.0, 3.0]}
+    names, bcs = bhatt_matrix(columns)
     m = bhatt_distance_matrix(names, bcs)
     assert list(m.values) == [1.0 - bc for bc in bcs]
     assert m.labels == ["a", "b", "c"]
@@ -335,7 +337,7 @@ def test_linregress_degenerate_data(x, y):
 def test_mean_sd_overflow_is_degenerate_data():
     for column in ([1e200, 3e200, 2e200], [1.7e308, 1.7e308, 1.0]):
         with pytest.raises(DegenerateData):
-            mean_sd(AnalysisFrame({"w": column}))
+            mean_sd({"w": column})
 
 
 def test_linregress_r2_affine_invariant_in_x():

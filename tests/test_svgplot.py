@@ -34,8 +34,8 @@ EAGER_EXPORTS = {
     "errors": ["LingdistError"],
     "lexicon": ["Lexicon", "WordEntry", "parse_lexicon", "serialize_lexicon",
                 "symbols_used", "validate_against_table"],
-    "stats": ["AnalysisFrame", "DensityCurve", "RegressionResult", "bhatt_distance_matrix",
-              "bhatt_matrix", "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"],
+    "stats": ["DensityCurve", "RegressionResult", "bhatt_distance_matrix", "bhatt_matrix",
+              "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"],
     "subst": ["SubstitutionTable", "WeightClass", "builtin_table", "parse_table"],
     "svgplot": [],
 }
@@ -88,11 +88,11 @@ def test_package_exports_resolve_on_first_access():
         for name in names:
             assert getattr(lingdist, name) is getattr(source, name), name
     public = sorted(name for names in EAGER_EXPORTS.values() for name in names)
-    assert len(public) == 45
+    assert len(public) == 44
     namespace = {}
     exec("from lingdist import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(public + submodules)
-    assert len(namespace) - 1 == 52
+    assert len(namespace) - 1 == 51
     assert set(public + submodules) <= set(dir(lingdist))
     code = ("import lingdist\n"
             "print(lingdist.stats.kde([0.0, 1.0, 3.0], grid_points=3).xs)")
@@ -111,7 +111,6 @@ VALUE_CLASSES = [
     (lingdist.WordEntry, ["variants"], [("ab", "ac")], True),
     (lingdist.Lexicon, ["functor", "entries", "concepts"],
      ["n", {"a": (lingdist.WordEntry(("ab",)),)}, ("one",)], False),
-    (lingdist.AnalysisFrame, ["columns"], [{"x": [1.0, 2.0]}], False),
     (lingdist.DensityCurve, ["xs", "ys", "bandwidth"], [[0.0], [1.0], 0.5], False),
     (lingdist.RegressionResult, ["slope", "intercept", "r_squared", "n"],
      [1.0, 0.0, 1.0, 3], False),

@@ -2,11 +2,13 @@
 
 `perfbench/traced_run.py` replaces each `module.attr` in its span tables with
 a timing wrapper, so a renamed or deleted function makes every traced run
-fail with AttributeError.  This keeps those names in step with the package.
+fail with AttributeError.  This keeps those names in step with the package,
+and `kde`'s parameters in step with the names its span note binds.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACED_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "traced_run.py"
@@ -31,3 +33,10 @@ def test_every_traced_name_exists_in_lingdist():
         if not callable(getattr(module, attr, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_kde_has_the_parameters_the_traced_run_binds_by_name():
+    # traced_run._kde_note reads `values` and `grid_points` from the bound call
+    import lingdist.stats
+
+    assert {"values", "grid_points"} <= set(inspect.signature(lingdist.stats.kde).parameters)
