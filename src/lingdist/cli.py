@@ -203,11 +203,15 @@ def cmd_words_analyse(lex, table, args):
         raise type(exc)(f"concept {cname!r}: {exc}") from None
 
     summary = stats.mean_sd(columns)
-    artifacts["mean_sd.csv"] = _csv_text(("column", "mean", "sd", "mean_sd"),
-                                         [(name, *map(_fmt, row)) for name, *row in summary])
-    _names, *series = zip(*summary)
+    artifacts["mean_sd.csv"] = _csv_text(
+        ("column", "mean", "sd", "mean_sd"),
+        [(name, _fmt(m), _fmt(sd), _fmt(prod)) for name, m, sd, prod in summary])
     artifacts["mean_sd.svg"] = svgplot.grouped_bars(
-        names, list(zip(("mean", "sd", "mean*sd"), series)), title="per-word distance statistics")
+        names,
+        [("mean", [r[1] for r in summary]),
+         ("sd", [r[2] for r in summary]),
+         ("mean*sd", [r[3] for r in summary])],
+        title="per-word distance statistics")
     pair_labels = [f"{a}|{b}" for a, b, _v in matrix.upper()]
     artifacts["tscore.csv"] = _csv_text(
         ["pair"] + names,
@@ -368,14 +372,11 @@ def cmd_all_to_all(lex, table, args):
 
 def _int_at_least(minimum):
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:  # also past the 4,300 digits int() converts from a string
-            if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int()'s grammar
-                raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}") from None
-            from decimal import Decimal
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int()'s grammar
+            raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}")
+        from decimal import Decimal
 
-            value = int(Decimal(text))  # reads that grammar at any length
+        value = int(Decimal(text))  # int() stops at 4,300 digits; Decimal reads any length
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_quote(text)}")
         return value

@@ -697,6 +697,7 @@ def test_k_of_any_length_is_out_of_range(digits, tmp_path, capsys):
 def test_integer_flags_read_int_literals_of_any_length():
     parse = cli._int_at_least(1)
     assert parse(" +1_000 ") == 1000
+    assert parse("\u0661\u0662") == 12  # int() reads any Unicode decimal digits
     assert parse("0" * 5000 + "7") == 7
     assert parse("1_" + "0" * 5000) == 10**5000
     for text in ("1" + "0" * 5000 + "x", "1__" + "0" * 5000, "1e" + "0" * 5000, "-"):
