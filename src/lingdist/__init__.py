@@ -23,7 +23,7 @@ _EXPORTS = {
                 "symbols_used", "validate_against_table"),
     "stats": ("DensityCurve", "RegressionResult", "bhatt_distance_matrix", "bhatt_matrix",
               "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"),
-    "subst": ("SubstitutionTable", "WeightClass", "builtin_table", "parse_table"),
+    "subst": ("SubstitutionTable", "builtin_table", "parse_table"),
     "svgplot": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

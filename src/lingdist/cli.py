@@ -316,7 +316,10 @@ def cmd_relationship(lex, table, args):
     geo_values = [g for _a, _b, _l, g in pairs]
     ling_values = [l for _a, _b, l, _g in pairs]
     raw = stats.linregress(geo_values, ling_values)
-    logged = stats.linregress(geo_values, ling_values, log10_x=True)
+    if any(g <= 0.0 for g in geo_values):
+        raise DegenerateData("log10 regression needs every x > 0")
+    log_values = [math.log10(g) for g in geo_values]
+    logged = stats.linregress(log_values, ling_values)
 
     report_lines = [f"n={raw.n}"]
     for mode, result in (("raw", raw), ("log10", logged)):
@@ -324,7 +327,6 @@ def cmd_relationship(lex, table, args):
         report_lines.append(f"{mode}.intercept={_fmt(result.intercept)}")
         report_lines.append(f"{mode}.r_squared={_fmt(result.r_squared)}")
 
-    log_values = [math.log10(g) for g in geo_values]
     artifacts = {
         "pairs.csv": _csv_text(
             ("place_a", "place_b", "linguistic_distance", "geo_distance"),
@@ -390,8 +392,17 @@ def _cost(text):
         raise argparse.ArgumentTypeError(f"not a finite number >= 0: {_quote(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; a refused --linkage or subcommand quotes at most 40 characters."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_quote(value)} (choose "
+                                         f"from {', '.join(map(repr, action.choices))})")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lingdist",
         description="Compare languages by weighted phonetic edit distance.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -427,7 +438,9 @@ def _build_parser():
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"unrecognized arguments: {_quote(' '.join(extra))}")
     if args.command == "cluster" and args.truth is not None and args.k is None:
         parser.error("cluster --truth needs --k")
     try:

@@ -247,10 +247,9 @@ class RegressionResult(Record):
         self.n = n
 
 
-def linregress(x, y, log10_x=False):
+def linregress(x, y):
     """Ordinary least squares y = slope*x + intercept, with R-squared.
 
-    With log10_x the regressor is log10(x), requiring every x > 0.
     A constant y gives slope 0 and R-squared 0.  A non-finite value, or
     sums and squares beyond the float range, raise DegenerateData.
     """
@@ -260,10 +259,6 @@ def linregress(x, y, log10_x=False):
         raise DegenerateData(f"need at least 3 paired values, got {len(x)}")
     if not all(map(math.isfinite, chain(x, y))):
         raise DegenerateData("regression needs finite x and y values")
-    if log10_x:
-        if any(v <= 0.0 for v in x):
-            raise DegenerateData("log10 regression needs every x > 0")
-        x = [math.log10(v) for v in x]
     n = len(x)
     try:
         mx = math.fsum(x) / n

@@ -22,21 +22,17 @@ beats; `cost` is then identity, one lookup, or the default mismatch.
 import math
 from itertools import chain, combinations
 
-from ._record import FrozenRecord
 from .errors import ParseError, UsageError
 
 VOWEL_FAMILIES = ("a", "e", "i", "o", "u", "y")
 
 
-class WeightClass(FrozenRecord):
-    """A named substitution weight in [0, 1]."""
-
-    _fields = ("name", "weight")
-
-    def __init__(self, name, weight):
-        self._set(name=name, weight=weight)
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight class {name!r}: {weight} outside [0, 1]")
+def _weight(what, value):
+    """`value` as a float; ValueError unless it lies in [0, 1]."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value} outside [0, 1]")
+    return value
 
 
 def cost_value(what, value):
@@ -69,9 +65,8 @@ class SubstitutionTable:
         self.name = name
         self.gap_penalty = cost_value("gap penalty", gap_penalty)
         self.default_mismatch = cost_value("default mismatch", default_mismatch)
-        self.classes = {}
-        for cname, w in (classes or {}).items():
-            self.classes[cname] = WeightClass(cname, float(w)).weight
+        self.classes = {cname: _weight(f"weight class {cname!r}:", w)
+                        for cname, w in (classes or {}).items()}
 
         pairs = {}
         for s1, s2, rule in pair_rules:
@@ -124,10 +119,7 @@ class SubstitutionTable:
             if rule not in self.classes:
                 raise ParseError(f"weight class {rule!r} is not defined")
             return self.classes[rule]
-        cost = float(rule)
-        if not 0.0 <= cost <= 1.0:
-            raise ValueError(f"literal pair cost {cost} outside [0, 1]")
-        return cost
+        return _weight("literal pair cost", rule)
 
     def cost(self, s1, s2):
         """Substitution cost between two symbols. Total: unknown symbols fall

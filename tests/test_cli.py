@@ -20,7 +20,9 @@ from lingdist.cli import main as cli_main
 from lingdist.editdist import read_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
+from test_fastpaths import dsl_tables
 from test_golden import CASES, GOLDEN
+from test_lexicon import edit, lexicon_texts
 
 SHEEP = str(FIXTURES / "sheep.pl")
 SHEEP_GEO = str(FIXTURES / "sheep_geo.csv")
@@ -298,6 +300,35 @@ def test_out_with_foreign_entries_is_refused_untouched(foreign, tmp_path):
     assert (out / "clusters.csv").read_text() == "old\n"
 
 
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_failed_write_or_rename_keeps_the_old_out(fail, tmp_path, monkeypatch, capsys):
+    """A write into the stage directory, or the rename of the stage onto
+    --out, raises OSError: the run exits 3, the old --out keeps its bytes and
+    no stage directory is left beside it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "clusters.csv").write_text("old\n")
+    before = tree(tmp_path)
+    real_rename = Path.rename
+
+    def broken_write(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    def broken_rename(self, target):
+        if Path(target) == out and not self.name.endswith("-old"):
+            raise OSError("rename refused")
+        return real_rename(self, target)
+
+    if fail == "write":
+        monkeypatch.setattr(Path, "write_text", broken_write)
+    else:
+        monkeypatch.setattr(Path, "rename", broken_rename)
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.endswith(
+        {"write": "lingdist: disk full\n", "rename": "lingdist: rename refused\n"}[fail])
+    assert tree(tmp_path) == before
+
+
 def test_out_that_is_a_file_is_refused(tmp_path):
     out = tmp_path / "out"
     out.write_text("user data\n")
@@ -550,6 +581,17 @@ def test_relationship_nonpositive_distance(tmp_path):
     assert files_under(tmp_path) == ["geo.csv", "toy.pl"]
 
 
+def test_relationship_refuses_a_zero_distance_before_log10(tmp_path, capsys):
+    rows = open(SHEEP_GEO).read().splitlines()
+    rows[-1] = rows[-1].rsplit(",", 1)[0] + ",0"
+    geo_path = tmp_path / "geo.csv"
+    geo_path.write_text("\n".join(rows) + "\n")
+    assert run_cli(["relationship", "--lexicon", SHEEP,
+                    "--geo", str(geo_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.endswith("\nlingdist: log10 regression needs every x > 0\n")
+    assert files_under(tmp_path) == ["geo.csv"]
+
+
 def test_all_to_all_shapes_and_purity(tmp_path):
     lex_path = tmp_path / "toy.pl"
     lex_path.write_text("n(a,[pata,zrumbo,xafrol]).\nn(b,[pata,zrumbo,xafrol]).\n")
@@ -600,6 +642,32 @@ def test_all_to_all_default_truth_is_the_concept_name(tmp_path):
     rows = list(csv.reader((out / "purity.csv").read_text().splitlines()))
     assert sorted(row[2] for row in rows[1:-1]) == ["x:y", "y"]
     assert rows[-1] == ["overall", "6", "", "0.666666666667"]
+
+
+def test_all_to_all_scores_purity_against_a_truth_file(tmp_path):
+    # the forced cut groups each concept's two words; scored against the
+    # language instead, each cluster is half right
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("n(a,[pata,zrumbo]).\nn(b,[pata,zrumbo]).\n")
+    truth_path = tmp_path / "truth.csv"
+    truth_path.write_text("label,class\na:w1,a\na:w2,a\nb:w1,b\nb:w2,b\n")
+    out = tmp_path / "out"
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--truth", str(truth_path),
+                    "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "purity.csv").read_text().splitlines()))
+    assert rows[-1] == ["overall", "4", "", "0.5"]
+
+
+def test_all_to_all_one_concept_needs_explicit_k(tmp_path, capsys):
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text("n(a,[pat]).\nn(b,[bat]).\nn(c,[kolo]).\n")
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.endswith(
+        "lingdist: forced cut needs k >= 2; give --k explicitly\n")
+    assert files_under(tmp_path) == ["toy.pl"]
+    assert run_cli(["all-to-all", "--lexicon", str(lex_path), "--k", "2",
+                    "--out", str(tmp_path / "out")]) == 0
 
 
 def test_all_to_all_sheep_runs(tmp_path):
@@ -708,13 +776,23 @@ def test_integer_flags_read_int_literals_of_any_length():
 LONG_ARGUMENTS = ("1" + "0" * 5000, "-1" + "0" * 5000, "x" * 5000, "9" * 400, "-" + "9" * 60)
 
 
-@pytest.mark.parametrize("flag", ["--k", "--bins", "--gap", "--table"])
+@pytest.mark.parametrize("flag", ["--k", "--bins", "--gap", "--table", "--linkage", "stray",
+                                  "command"])
 @pytest.mark.parametrize("value", LONG_ARGUMENTS, ids=lambda value: value[:3])
 def test_messages_quote_at_most_40_characters_of_an_argument(flag, value, tmp_path, capsys):
-    command = "words-analyse" if flag == "--bins" else "cluster"
-    code = run_cli([command, "--lexicon", SHEEP, flag, value, "--out", str(tmp_path / "out")])
+    """`stray` puts the value after the flags, `command` in the subcommand's
+    place; argparse refuses both, and any --linkage value, with exit 2."""
+    args = ["words-analyse" if flag == "--bins" else "cluster", "--lexicon", SHEEP,
+            "--out", str(tmp_path / "out")]
+    if flag == "stray":
+        args.append(value)
+    elif flag == "command":
+        args[0] = value
+    else:
+        args += [flag, value]
+    code = run_cli(args)
     err = capsys.readouterr().err
-    assert code in (0, 2, 3)
+    assert code in ((2,) if flag in ("--linkage", "stray", "command") else (0, 2, 3))
     assert value[:41] not in err
 
 
@@ -765,3 +843,53 @@ def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, da
         assert {name for name in after if not name.startswith("out")} == set(before)
         after = {name: data for name, data in after.items() if not name.startswith("out")}
     assert after == before
+
+
+# Table edits: comment, blank and line-break characters, digits, a sign, an
+# exponent, symbols, and whole tokens that add an undefined class, a value
+# past the float range or a directive.
+TABLE_EDIT_CHARS = st.sampled_from(list("# \n\t\x0b\x85\u2028.-019eabk"))
+TABLE_INSERTS = st.one_of(TABLE_EDIT_CHARS, st.sampled_from(
+    ["c3", "nan", "1e999", "\npair a b c1", "\nweight c1 0.3", "\nzero a"]))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.sampled_from(sorted(NUMERIC_FLAGS)), lexicon_texts(), st.data())
+def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, case, data):
+    """A drawn lexicon text, edited or not, under the default table or a
+    drawn DSL table, edited or not: exit 0, 2, 3 or 4 with no exception; a
+    failing run changes nothing, a run that succeeds changes nothing outside
+    --out and writes OC files that read back."""
+    lex, spaced, edited = case
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    (root / "lex.pl").write_text(data.draw(st.sampled_from([spaced, edited]), label="lexicon"),
+                                 encoding="utf-8")
+    args = [command, "--lexicon", str(root / "lex.pl"), "--out", str(root / "out")]
+    table = data.draw(st.none() | dsl_tables(), label="table")
+    if table is not None:
+        table = edit(data.draw, table, TABLE_EDIT_CHARS, TABLE_INSERTS)
+        (root / "t.tbl").write_text(table, encoding="utf-8")
+        args += ["--table", str(root / "t.tbl")]
+    if command == "relationship":
+        with open(root / "geo.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("place_a", "place_b", "distance_km"))
+            for i, a in enumerate(lex.languages):
+                for b in lex.languages[i + 1:]:
+                    writer.writerow((a, b, data.draw(st.integers(1, 1000), label="km")))
+        args += ["--geo", str(root / "geo.csv")]
+    elif command == "all-to-all":
+        args += ["--k", "2"]
+    before = tree(root)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(args)
+    assert code in (0, 2, 3, 4)
+    after = tree(root)
+    if code != 0:
+        assert after == before
+        return
+    assert {name: content for name, content in after.items() if not name.startswith("out")} \
+        == before
+    for path in (root / "out").glob("*.oc"):
+        read_oc(path.read_text(encoding="utf-8"))

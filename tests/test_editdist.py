@@ -396,6 +396,16 @@ def test_oc_format_errors(bad):
         read_oc(bad)
 
 
+def test_oc_read_ignores_trailing_blank_lines():
+    assert read_oc("2\nA\nB\n0.5\n\n  \n\n") == DistanceMatrix(["A", "B"], [0.5])
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_oc_item_count_below_one(count):
+    with pytest.raises(FormatError, match=rf"^bad item count {count}$"):
+        read_oc(f"{count}\nA\n")
+
+
 def test_oc_write_rejects_bad_labels():
     m = DistanceMatrix(["a b", "c"], [1.0])
     with pytest.raises(FormatError):

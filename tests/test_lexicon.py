@@ -92,6 +92,12 @@ def test_concept_names_must_be_distinct_file_names(names):
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("header", ["#concepts:", "#concepts: , ,", "#concepts: % none"])
+def test_empty_concepts_header(header):
+    with pytest.raises(ParseError, match=r"^line 2: empty #concepts: header$"):
+        parse_lexicon(f"num(x,[p]).\n{header}\n")
+
+
 def test_duplicate_concepts_header():
     with pytest.raises(ParseError):
         parse_lexicon("#concepts: a\n#concepts: b\nnum(x,[p]).")
@@ -236,6 +242,17 @@ EDIT_CHARS = st.sampled_from(list(",[]().%# \n\t\x0b\x85\u2028ab"))
 INSERTS = st.one_of(EDIT_CHARS, st.sampled_from(["[]", ",[]", "[[", "]]", "%c\n"]))
 
 
+def edit(draw, text, chars=EDIT_CHARS, inserts=INSERTS):
+    """`text` with up to three drawn edits: a character deleted, a character
+    from `chars` substituted, or a piece from `inserts` inserted."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["delete", "insert", "substitute"]))
+        piece = "" if kind == "delete" else draw(inserts if kind == "insert" else chars)
+        text = text[:at] + piece + text[at + (kind != "insert"):]
+    return text
+
+
 @st.composite
 def lexicon_texts(draw):
     """A lexicon, its text with filler between tokens, and that text edited."""
@@ -244,13 +261,7 @@ def lexicon_texts(draw):
     header, body = text.split("\n", 1) if lex.concepts is not None else ("", text)
     pieces = re.split(r"([,\[\]().\n])", body)
     spaced = header + "\n" * bool(header) + "".join(p + draw(FILLER) for p in pieces)
-    edited = spaced
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(edited)))
-        kind = draw(st.sampled_from(["delete", "insert", "substitute"]))
-        piece = "" if kind == "delete" else draw(INSERTS if kind == "insert" else EDIT_CHARS)
-        edited = edited[:at] + piece + edited[at + (kind != "insert"):]
-    return lex, spaced, edited
+    return lex, spaced, edit(draw, spaced)
 
 
 def _outcome(parse, text):

@@ -303,17 +303,6 @@ def test_linregress_matches_normal_equations():
         assert r.r_squared == pytest.approx(1 - ss_res / ss_tot, abs=1e-9)
 
 
-def test_linregress_log10_mode():
-    x = [1.0, 10.0, 100.0, 1000.0]
-    y = [0.0, 1.0, 2.0, 3.0]
-    r = linregress(x, y, log10_x=True)
-    assert r.slope == pytest.approx(1.0, abs=1e-12)
-    assert r.intercept == pytest.approx(0.0, abs=1e-12)
-    assert r.r_squared == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DegenerateData, match=r"log10 regression needs every x > 0"):
-        linregress([1.0, 0.0, 2.0], [1.0, 2.0, 3.0], log10_x=True)
-
-
 def test_linregress_errors():
     with pytest.raises(DegenerateData, match=r"x has 2 values, y has 3"):
         linregress([1.0, 2.0], [1.0, 2.0, 3.0])

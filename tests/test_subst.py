@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lingdist.errors import ParseError, UsageError
-from lingdist.subst import SubstitutionTable, WeightClass, builtin_table, parse_table
+from lingdist.subst import SubstitutionTable, builtin_table, parse_table
 
 
 def test_identity_is_free():
@@ -122,9 +122,32 @@ def test_parse_table_syntax_errors(bad):
         parse_table(bad)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("weight w", "weight takes a class name and a value"),
+    ("weight w 0.1 0.2", "weight takes a class name and a value"),
+    ("weight w heavy", "bad weight value 'heavy'"),
+    ("zero a", "zero takes two symbols"),
+    ("zero a b c", "zero takes two symbols"),
+    ("vset a", "vset takes a family letter and members"),
+    ("longshort A a", "longshort takes long, short and a class"),
+    ("gap", "gap takes one value"),
+    ("gap 1 2", "gap takes one value"),
+    ("default", "default takes one value"),
+    ("default 1 2", "default takes one value"),
+])
+def test_parse_table_refusals_name_their_line(line, message):
+    with pytest.raises(ParseError) as info:
+        parse_table(f"weight v 0.1\n\n{line}\n")
+    assert str(info.value) == f"line 3: {message}"
+
+
 def test_weight_class_range():
-    with pytest.raises(ValueError):
-        WeightClass("w", 1.2)
+    with pytest.raises(ValueError, match=r"^weight class 'w': 1.2 outside \[0, 1\]$"):
+        SubstitutionTable(classes={"w": 1.2})
+    with pytest.raises(ParseError, match=r"^weight class 'w': 1.2 outside \[0, 1\]$"):
+        parse_table("weight w 1.2")
+    with pytest.raises(ParseError, match=r"^literal pair cost 2.0 outside \[0, 1\]$"):
+        parse_table("pair a b 2")
 
 
 def test_known_symbols_are_the_priced_symbols():

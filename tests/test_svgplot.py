@@ -36,7 +36,7 @@ EAGER_EXPORTS = {
                 "symbols_used", "validate_against_table"],
     "stats": ["DensityCurve", "RegressionResult", "bhatt_distance_matrix", "bhatt_matrix",
               "bhattacharyya", "kde", "linregress", "mean_sd", "tscore"],
-    "subst": ["SubstitutionTable", "WeightClass", "builtin_table", "parse_table"],
+    "subst": ["SubstitutionTable", "builtin_table", "parse_table"],
     "svgplot": [],
 }
 
@@ -88,11 +88,11 @@ def test_package_exports_resolve_on_first_access():
         for name in names:
             assert getattr(lingdist, name) is getattr(source, name), name
     public = sorted(name for names in EAGER_EXPORTS.values() for name in names)
-    assert len(public) == 44
+    assert len(public) == 43
     namespace = {}
     exec("from lingdist import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(public + submodules)
-    assert len(namespace) - 1 == 51
+    assert len(namespace) - 1 == 50
     assert set(public + submodules) <= set(dir(lingdist))
     code = ("import lingdist\n"
             "print(lingdist.stats.kde([0.0, 1.0, 3.0], grid_points=3).xs)")
@@ -114,7 +114,6 @@ VALUE_CLASSES = [
     (lingdist.DensityCurve, ["xs", "ys", "bandwidth"], [[0.0], [1.0], 0.5], False),
     (lingdist.RegressionResult, ["slope", "intercept", "r_squared", "n"],
      [1.0, 0.0, 1.0, 3], False),
-    (lingdist.WeightClass, ["name", "weight"], ["w", 0.5], True),
 ]
 
 
