@@ -22,7 +22,8 @@ class UsageError(LingdistError):
 class ParseError(LingdistError):
     """Malformed input: a language file (also word lists of different
     lengths, a repeated language), substitution-table text (also an undefined
-    weight class, a pair bound to two costs), or a truth or geo CSV."""
+    weight class, or a class, gap, default or symbol pair bound to two
+    values; every table refusal names its line), or a truth or geo CSV."""
 
     def __init__(self, message, line=None):
         if line is not None:

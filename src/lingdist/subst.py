@@ -13,10 +13,14 @@ Lookup precedence, first match wins:
   identity > zero pair > shared vowel family > explicit pair rule
   > long/short counterpart > generic vowel-vowel > default mismatch
 
-The constructor resolves every rule into one map from unordered symbol pair
-to cost.  It fills the map in the reverse of that order, generic vowel pairs
-first and zero pairs last, so each rule overwrites exactly the rules it
-beats; `cost` is then identity, one lookup, or the default mismatch.
+`parse_table` is the one place that reads, checks and resolves rules.  Every
+refusal is a ParseError that names its line: a syntax error, a value out of
+range, an undefined class, or a class, gap, default or symbol pair bound to
+two different values.  It resolves every rule into one map from unordered
+symbol pair to cost, filled in the reverse of that order, generic vowel
+pairs first and zero pairs last, so each rule overwrites exactly the rules
+it beats.  A `SubstitutionTable` holds that map, and `cost` is identity,
+one lookup, or the default mismatch.
 """
 
 import math
@@ -26,13 +30,16 @@ from .errors import ParseError, UsageError
 
 VOWEL_FAMILIES = ("a", "e", "i", "o", "u", "y")
 
-
-def _weight(what, value):
-    """`value` as a float; ValueError unless it lies in [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} {value} outside [0, 1]")
-    return value
+# Each directive's argument count (None: two or more) and what it takes.
+_ARITY = {
+    "weight": (2, "a class name and a value"),
+    "pair": (3, "two symbols and a class or cost"),
+    "zero": (2, "two symbols"),
+    "vset": (None, "a family letter and members"),
+    "longshort": (3, "long, short and a class"),
+    "gap": (1, "one value"),
+    "default": (1, "one value"),
+}
 
 
 def cost_value(what, value):
@@ -50,76 +57,18 @@ def _pair(s1, s2):
 class SubstitutionTable:
     """Symmetric per-symbol-pair substitution costs plus a gap penalty.
 
-    Parameters mirror the table DSL: `classes` maps class name to weight,
-    `pair_rules` is an iterable of (s1, s2, class_name_or_cost), `zero_pairs`
-    of (s1, s2), `vowel_sets` maps a family letter (a/e/i/o/u/y) to extra
-    members (the family letter itself is always a member), and `long_short`
-    is an iterable of (long, short, class_name).  Pair and long/short rules
-    bind an unordered symbol pair: a pair bound to two different costs by
-    rules of one kind raises ParseError.  `gap_penalty` and
-    `default_mismatch` go through `cost_value`.
+    `costs` maps each `_pair` key that some rule prices to its resolved
+    cost, and `classes` maps weight class name to weight, as `parse_table`
+    builds them; any other two distinct symbols cost `default_mismatch`.
+    `gap_penalty` and `default_mismatch` go through `cost_value`.
     """
 
-    def __init__(self, classes=None, pair_rules=(), zero_pairs=(), vowel_sets=None,
-                 long_short=(), gap_penalty=1.0, default_mismatch=1.0, name=None):
-        self.name = name
+    def __init__(self, costs, classes, gap_penalty, default_mismatch, name=None):
+        self._costs = costs
+        self.classes = classes
         self.gap_penalty = cost_value("gap penalty", gap_penalty)
         self.default_mismatch = cost_value("default mismatch", default_mismatch)
-        self.classes = {cname: _weight(f"weight class {cname!r}:", w)
-                        for cname, w in (classes or {}).items()}
-
-        pairs = {}
-        for s1, s2, rule in pair_rules:
-            cost = self._resolve(rule)
-            key = _pair(s1, s2)
-            if key in pairs and pairs[key] != cost:
-                raise ParseError(
-                    f"pair {s1}/{s2} bound to both {pairs[key]} and {cost}")
-            pairs[key] = cost
-
-        zero = set()
-        for s1, s2 in zero_pairs:
-            key = _pair(s1, s2)
-            if key in pairs and pairs[key] != 0.0:
-                raise ParseError(f"pair {s1}/{s2} is both zero and {pairs[key]}")
-            zero.add(key)
-
-        families = {fam: {fam} for fam in VOWEL_FAMILIES}
-        for fam, members in (vowel_sets or {}).items():
-            if fam not in families:
-                raise ParseError(f"unknown vowel family {fam!r}")
-            families[fam].update(members)
-        vowels = set().union(*families.values())
-
-        long_shorts = {}
-        for long_s, short_s, cname in long_short:
-            cost = self._resolve(cname)
-            key = _pair(long_s, short_s)
-            if long_shorts.get(key, cost) != cost:
-                raise ParseError(f"longshort {long_s}/{short_s} bound to both "
-                                        f"{long_shorts[key]} and {cost}")
-            long_shorts[key] = cost
-
-        # The module docstring's precedence, lowest first, so each rule
-        # overwrites the rules it beats; combinations of a sorted set yield
-        # `_pair` keys.
-        self._costs = {}
-        if "vowel" in self.classes:
-            self._costs.update(dict.fromkeys(combinations(sorted(vowels), 2),
-                                             self.classes["vowel"]))
-        self._costs.update(long_shorts)
-        self._costs.update(pairs)
-        for members in families.values():
-            self._costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
-        self._costs.update(dict.fromkeys(zero, 0.0))
-        self._pair_rules = len(pairs)
-
-    def _resolve(self, rule):
-        if isinstance(rule, str):
-            if rule not in self.classes:
-                raise ParseError(f"weight class {rule!r} is not defined")
-            return self.classes[rule]
-        return _weight("literal pair cost", rule)
+        self.name = name
 
     def cost(self, s1, s2):
         """Substitution cost between two symbols. Total: unknown symbols fall
@@ -134,97 +83,107 @@ class SubstitutionTable:
     def with_gap(self, gap_penalty):
         """Copy of this table with a different gap penalty.  Costs do not
         depend on the gap, so the copy shares the resolved cost map."""
-        clone = SubstitutionTable.__new__(SubstitutionTable)
-        clone.__dict__.update(self.__dict__)
-        clone.gap_penalty = cost_value("gap penalty", gap_penalty)
-        return clone
+        return SubstitutionTable(self._costs, self.classes, gap_penalty,
+                                 self.default_mismatch, self.name)
 
     def __repr__(self):
-        label = self.name or "custom"
-        return f"SubstitutionTable({label}, {self._pair_rules} pair rules)"
+        return f"SubstitutionTable({self.name or 'custom'}, {len(self._costs)} costs)"
 
 
 def parse_table(text, name=None):
-    """Parse the line-oriented table DSL.
+    """The `SubstitutionTable` that a text in the line-oriented table DSL
+    describes.
 
     Directives: `weight <class> <real>` | `pair <s1> <s2> <class-or-real>` |
     `zero <s1> <s2>` | `vset <family> <s1> <s2> ...` | `longshort <long>
     <short> <class>` | `gap <real>` | `default <real>`.  `#` starts a
-    comment.  Symbols must be single characters.
+    comment.  Symbols must be single characters.  Weights are read first, so
+    a rule may name a class defined below it; a `pair` names a class if one
+    of that name is defined, else a literal cost.  Every refusal is a
+    ParseError that names its line, a conflict the later of its two lines;
+    an identical repeat is accepted.
     """
-    classes = {}
-    pair_rules = []
-    zero_pairs = []
-    vowel_sets = {}
-    long_short = []
-    gap = 1.0
-    default = 1.0
+    classes, settings, rules = {}, {}, []
 
-    def symbol(tok, ln):
-        if len(tok) != 1:
-            raise ParseError(f"symbol must be a single character, got {tok!r}", line=ln)
-        return tok
+    def bind(store, key, value, what, ln):
+        if store.setdefault(key, value) != value:
+            raise ParseError(f"{what} bound to both {store[key]} and {value}", line=ln)
 
-    def cost(tok, ln):
-        try:
-            return cost_value("cost", tok)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from None
+    def in_unit(what, value, ln):
+        if not 0.0 <= value <= 1.0:
+            raise ParseError(f"{what} {value} outside [0, 1]", line=ln)
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind, args = fields[0], fields[1:]
+        if kind not in _ARITY:
+            raise ParseError(f"unknown directive {kind!r}", line=ln)
+        count, takes = _ARITY[kind]
+        if len(args) != count if count else len(args) < 2:
+            raise ParseError(f"{kind} takes {takes}", line=ln)
         if kind == "weight":
-            if len(args) != 2:
-                raise ParseError("weight takes a class name and a value", line=ln)
             try:
-                classes[args[0]] = float(args[1])
+                value = float(args[1])
             except ValueError:
                 raise ParseError(f"bad weight value {args[1]!r}", line=ln) from None
-        elif kind == "pair":
-            if len(args) != 3:
-                raise ParseError("pair takes two symbols and a class or cost", line=ln)
-            s1, s2 = symbol(args[0], ln), symbol(args[1], ln)
-            rule = args[2]
+            in_unit(f"weight class {args[0]!r}:", value, ln)
+            bind(classes, args[0], value, f"weight class {args[0]!r}", ln)
+        elif kind in ("gap", "default"):
             try:
-                rule = float(rule)
-            except ValueError:
-                pass  # class name, resolved at construction
-            pair_rules.append((s1, s2, rule))
-        elif kind == "zero":
-            if len(args) != 2:
-                raise ParseError("zero takes two symbols", line=ln)
-            zero_pairs.append((symbol(args[0], ln), symbol(args[1], ln)))
-        elif kind == "vset":
-            if len(args) < 2:
-                raise ParseError("vset takes a family letter and members", line=ln)
-            fam = args[0]
-            if fam not in VOWEL_FAMILIES:
-                raise ParseError(f"unknown vowel family {fam!r}", line=ln)
-            vowel_sets.setdefault(fam, set()).update(symbol(s, ln) for s in args[1:])
-        elif kind == "longshort":
-            if len(args) != 3:
-                raise ParseError("longshort takes long, short and a class", line=ln)
-            long_short.append((symbol(args[0], ln), symbol(args[1], ln), args[2]))
-        elif kind == "gap":
-            if len(args) != 1:
-                raise ParseError("gap takes one value", line=ln)
-            gap = cost(args[0], ln)
-        elif kind == "default":
-            if len(args) != 1:
-                raise ParseError("default takes one value", line=ln)
-            default = cost(args[0], ln)
+                value = cost_value(kind, args[0])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=ln) from None
+            bind(settings, kind, value, kind, ln)
         else:
-            raise ParseError(f"unknown directive {kind!r}", line=ln)
+            rules.append((ln, kind, args))
 
-    try:
-        return SubstitutionTable(classes, pair_rules, zero_pairs, vowel_sets,
-                                 long_short, gap, default, name=name)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    pairs, zero, long_shorts = {}, set(), {}
+    families = {fam: {fam} for fam in VOWEL_FAMILIES}
+    for ln, kind, args in rules:
+        symbols = args[1:] if kind == "vset" else args[:2]
+        for tok in symbols:
+            if len(tok) != 1:
+                raise ParseError(f"symbol must be a single character, got {tok!r}", line=ln)
+        if kind == "vset":
+            if args[0] not in families:
+                raise ParseError(f"unknown vowel family {args[0]!r}", line=ln)
+            families[args[0]].update(symbols)
+            continue
+        key, what = _pair(*symbols), f"{args[0]}/{args[1]}"
+        if kind == "longshort":
+            if args[2] not in classes:
+                raise ParseError(f"weight class {args[2]!r} is not defined", line=ln)
+            bind(long_shorts, key, classes[args[2]], f"longshort {what}", ln)
+        elif kind == "zero":
+            if pairs.get(key, 0.0) != 0.0:
+                raise ParseError(f"pair {what} is both zero and {pairs[key]}", line=ln)
+            zero.add(key)
+        else:
+            try:
+                cost = classes[args[2]] if args[2] in classes else float(args[2])
+            except ValueError:
+                raise ParseError(f"weight class {args[2]!r} is not defined", line=ln) from None
+            in_unit("literal pair cost", cost, ln)
+            if key in zero and cost != 0.0:
+                raise ParseError(f"pair {what} is both zero and {cost}", line=ln)
+            bind(pairs, key, cost, f"pair {what}", ln)
+
+    # The module docstring's precedence, lowest first, so each rule
+    # overwrites the rules it beats; combinations of a sorted set yield
+    # `_pair` keys.
+    costs = {}
+    if "vowel" in classes:
+        vowels = sorted(set().union(*families.values()))
+        costs.update(dict.fromkeys(combinations(vowels, 2), classes["vowel"]))
+    costs.update(long_shorts)
+    costs.update(pairs)
+    for members in families.values():
+        costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
+    costs.update(dict.fromkeys(zero, 0.0))
+    return SubstitutionTable(costs, classes, settings.get("gap", 1.0),
+                             settings.get("default", 1.0), name=name)
 
 
 def _vowel_pair_lines():

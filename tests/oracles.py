@@ -23,7 +23,7 @@ from lingdist.cluster import LINKAGES, Dendrogram, _newick_label, cut, silhouett
 from lingdist.errors import DegenerateData, ParseError
 from lingdist.lexicon import Lexicon, WordEntry, _extract_concepts
 from lingdist.stats import bandwidth_nrd0, sturges_bins
-from lingdist.subst import VOWEL_FAMILIES, SubstitutionTable
+from lingdist.subst import VOWEL_FAMILIES, parse_table
 
 
 def naive_lev(a, b, cost, gap=1.0):
@@ -179,14 +179,14 @@ class ReferenceTable:
 
 def random_table(rng: random.Random, alphabet="abcdefgh", default_mismatch=1.0):
     """A random symmetric substitution table over the given alphabet."""
-    pair_rules = []
+    lines = []
     for i, x in enumerate(alphabet):
         for y in alphabet[i + 1:]:
             if rng.random() < 0.6:
-                pair_rules.append((x, y, rng.choice(_COST_CHOICES)))
-    gap = rng.choice((0.5, 0.75, 1.0, 1.25, 1.5))
-    return SubstitutionTable(pair_rules=pair_rules, gap_penalty=gap,
-                             default_mismatch=default_mismatch)
+                lines.append(f"pair {x} {y} {rng.choice(_COST_CHOICES)}")
+    lines.append(f"gap {rng.choice((0.5, 0.75, 1.0, 1.25, 1.5))}")
+    lines.append(f"default {default_mismatch}")
+    return parse_table("\n".join(lines))
 
 
 def random_word(rng: random.Random, alphabet="abcdefgh", max_len=6):

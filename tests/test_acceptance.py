@@ -22,7 +22,7 @@ from lingdist.editdist import (GAP, DistanceMatrix, alignments,
                                write_oc)
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon, serialize_lexicon
 from lingdist.stats import bhattacharyya, kde, linregress, tscore
-from lingdist.subst import SubstitutionTable, builtin_table
+from lingdist.subst import builtin_table, parse_table
 
 
 @contextmanager
@@ -39,8 +39,7 @@ def criterion(number, name):
 
 def test_criterion_1_golden_example():
     with criterion(1, "golden overa/hofa example"):
-        table = SubstitutionTable(classes={"close": 0.2},
-                                  pair_rules=[("f", "v", "close"), ("e", "o", "close")])
+        table = parse_table("weight close 0.2\npair f v close\npair e o close\n")
         elapsed = []
         for _ in range(200):
             t0 = time.perf_counter()

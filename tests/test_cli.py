@@ -20,7 +20,7 @@ from lingdist.cli import main as cli_main
 from lingdist.editdist import read_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
-from test_fastpaths import dsl_tables
+from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
 from test_lexicon import edit, lexicon_texts
 
@@ -187,12 +187,25 @@ def test_bad_concept_names_fail_and_write_nothing(header, tmp_path):
 @pytest.mark.parametrize("line", [
     "default -1", "gap nan", "gap inf",
     pytest.param("weight x 0.2\nweight y 0.7\nlongshort a b x\nlongshort b a y",
-                 id="longshort-conflict")])
+                 id="longshort-conflict"),
+    pytest.param("weight w 0.2\npair a b w\nweight w 0.3", id="repeated-weight"),
+    pytest.param("gap 1\ngap 0.5", id="repeated-gap"),
+    pytest.param("default 1\ndefault 0.5", id="repeated-default")])
 def test_bad_table_costs_fail_and_write_nothing(line, tmp_path):
     table_path = tmp_path / "my.tbl"
     table_path.write_text(line + "\n")
     assert run_cli(["cluster", "--lexicon", SHEEP, "--table", str(table_path),
                     "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == ["my.tbl"]
+
+
+def test_table_refusal_names_the_file_and_line(tmp_path, capsys):
+    table_path = tmp_path / "my.tbl"
+    table_path.write_text("weight w 0.2\n\npair a b nosuch\n")
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--table", str(table_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"lingdist: {table_path}: line 3: weight class 'nosuch' is not defined\n")
     assert files_under(tmp_path) == ["my.tbl"]
 
 
@@ -843,14 +856,6 @@ def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, da
         assert {name for name in after if not name.startswith("out")} == set(before)
         after = {name: data for name, data in after.items() if not name.startswith("out")}
     assert after == before
-
-
-# Table edits: comment, blank and line-break characters, digits, a sign, an
-# exponent, symbols, and whole tokens that add an undefined class, a value
-# past the float range or a directive.
-TABLE_EDIT_CHARS = st.sampled_from(list("# \n\t\x0b\x85\u2028.-019eabk"))
-TABLE_INSERTS = st.one_of(TABLE_EDIT_CHARS, st.sampled_from(
-    ["c3", "nan", "1e999", "\npair a b c1", "\nweight c1 0.3", "\nzero a"]))
 
 
 @settings(max_examples=80, deadline=None,

@@ -16,12 +16,10 @@ from lingdist.editdist import (GAP, DistanceMatrix, alignments,
                                write_oc)
 from lingdist.errors import DegenerateData, FormatError, LimitExceeded
 from lingdist.lexicon import WordEntry, parse_lexicon
-from lingdist.subst import SubstitutionTable, builtin_table
+from lingdist.subst import builtin_table, parse_table
 
 # the worked example's table: gap 1, f<->v 0.2, e<->o 0.2, everything else 1
-EXAMPLE_TABLE = SubstitutionTable(
-    classes={"close": 0.2},
-    pair_rules=[("f", "v", "close"), ("e", "o", "close")])
+EXAMPLE_TABLE = parse_table("weight close 0.2\npair f v close\npair e o close\n")
 
 WORKED_ALIGNMENT = ((GAP, "h"), ("o", "o"), ("v", "f"), ("e", GAP), ("r", GAP), ("a", "a"))
 
@@ -69,7 +67,7 @@ def test_alignments_of_long_words_without_recursion():
 
 
 def test_empty_sequences():
-    table = SubstitutionTable()
+    table = parse_table("")
     assert raw_distance("", "abc", table) == 3.0
     assert raw_distance("abc", "", table) == 3.0
     assert raw_distance("", "", table) == 0.0
@@ -79,14 +77,14 @@ def test_empty_sequences():
 
 
 def test_kitten_sitting_unit_costs():
-    table = SubstitutionTable()  # every mismatch 1, gap 1
+    table = parse_table("")  # every mismatch 1, gap 1
     oracle = naive_lev("kitten", "sitting", table.cost, table.gap_penalty)
     assert oracle == 3.0
     assert raw_distance("kitten", "sitting", table) == oracle
 
 
 def test_ab_ba_co_optimal_set_matches_brute_force():
-    table = SubstitutionTable()
+    table = parse_table("")
     expected, best = brute_optimal_alignments("ab", "ba", table.cost, table.gap_penalty)
     found = alignments("ab", "ba", table)
     assert {a.columns for a in found} == expected
@@ -146,13 +144,13 @@ def test_normalized_distance_bounded():
 def _dyadic_table(rng):
     # costs are multiples of 0.25, so every path cost is exact in binary
     # floating point and co-optimality is unambiguous across methods
-    pair_rules = []
+    lines = []
     for i, x in enumerate("abcd"):
         for y in "abcd"[i + 1:]:
             if rng.random() < 0.7:
-                pair_rules.append((x, y, rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))))
-    return SubstitutionTable(pair_rules=pair_rules,
-                             gap_penalty=rng.choice((0.5, 1.0, 1.5)))
+                lines.append(f"pair {x} {y} {rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))}")
+    lines.append(f"gap {rng.choice((0.5, 1.0, 1.5))}")
+    return parse_table("\n".join(lines))
 
 
 def test_alignments_match_brute_force_random():

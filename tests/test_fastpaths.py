@@ -77,6 +77,14 @@ def dsl_tables(draw):
     return "\n".join(lines)
 
 
+# Table edits: comment, blank and line-break characters, digits, a sign, an
+# exponent, symbols, and whole tokens that add an undefined class, a value
+# past the float range or a directive.
+TABLE_EDIT_CHARS = st.sampled_from(list("# \n\t\x0b\x85\u2028.-019eabk"))
+TABLE_INSERTS = st.one_of(TABLE_EDIT_CHARS, st.sampled_from(
+    ["c3", "nan", "1e999", "\npair a b c1", "\nweight c1 0.3", "\nzero a"]))
+
+
 def assert_cost_matches_interpreter(table, text):
     """`cost` bit for bit and `known_symbols` as the rule interpreter gives
     them for the same DSL text, on every pair of the known symbols plus two

@@ -12,7 +12,7 @@ from lingdist.errors import ParseError
 from lingdist.lexicon import (Lexicon, WordEntry, parse_lexicon,
                               serialize_lexicon, symbols_used,
                               validate_against_table)
-from lingdist.subst import SubstitutionTable, builtin_table
+from lingdist.subst import builtin_table, parse_table
 
 ENGLISH_FACT = "numbers(english,[wun,too,three,foor,five,siks,seven,eit,nine,ten])."
 ITALIAN_FACT = "words(italian,[nero,bianco,rosso,giallo,[blu,azzurro],verde])."
@@ -321,5 +321,5 @@ def test_validate_empty_lexicon():
 
 def test_validate_against_custom_table():
     lex = parse_lexicon("n(x,[ab]).")
-    table = SubstitutionTable(classes={"c": 0.5}, pair_rules=[("a", "b", "c")])
+    table = parse_table("weight c 0.5\npair a b c\n")
     assert validate_against_table(lex, table) == []

@@ -2,13 +2,17 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingdist.errors import ParseError, UsageError
-from lingdist.subst import SubstitutionTable, builtin_table, parse_table
+from lingdist.subst import builtin_table, parse_table
+from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
+from test_lexicon import edit
 
 
 def test_identity_is_free():
-    table = SubstitutionTable()
+    table = parse_table("")
     assert table.cost("z", "z") == 0.0
     assert builtin_table("editable").cost("z", "z") == 0.0
 
@@ -134,19 +138,52 @@ def test_parse_table_syntax_errors(bad):
     ("gap 1 2", "gap takes one value"),
     ("default", "default takes one value"),
     ("default 1 2", "default takes one value"),
+    ("pair a b nosuch", "weight class 'nosuch' is not defined"),
+    ("longshort A a nosuch", "weight class 'nosuch' is not defined"),
+    ("pair a b v\npair b a 0.3", "pair b/a bound to both 0.1 and 0.3"),
+    ("pair a b 0.3\npair a b v", "pair a/b bound to both 0.3 and 0.1"),
+    ("zero a b\npair b a v", "pair b/a is both zero and 0.1"),
+    ("pair a b v\nzero b a", "pair b/a is both zero and 0.1"),
+    ("longshort A a v\nlongshort a A w", "longshort a/A bound to both 0.1 and 0.5"),
+    ("weight x 1.5", "weight class 'x': 1.5 outside [0, 1]"),
+    ("weight x -0.5", "weight class 'x': -0.5 outside [0, 1]"),
+    ("pair a b 2", "literal pair cost 2.0 outside [0, 1]"),
+    ("pair a b nan", "literal pair cost nan outside [0, 1]"),
+    ("weight v 0.3", "weight class 'v' bound to both 0.1 and 0.3"),
+    ("gap 1\ngap 0.5", "gap bound to both 1.0 and 0.5"),
+    ("default 0.9\ndefault 1", "default bound to both 0.9 and 1.0"),
+    ("gap nan", "gap must be finite and >= 0, got nan"),
+    ("default -1", "default must be finite and >= 0, got -1.0"),
 ])
 def test_parse_table_refusals_name_their_line(line, message):
+    # the last line of `line` is the one refused; w is defined below it
+    at = line.count("\n") + 3
     with pytest.raises(ParseError) as info:
-        parse_table(f"weight v 0.1\n\n{line}\n")
-    assert str(info.value) == f"line 3: {message}"
+        parse_table(f"weight v 0.1\n\n{line}\nweight w 0.5\n")
+    assert str(info.value) == f"line {at}: {message}"
+    assert info.value.line == at
+
+
+def test_repeated_identical_values_are_accepted():
+    table = parse_table("weight w 0.2\npair a b w\nweight w 0.2\ngap 0.5\ngap 0.5\n"
+                        "default 0.9\ndefault 0.9\n")
+    assert (table.cost("a", "b"), table.gap_penalty, table.default_mismatch) == (0.2, 0.5, 0.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_refusal_of_a_drawn_table_names_a_line(data):
+    text = edit(data.draw, data.draw(dsl_tables()), TABLE_EDIT_CHARS, TABLE_INSERTS)
+    try:
+        parse_table(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()), (exc, text)
 
 
 def test_weight_class_range():
-    with pytest.raises(ValueError, match=r"^weight class 'w': 1.2 outside \[0, 1\]$"):
-        SubstitutionTable(classes={"w": 1.2})
-    with pytest.raises(ParseError, match=r"^weight class 'w': 1.2 outside \[0, 1\]$"):
+    with pytest.raises(ParseError, match=r"^line 1: weight class 'w': 1.2 outside \[0, 1\]$"):
         parse_table("weight w 1.2")
-    with pytest.raises(ParseError, match=r"^literal pair cost 2.0 outside \[0, 1\]$"):
+    with pytest.raises(ParseError, match=r"^line 1: literal pair cost 2.0 outside \[0, 1\]$"):
         parse_table("pair a b 2")
 
 
@@ -217,10 +254,10 @@ def test_with_gap_copies():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_gap_and_default_must_be_finite_and_nonnegative(bad):
     # a nan gap made raw_distance("abc", "ab") nan, a gap of -1 made it -5.0
-    with pytest.raises(ValueError):
-        SubstitutionTable(gap_penalty=bad)
-    with pytest.raises(ValueError):
-        SubstitutionTable(default_mismatch=bad)
+    with pytest.raises(ParseError, match=rf"^line 1: gap must be finite and >= 0, got {bad}$"):
+        parse_table(f"gap {bad}")
+    with pytest.raises(ParseError, match=rf"^line 1: default must be finite and >= 0, got {bad}$"):
+        parse_table(f"default {bad}")
     with pytest.raises(ValueError):
         builtin_table("editable").with_gap(bad)
 
