@@ -12,16 +12,20 @@ they equal the per-value computation bit for bit.  A density hands
 `math.fsum` (correctly rounded, Shewchuk 1997) one term `t * 2**k` for each
 set bit k of a value's count instead of `count` copies of `t`; scaling by a
 power of two never rounds, so the exact sum, and with it the rounded float,
-is unchanged.  A coefficient bins each distinct value once and adds its
-count: bin counts are integers, and equal values always share a bin.  Only
-occupied bins are counted, so the cost does not grow with the bin count.
+is unchanged.  It feeds `fsum` the terms of the values >= x rising, then
+those of the values < x falling; the order changes only `fsum`'s speed, as
+a correctly rounded sum gives the same float in any order.  A coefficient
+bins each distinct value once and adds its count: bin counts are integers,
+and equal values always share a bin.  Only occupied bins are counted, so
+the cost does not grow with the bin count.
 """
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 
 from ._record import Record
 from .editdist import DistanceMatrix
@@ -114,6 +118,11 @@ def kde(values, grid_points=512):
     the terms' exact sum is that of the copies.  `fsum` rounds the exact sum
     correctly, so the density is the per-value one bit for bit; `t * count`
     would round differently.
+
+    `fsum` takes the terms of the values >= x rising, then those of the
+    values < x falling, so each run starts at the value next to x.  The order
+    changes only `fsum`'s speed, never its float.  The grid rises, so the
+    order is built again only where the grid passes a value.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -126,16 +135,26 @@ def kde(values, grid_points=512):
     hi = max(values) + 3.0 * h
     step = (hi - lo) / (grid_points - 1)
     counts = Counter(values)
-    distinct = list(counts)
-    index, scale = _binary_multiples(counts.values())
+    distinct = sorted(counts)
+    index, scale = _binary_multiples(map(counts.__getitem__, distinct))
+    cut = None
     xs, ys = [], []
     try:
         norm = 1.0 / (len(values) * h * math.sqrt(2.0 * math.pi))
         for i in range(grid_points):
             x = lo + step * i
             xs.append(x)
+            below = bisect_left(distinct, x)
+            if below != cut:
+                cut = below
+                # entries of the values >= x rising, then the rest falling;
+                # 2 distinct values give at least 2 entries, so each
+                # itemgetter returns a tuple, never a lone item
+                p = bisect_left(index, cut)
+                order = itemgetter(*range(p, len(index)), *range(p - 1, -1, -1))
+                feed, weights = itemgetter(*order(index)), order(scale)
             terms = [math.exp(-0.5 * ((x - v) / h) ** 2) for v in distinct]
-            ys.append(norm * math.fsum(map(mul, map(terms.__getitem__, index), scale)))
+            ys.append(norm * math.fsum(map(mul, feed(terms), weights)))
     except (ZeroDivisionError, OverflowError):
         # h underflowed to 0, or is so small against the spread that the
         # squared distance overflows
