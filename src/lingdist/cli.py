@@ -180,11 +180,12 @@ def _csv_text(header, rows):
 def cmd_words_analyse(lex, table, args):
     from . import stats, svgplot
 
-    if len(lex.languages) < 2:
-        raise DegenerateData("words-analyse needs at least 2 languages")
+    # a density needs 2 language pairs per column, the Bhattacharyya grid 2 columns
+    if len(lex.languages) < 3:
+        raise DegenerateData(f"words-analyse needs at least 3 languages, got {len(lex.languages)}")
     names = lex.concept_names()
-    if not names:
-        raise DegenerateData("words-analyse needs at least 1 concept, the lexicon has none")
+    if len(names) < 2:
+        raise DegenerateData(f"words-analyse needs at least 2 concepts, got {len(names)}")
     artifacts = {}
     columns, tscores = {}, {}
     try:
@@ -259,7 +260,7 @@ def _read_truth(path):
 def cmd_cluster(lex, table, args):
     matrix = editdist.language_matrix(lex, table)
     dend = hc.agglomerate(matrix, args.linkage)
-    best_assignment, means = hc.cut_scan(matrix, dend)
+    best_assignment, _report, means = hc.best_cut(matrix, dend)
 
     artifacts = {
         "languages.oc": editdist.write_oc(matrix),
@@ -347,7 +348,7 @@ def cmd_relationship(lex, table, args):
 def cmd_all_to_all(lex, table, args):
     matrix = editdist.all_to_all_matrix(lex, table)
     dend = hc.agglomerate(matrix, args.linkage)
-    best_assignment, _means = hc.cut_scan(matrix, dend)
+    best_assignment, _report, _means = hc.best_cut(matrix, dend)
 
     forced_k = args.k if args.k is not None else lex.n_concepts
     if forced_k < 2:

@@ -21,7 +21,7 @@ node, whose id is the largest, so it takes over only when strictly closer.
 The linkage updates are the reference's expressions, so every height is the
 same float.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 
-`cut_scan` walks the cuts top-down.  Going to k undoes merge n-k, which
+`best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
 splits one cluster in two.  For each new cluster it computes, once, every
 point's `fsum` of distances to the members; `fsum` is correctly rounded, so
 that is the sum `silhouette` takes over the same members in its own order.
@@ -29,9 +29,10 @@ Each point keeps a(i), b(i) and the cluster b(i) came from.  A split can
 only bring b(i) down to one of the two new columns, unless b(i) came from the
 cluster that split and rounding put both halves above it; then that point
 alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
-operations.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
+operations, so the best k's scores are `best_cut`'s report, with no second
+pass.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
 balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
-runs for the best k only; `best_cut` adds that cut's `silhouette` report.
+runs for the best k only.  `silhouette_scan` returns the same scan's means.
 
 The exports walk the merges forward: merge t builds node n+t from its two
 children's results, which are then dropped, so nothing recurses and a tree of
@@ -42,9 +43,10 @@ update of equal distances can round a merge one ulp below a child), as in
 wide with an 18-high row per leaf.  It imports `svgplot` when called, so a
 run that draws no dendrogram never loads it.
 
-A DistanceMatrix holds only its upper triangle.  `agglomerate`, the scan and
-`silhouette` each work on a square from `matrix.rows()` and release it before
-the next builds its own, so at most one square copy exists at a time.
+A DistanceMatrix holds only its upper triangle.  `agglomerate` and the scan
+each work on a square from `matrix.rows()` and release it before the next
+builds its own, so at most one square copy exists at a time.  `silhouette`
+scores one given cut; no subcommand calls it.
 """
 
 import math
@@ -252,24 +254,17 @@ def _mean_to(row, leaves):
     return math.fsum(itemgetter(*leaves)(row)) / len(leaves)
 
 
-def cut_scan(matrix, dendrogram):
-    """Cut at every k in 2..n-1 and score each cut, in one pass.
+def _scan(matrix, dendrogram):
+    """Score the cut at every k in 2..n-1 in one pass over one square.
 
-    Returns (best, means): best is the assignment with the highest mean
-    silhouette, ties going to the smaller k, and means is the list of
-    (k, mean) for every k.  The scan walks the cuts top-down (see the
-    module docstring) and calls `cut` for the best k only.
+    Returns (means, best): (k, mean) for every k, and (k, mean, per-point
+    scores in label order) at the best k, None when n < 3.  The rows are
+    read by leaf number, so leaves that are not the matrix labels in order
+    are a ValueError.
     """
-    n = matrix.n
-    if n < 3:
-        raise DegenerateData(f"need at least 3 items to scan cuts, got {n}")
-    means = _scan_means(matrix.rows(), dendrogram)
-    k = max(means, key=itemgetter(1))[0]  # max keeps the first, smallest k, of equal means
-    return cut(dendrogram, k), means
-
-
-def _scan_means(values, dendrogram):
-    """(k, mean silhouette) for every k in 2..n-1, from the square `values`."""
+    if dendrogram.leaf_labels != tuple(matrix.labels):
+        raise ValueError("the dendrogram's leaf labels are not the matrix labels, in order")
+    values = matrix.rows()
     n = len(values)
     leaves = [[i] for i in range(n)]
     for a, b, _h in dendrogram.merges:
@@ -279,7 +274,7 @@ def _scan_means(values, dendrogram):
     a_of = [0.0] * n       # the mean distance a(i) within it,
     b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
     b_from = [None] * n    # and the cluster that gave b(i)
-    means = []
+    means, best = [], None
     for k in range(2, n):
         parent = 2 * n - k
         ca, cb, _h = dendrogram.merges[n - k]
@@ -310,22 +305,32 @@ def _scan_means(values, dendrogram):
             a, b = a_of[i], b_of[i]
             denom = max(a, b)
             scores.append((b - a) / denom if denom > 0.0 else 0.0)
-        means.append((k, math.fsum(scores) / n))
-    return means
+        mean = math.fsum(scores) / n
+        if best is None or mean > best[1]:  # as `max`: ties and NaN keep the smaller k
+            best = (k, mean, scores)
+        means.append((k, mean))
+    return means, best
 
 
 def best_cut(matrix, dendrogram):
     """Scan every k in 2..n-1 and keep the cut with the best mean silhouette.
 
-    Ties go to the smaller k.  Returns (k, assignment, report).
+    Returns (assignment, report, means): the cut at the best k, ties going
+    to the smaller k; its SilhouetteReport, from the scan's own per-point
+    scores; and the list of (k, mean) for every k.  Raises ValueError unless
+    the dendrogram's leaves are the matrix labels in order.
     """
-    assignment = cut_scan(matrix, dendrogram)[0]
-    return assignment.k, assignment, silhouette(matrix, assignment)
+    means, best = _scan(matrix, dendrogram)
+    if best is None:
+        raise DegenerateData(f"need at least 3 items to scan cuts, got {matrix.n}")
+    k, mean, scores = best
+    report = SilhouetteReport(dict(zip(matrix.labels, scores)), mean)
+    return cut(dendrogram, k), report, means
 
 
 def silhouette_scan(matrix, dendrogram):
     """Mean silhouette for every k in 2..n-1, as a list of (k, mean)."""
-    return cut_scan(matrix, dendrogram)[1] if matrix.n >= 3 else []
+    return _scan(matrix, dendrogram)[0]
 
 
 class PurityReport(Record):

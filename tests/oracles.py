@@ -345,7 +345,7 @@ def reference_agglomerate(matrix, linkage="complete"):
 
 def reference_cut_scan(matrix, dendrogram):
     """Cut at every k in 2..n-1 and score each cut with `silhouette`: the
-    per-k form `cut_scan` replaced, kept verbatim.
+    per-k form that `best_cut`'s one top-down scan replaced, kept verbatim.
 
     Returns (best, means): best is the (k, assignment, report) with the
     highest mean silhouette, ties going to the smaller k, and means is the

@@ -214,8 +214,8 @@ def test_criterion_5_two_family_clustering():
                         assert d > 0.6, (la, lb, c, d)
         m = lingdist.language_matrix(lex, table)
         for linkage in ("single", "complete", "average"):
-            k, assignment, _report = best_cut(m, agglomerate(m, linkage))
-            assert k == 2, linkage
+            assignment, _report, _means = best_cut(m, agglomerate(m, linkage))
+            assert assignment.k == 2, linkage
             groups = {frozenset(l for l, c in assignment.member_of.items() if c == cid)
                       for cid in (1, 2)}
             assert groups == {FAMILY_A, FAMILY_B}, linkage

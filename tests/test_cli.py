@@ -17,9 +17,11 @@ import lingdist
 from conftest import FIXTURES
 from lingdist import cli
 from lingdist.cli import main as cli_main
+from lingdist.cluster import LINKAGES
 from lingdist.editdist import read_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
+from lingdist.lexicon import Lexicon, WordEntry, serialize_lexicon
 from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
 from test_lexicon import edit, lexicon_texts
@@ -282,6 +284,25 @@ def test_no_concepts_is_data_error_and_writes_nothing(command, tmp_path):
     assert files_under(tmp_path) == ["empty_words.pl"]
 
 
+@pytest.mark.parametrize("facts, message", [
+    ("n(a,[pat,ko]).\nn(b,[bat,go]).\n", "needs at least 3 languages, got 2"),
+    ("n(a,[pat]).\nn(b,[bat]).\nn(c,[kopo]).\n", "needs at least 2 concepts, got 1"),
+], ids=["two-languages", "one-concept"])
+def test_words_analyse_refuses_an_unanalysable_lexicon_before_any_distance(
+        facts, message, tmp_path, capsys, monkeypatch):
+    # two languages give each concept one distance, which has no density;
+    # one concept gives the Bhattacharyya grid no pair of columns
+    def no_distances(entries, table):
+        raise AssertionError("distances computed for a lexicon words-analyse refuses")
+    monkeypatch.setattr(lingdist.editdist, "_entry_triangle", no_distances)
+    lex_path = tmp_path / "toy.pl"
+    lex_path.write_text(facts)
+    assert run_cli(["words-analyse", "--lexicon", str(lex_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"lingdist: words-analyse {message}\n"
+    assert files_under(tmp_path) == ["toy.pl"]
+
+
 def test_rerun_into_same_out_replaces_stale_artifacts(tmp_path):
     out = tmp_path / "out"
     truth = str(FIXTURES / "sheep_truth.csv")
@@ -432,6 +453,77 @@ def test_cluster_two_languages_is_data_error(tmp_path):
     assert run_cli(["cluster", "--lexicon", str(lex_path),
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == ["toy.pl"]
+
+
+@pytest.mark.parametrize("args", [
+    ["cluster", "--lexicon", SHEEP],
+    ["all-to-all", "--lexicon", SHEEP, "--k", "3"],
+], ids=["cluster", "all-to-all"])
+def test_cli_picks_the_best_cut_in_one_scan(args, tmp_path, monkeypatch):
+    # counting wrappers on the module attributes, which the CLI calls through
+    calls = {"best_cut": 0, "silhouette": 0}
+
+    def counting(name):
+        fn = getattr(lingdist.cluster, name)
+
+        def counted(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(lingdist.cluster, name, counting(name))
+    assert run_cli(args + ["--out", str(tmp_path / "out")]) == 0
+    assert calls == {"best_cut": 1, "silhouette": 0}
+
+
+WORDS = st.text("aeioptkmns", min_size=1, max_size=5)
+
+
+@st.composite
+def cluster_relations(draw):
+    """A lexicon of 3-5 languages x 1-4 named concepts with synonym sets, and
+    one transformation of it that must leave every `cluster` artifact as it
+    is: the concepts permuted with the header, every concept listed twice
+    under new names, or the variants of each synonym set reordered."""
+    arity = draw(st.integers(1, 4))
+    entries = {f"L{i}": tuple(WordEntry(tuple(draw(st.lists(WORDS, min_size=1, max_size=3))))
+                              for _ in range(arity))
+               for i in range(draw(st.integers(3, 5)))}
+    concepts = tuple(f"c{i}" for i in range(arity))
+    kind = draw(st.sampled_from(["permute", "double", "reorder"]))
+    if kind == "permute":
+        order = draw(st.permutations(range(arity)))
+        other = Lexicon("db", {lang: tuple(words[i] for i in order)
+                               for lang, words in entries.items()},
+                        tuple(concepts[i] for i in order))
+    elif kind == "double":
+        other = Lexicon("db", {lang: words + words for lang, words in entries.items()},
+                        concepts + tuple(f"{c}_again" for c in concepts))
+    else:
+        other = Lexicon("db", {lang: tuple(WordEntry(tuple(draw(st.permutations(e.variants))))
+                                           for e in words)
+                               for lang, words in entries.items()}, concepts)
+    return serialize_lexicon(Lexicon("db", entries, concepts)), serialize_lexicon(other)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cluster_relations(), st.sampled_from(LINKAGES), st.sampled_from([None, "0.3", "1", "2.5"]))
+def test_cluster_artifacts_keep_their_bytes_under_concept_relations(
+        tmp_path, case, linkage, gap):
+    """A language distance is a correctly rounded mean over the concepts of
+    the closest variant pair, so none of these relations moves a bit.  The
+    gaps are normal floats, so a doubled sum cannot overflow."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    outs = []
+    for name, text in zip("ab", case):
+        (root / f"{name}.pl").write_text(text, encoding="utf-8")
+        args = ["cluster", "--lexicon", str(root / f"{name}.pl"), "--linkage", linkage,
+                "--k", "2", "--out", str(root / name)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert run_cli(args + (["--gap", gap] if gap else [])) == 0
+        outs.append(read_dir(root / name))
+    assert outs[0] == outs[1]
 
 
 def test_cluster_truth_missing_label(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 from oracles import direct_silhouette, random_distance_matrix, reference_cut_scan
 
 from lingdist.cluster import (LINKAGES, ClusterAssignment, Dendrogram,
-                              agglomerate, best_cut, cut, cut_scan,
-                              export_newick, export_svg, purity, silhouette,
-                              silhouette_scan)
+                              agglomerate, best_cut, cut, export_newick,
+                              export_svg, purity, silhouette, silhouette_scan)
 from lingdist.editdist import DistanceMatrix
 from lingdist.errors import DegenerateData
 
@@ -167,16 +166,18 @@ def test_best_cut_two_pairs_plus_outlier():
         oracle = direct_silhouette(m, cut(d, k))
         scores[k] = sum(oracle.values()) / len(oracle)
     want_k = min(k for k, s in scores.items() if s == max(scores.values()))
-    k, assignment, report = best_cut(m, d)
-    assert k == want_k == 3
+    assignment, report, means = best_cut(m, d)
+    assert assignment.k == want_k == 3
+    assert [k for k, _s in means] == [2, 3, 4]
     assert assignment.member_of == {"a": 1, "b": 1, "c": 2, "d": 2, "e": 3}
     assert report.mean == pytest.approx(scores[3], abs=1e-12)
 
 
 def test_best_cut_three_items_only_k2():
     m = _matrix("abc", {("a", "b"): 0.2, ("a", "c"): 0.9, ("b", "c"): 0.8})
-    k, assignment, _ = best_cut(m, agglomerate(m))
-    assert k == 2
+    assignment, _report, means = best_cut(m, agglomerate(m))
+    assert assignment.k == 2
+    assert [k for k, _s in means] == [2]
     assert assignment.member_of == {"a": 1, "b": 1, "c": 2}
     with pytest.raises(DegenerateData, match=r"need at least 3 items to scan cuts, got 2"):
         two = _matrix("ab", {("a", "b"): 0.4})
@@ -184,8 +185,8 @@ def test_best_cut_three_items_only_k2():
 
 
 def test_best_cut_separation_example():
-    k, assignment, _ = best_cut(TWO_PAIRS, agglomerate(TWO_PAIRS))
-    assert k == 2
+    assignment, _report, _means = best_cut(TWO_PAIRS, agglomerate(TWO_PAIRS))
+    assert assignment.k == 2
     assert assignment.member_of == {"a": 1, "b": 1, "c": 2, "d": 2}
 
 
@@ -194,8 +195,8 @@ def test_best_cut_range_property():
     for _ in range(20):
         n = rng.randint(3, 10)
         m = random_distance_matrix(rng, n)
-        k, _a, _r = best_cut(m, agglomerate(m))
-        assert 2 <= k <= n - 1
+        assignment, _r, _means = best_cut(m, agglomerate(m))
+        assert 2 <= assignment.k <= n - 1
 
 
 def test_silhouette_scan_covers_all_k():
@@ -220,15 +221,15 @@ def test_best_cut_is_first_argmax_of_silhouette_scan():
         top = max(s for _k, s in scan)
         want = next(k for k, s in scan if s == top)
         tied += sum(s == top for _k, s in scan) > 1
-        k, assignment, report = best_cut(m, d)
-        assert k == want
+        assignment, report, means = best_cut(m, d)
+        assert assignment.k == want
         assert report.mean == top
-        assert assignment == cut(d, k)
+        assert assignment == cut(d, want)
+        assert means == scan
     assert tied > 0
 
 
-
-def test_cut_scan_rescans_when_rounding_lifts_both_halves():
+def test_best_cut_rescans_when_rounding_lifts_both_halves():
     # q1, q2 sit 0.7 from every p, and fsum([0.7] * 3) / 3 < 0.7.  Splitting
     # {p1..p6} into two triples keeps b(q) at that rounded mean; splitting
     # each triple into 0.7-mean halves must raise b(q) back to 0.7, which
@@ -245,13 +246,28 @@ def test_cut_scan_rescans_when_rounding_lifts_both_halves():
     assert math.fsum([0.7] * 3) / 3 < 0.7
     for linkage in LINKAGES:
         d = agglomerate(m, linkage)
-        assignment, means = cut_scan(m, d)
-        k, best_assignment, report = best_cut(m, d)
+        assignment, report, means = best_cut(m, d)
         (want_k, want_assignment, want_report), want_means = reference_cut_scan(m, d)
-        assert (k, assignment) == (want_k, want_assignment)
-        assert best_assignment == want_assignment
+        assert (assignment.k, assignment) == (want_k, want_assignment)
         assert report.per_point == want_report.per_point
         assert [(k, v.hex()) for k, v in means] == [(k, v.hex()) for k, v in want_means]
+
+
+def test_best_cut_and_scan_refuse_a_dendrogram_of_other_leaves():
+    # the scan reads rows by leaf number, so a dendrogram over the labels in
+    # another order would score another clustering
+    labels = FIVE.labels[::-1]
+    reversed_five = DistanceMatrix(labels, [FIVE.get(labels[i], labels[j])
+                                            for i, j in DistanceMatrix.upper_pairs(5)])
+    other = _matrix("VWXYZ", {})
+    for dendrogram in (agglomerate(reversed_five), agglomerate(other)):
+        with pytest.raises(ValueError, match="leaf labels are not the matrix labels"):
+            best_cut(FIVE, dendrogram)
+        with pytest.raises(ValueError, match="leaf labels are not the matrix labels"):
+            silhouette_scan(FIVE, dendrogram)
+    assert silhouette_scan(reversed_five, agglomerate(reversed_five)) \
+        == silhouette_scan(FIVE, agglomerate(FIVE))  # no ties: the same clustering
+
 
 def test_label_permutation_equivariance():
     rng = random.Random(61)
@@ -264,9 +280,9 @@ def test_label_permutation_equivariance():
         m2 = DistanceMatrix(labels2, [m.get(labels2[i], labels2[j])
                                       for i, j in DistanceMatrix.upper_pairs(n)])
         d1, d2 = agglomerate(m), agglomerate(m2)
-        k1, a1, r1 = best_cut(m, d1)
-        k2, a2, r2 = best_cut(m2, d2)
-        assert k1 == k2
+        a1, r1, _means1 = best_cut(m, d1)
+        a2, r2, _means2 = best_cut(m2, d2)
+        assert a1.k == a2.k
         assert r1.mean == pytest.approx(r2.mean, abs=1e-12)
         # the grouping is the same, cluster ids may be renamed
         groups1 = {frozenset(l for l, c in a1.member_of.items() if c == cid)

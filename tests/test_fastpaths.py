@@ -30,7 +30,7 @@ from oracles import (ReferenceTable, naive_lev, random_distance_matrix, random_t
                      reference_export_svg, reference_kde,
                      reference_language_values, reference_raw_distance)
 
-from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut, cut_scan,
+from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut,
                               export_newick, export_svg)
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
                                language_matrix, raw_distance)
@@ -371,16 +371,14 @@ def test_agglomerate_equals_pair_dict_reference(matrix):
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(3))
-def test_cut_scan_equals_per_k_reference(matrix):
+def test_best_cut_equals_per_k_reference(matrix):
     for linkage in LINKAGES:
         dendrogram = agglomerate(matrix, linkage)
-        assignment, means = cut_scan(matrix, dendrogram)
-        k, best_assignment, report = best_cut(matrix, dendrogram)
+        assignment, report, means = best_cut(matrix, dendrogram)
         (want_k, want_assignment, want_report), want_means = \
             reference_cut_scan(matrix, dendrogram)
-        assert k == want_k
+        assert assignment.k == want_k
         assert assignment == want_assignment
-        assert best_assignment == want_assignment
         assert report_bits(report) == report_bits(want_report)
         assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
 
@@ -389,7 +387,7 @@ def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
     matrix = DistanceMatrix(["a", "b", "c", "d"], [1e308, 1e308, 1e308, 1e308, 1e308, 1.0])
     dendrogram = agglomerate(matrix, "single")
     with pytest.raises(DegenerateData):
-        cut_scan(matrix, dendrogram)
+        best_cut(matrix, dendrogram)
     with pytest.raises(DegenerateData):
         reference_cut_scan(matrix, dendrogram)  # through `silhouette`
 
