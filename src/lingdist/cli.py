@@ -16,8 +16,13 @@ succeeded, so a failing run leaves no partial output.  They are written to a
 new directory beside --out and renamed into place, so --out holds exactly
 the last run's files.  An existing --out is replaced only if it holds
 nothing but regular files with artifact suffixes (.csv .oc .svg .nwk .txt);
-anything else is a usage error and --out is left as it was.  Given identical
-inputs and flags, every artifact is byte-identical between runs.
+anything else is a usage error and --out is left as it was, as is an --out
+that holds an input file of the run.  Given identical inputs and flags, every
+artifact is byte-identical between runs.
+
+Every input file is read once, by `_parse_file`: as UTF-8 with or without a
+byte order mark and with its line ends as written, for a parser that splits
+lines itself, so `\n`, `\r\n` and `\r` read alike.
 
 Lexicon symbols that no rule of the table prices cost the default
 mismatch; the run lists them in one warning on stderr and goes on.
@@ -63,40 +68,32 @@ def _quote(text):
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
-def _read(path, newline=None):
-    """The file's text; a file that is not UTF-8 is a ParseError naming it."""
+def _parse_file(path, parse, **options):
+    """`parse` applied to the file's text, read as UTF-8 with or without a BOM
+    and with its line ends as written; a ParseError or decode error names the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+        return parse(text, **options)
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _csv_rows(path):
-    """(line the row starts on, row) for each non-empty CSV row of the file;
-    CSV the reader refuses is a ParseError naming the file."""
-    reader = csv.reader(io.StringIO(_read(path, newline=""), newline=""))
+def _csv_rows(text, header, what):
+    """(line the row starts on, row) for each non-empty CSV row not beginning with
+    the `header` fields; refused CSV, or a row of another field count, is a ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     line = 1
     try:
         for row in reader:
-            if row:
+            if row and tuple(row[:len(header)]) != header:
+                if len(row) != len(header):
+                    raise ParseError(f"{what} rows need {len(header)} fields, "
+                                     f"got {_quote(','.join(row))}", line)
                 yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _parse_file(path, parse, **options):
-    """`parse` applied to the file's text; a ParseError names the file."""
-    text = _read(path)
-    try:
-        return parse(text, **options)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_lexicon(path):
-    return _parse_file(path, lexicon.parse_lexicon)
+        raise ParseError(str(exc)) from exc
 
 
 def _load_table(name_or_path, gap=None):
@@ -117,6 +114,16 @@ def _warn_uncovered(lex, table):
     if missing:
         print(f"lingdist: warning: symbols not in table {table.name}: "
               f"{', '.join(missing)} (default mismatch cost)", file=sys.stderr)
+
+
+def _check_inputs_outside(args):
+    """Refuse an --out that holds an input file of the run: replacing it deletes the file."""
+    out = os.path.join(os.path.realpath(os.path.abspath(args.out)), "")
+    table = None if args.table in subst.BUILTIN_TABLES else args.table
+    for path in (args.lexicon, table, getattr(args, "truth", None), getattr(args, "geo", None)):
+        if path and os.path.isfile(path) and os.path.realpath(path).startswith(out):
+            raise UsageError(f"--out {os.path.abspath(args.out)} holds the input file "
+                             f"{path}; refusing to replace it")
 
 
 def _check_replaceable(out):
@@ -242,18 +249,14 @@ def _purity_csv(report):
     return _csv_text(("cluster", "size", "majority", "purity"), rows)
 
 
-def _read_truth(path):
+def _parse_truth(text):
+    """Class by label from CSV text of label,class."""
     truth = {}
-    for line, row in _csv_rows(path):
-        if (row[0], *row[1:2]) == ("label", "class"):
-            continue
-        where = f"{path}: line {line}"
-        if len(row) != 2:
-            raise ParseError(f"{where}: truth rows need 2 fields, got {_quote(','.join(row))}")
-        label = row[0].strip()
+    for line, (label, cls) in _csv_rows(text, ("label", "class"), "truth"):
+        label = label.strip()
         if label in truth:
-            raise ParseError(f"{where}: label {_quote(label)} listed twice")
-        truth[label] = row[1].strip()
+            raise ParseError(f"label {_quote(label)} listed twice", line)
+        truth[label] = cls.strip()
     return truth
 
 
@@ -274,30 +277,25 @@ def cmd_cluster(lex, table, args):
         forced = hc.cut(dend, args.k)
         artifacts["clusters_forced.csv"] = _cluster_csv(forced)
         if args.truth is not None:
-            artifacts["purity.csv"] = _purity_csv(hc.purity(forced, _read_truth(args.truth)))
+            truth = _parse_file(args.truth, _parse_truth)
+            artifacts["purity.csv"] = _purity_csv(hc.purity(forced, truth))
     return artifacts
 
 
-def _read_geo(path):
-    """Unordered pair distances from a CSV of place_a,place_b,distance_km."""
+def _parse_geo(text):
+    """Distance by place pair, under both orders, from place_a,place_b,distance_km CSV."""
     geo = {}
-    for line, row in _csv_rows(path):
-        if tuple(row[:3]) == ("place_a", "place_b", "distance_km"):
-            continue
-        where = f"{path}: line {line}"
-        if len(row) != 3:
-            raise ParseError(f"{where}: geo rows need 3 fields, got {_quote(','.join(row))}")
-        a, b = row[0].strip(), row[1].strip()
+    for line, (a, b, km) in _csv_rows(text, ("place_a", "place_b", "distance_km"), "geo"):
+        a, b = a.strip(), b.strip()
         try:
-            d = float(row[2])
+            d = float(km)
         except ValueError:
-            raise ParseError(f"{where}: bad distance {_quote(row[2])}") from None
+            raise ParseError(f"bad distance {_quote(km)}", line) from None
         if not (math.isfinite(d) and d >= 0.0):
-            raise ParseError(f"{where}: distance {_quote(row[2])} is not finite and >= 0")
-        key = (a, b) if a <= b else (b, a)
-        if key in geo:
-            raise ParseError(f"{where}: pair {_quote(f'{a}/{b}')} listed twice")
-        geo[key] = d
+            raise ParseError(f"distance {_quote(km)} is not finite and >= 0", line)
+        if (a, b) in geo:
+            raise ParseError(f"pair {_quote(f'{a}/{b}')} listed twice", line)
+        geo[a, b] = geo[b, a] = d
     return geo
 
 
@@ -305,14 +303,13 @@ def cmd_relationship(lex, table, args):
     from . import stats, svgplot
 
     matrix = editdist.language_matrix(lex, table)
-    geo = _read_geo(args.geo)
+    geo = _parse_file(args.geo, _parse_geo)
 
     pairs = []
     for a, b, ling in matrix.upper():
-        key = (a, b) if a <= b else (b, a)
-        if key not in geo:
+        if (a, b) not in geo:
             raise ParseError(f"{args.geo}: no distance for the pair {a}/{b}")
-        pairs.append((a, b, ling, geo[key]))
+        pairs.append((a, b, ling, geo[a, b]))
 
     geo_values = [g for _a, _b, _l, g in pairs]
     ling_values = [l for _a, _b, l, _g in pairs]
@@ -356,7 +353,7 @@ def cmd_all_to_all(lex, table, args):
     forced = hc.cut(dend, forced_k)
 
     if args.truth is not None:
-        truth = _read_truth(args.truth)
+        truth = _parse_file(args.truth, _parse_truth)
     else:
         truth = {f"{lang}:{cname}": cname
                  for lang in lex.languages for cname in lex.concept_names()}
@@ -445,7 +442,8 @@ def main(argv=None):
     if args.command == "cluster" and args.truth is not None and args.k is None:
         parser.error("cluster --truth needs --k")
     try:
-        lex = _load_lexicon(args.lexicon)
+        _check_inputs_outside(args)
+        lex = _parse_file(args.lexicon, lexicon.parse_lexicon)
         table = _load_table(args.table, args.gap)
         _warn_uncovered(lex, table)
         _write_artifacts(args.out, args.run(lex, table, args))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -15,13 +16,13 @@ from hypothesis import strategies as st
 
 import lingdist
 from conftest import FIXTURES
-from lingdist import cli
+from lingdist import cli, stats, subst
 from lingdist.cli import main as cli_main
 from lingdist.cluster import LINKAGES
-from lingdist.editdist import read_oc
+from lingdist.editdist import concept_matrix, read_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
-from lingdist.lexicon import Lexicon, WordEntry, serialize_lexicon
+from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon, serialize_lexicon
 from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
 from test_lexicon import edit, lexicon_texts
@@ -98,9 +99,9 @@ def test_missing_lexicon_file(tmp_path):
     (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 3),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
 def test_each_error_class_maps_to_its_exit_code(exc, code, monkeypatch, tmp_path, capsys):
-    def fail(path):
+    def fail(path, parse, **options):
         raise exc
-    monkeypatch.setattr(cli, "_load_lexicon", fail)
+    monkeypatch.setattr(cli, "_parse_file", fail)
     assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == f"lingdist: {exc}\n"
     assert files_under(tmp_path) == []
@@ -480,17 +481,19 @@ WORDS = st.text("aeioptkmns", min_size=1, max_size=5)
 
 
 @st.composite
-def cluster_relations(draw):
-    """A lexicon of 3-5 languages x 1-4 named concepts with synonym sets, and
-    one transformation of it that must leave every `cluster` artifact as it
-    is: the concepts permuted with the header, every concept listed twice
-    under new names, or the variants of each synonym set reordered."""
-    arity = draw(st.integers(1, 4))
+def lexicon_relations(draw, kinds=("permute", "double", "reorder"), min_concepts=1):
+    """A lexicon of 3-5 languages x `min_concepts`-4 named concepts with
+    synonym sets, one transformation of it drawn from `kinds`, and what it
+    gives: the concepts permuted with the header (`permute`), every concept
+    listed twice under new names (`double`), the variants of each synonym
+    set reordered (`reorder`) or the languages permuted (`languages`).
+    Returns (kind, text, transformed text)."""
+    arity = draw(st.integers(min_concepts, 4))
     entries = {f"L{i}": tuple(WordEntry(tuple(draw(st.lists(WORDS, min_size=1, max_size=3))))
                               for _ in range(arity))
                for i in range(draw(st.integers(3, 5)))}
     concepts = tuple(f"c{i}" for i in range(arity))
-    kind = draw(st.sampled_from(["permute", "double", "reorder"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "permute":
         order = draw(st.permutations(range(arity)))
         other = Lexicon("db", {lang: tuple(words[i] for i in order)
@@ -499,11 +502,20 @@ def cluster_relations(draw):
     elif kind == "double":
         other = Lexicon("db", {lang: words + words for lang, words in entries.items()},
                         concepts + tuple(f"{c}_again" for c in concepts))
-    else:
+    elif kind == "reorder":
         other = Lexicon("db", {lang: tuple(WordEntry(tuple(draw(st.permutations(e.variants))))
                                            for e in words)
                                for lang, words in entries.items()}, concepts)
-    return serialize_lexicon(Lexicon("db", entries, concepts)), serialize_lexicon(other)
+    else:
+        other = Lexicon("db", {lang: entries[lang]
+                               for lang in draw(st.permutations(list(entries)))}, concepts)
+    return kind, serialize_lexicon(Lexicon("db", entries, concepts)), serialize_lexicon(other)
+
+
+def cluster_relations():
+    """A lexicon and one concept transformation of it that must leave every
+    `cluster` artifact as it is, as (text, transformed text)."""
+    return lexicon_relations().map(lambda case: case[1:])
 
 
 @settings(max_examples=100, deadline=None,
@@ -990,3 +1002,197 @@ def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, 
         == before
     for path in (root / "out").glob("*.oc"):
         read_oc(path.read_text(encoding="utf-8"))
+
+
+RELATIONS = {
+    "cluster": ("languages",),
+    "relationship": ("permute", "double", "reorder"),
+    "words-analyse": ("permute", "reorder"),
+}
+
+
+@st.composite
+def run_relations(draw):
+    """A subcommand, and a lexicon with one transformation whose relation
+    that subcommand's artifacts must keep, as (command, kind, text,
+    transformed text).  `words-analyse` gets at least 2 concepts."""
+    command = draw(st.sampled_from(sorted(RELATIONS)))
+    minimum = 2 if command == "words-analyse" else 1
+    return (command, *draw(lexicon_relations(RELATIONS[command], minimum)))
+
+
+def newick_clades(text):
+    """The leaf set of every internal node of a Newick tree with plain labels."""
+    stack, clades = [set()], set()
+    for token in re.findall(r"[()]|(?<=[(,])[^(),:;]+", text):
+        if token == "(":
+            stack.append(set())
+        elif token == ")":
+            clade = frozenset(stack.pop())
+            clades.add(clade)
+            stack[-1] |= clade
+        else:
+            stack[-1].add(token)
+    return clades
+
+
+def csv_rows(blob):
+    return list(csv.reader(blob.decode().splitlines()))
+
+
+def bhatt_distances_are_distinct(text, gap):
+    """Whether the 1 - BC values `words-analyse` clusters on are pairwise
+    distinct; only then do the clades not depend on the concepts' order, as
+    ties go to the smaller id."""
+    lex = parse_lexicon(text)
+    table = subst.builtin_table("editable")
+    if gap is not None:
+        table = table.with_gap(float(gap))
+    tscores = {name: stats.tscore(concept_matrix(lex, i, table).values)
+               for i, name in enumerate(lex.concept_names())}
+    names, bcs = stats.bhatt_matrix(tscores)
+    distances = stats.bhatt_distance_matrix(names, bcs).values
+    return len(set(distances)) == len(distances)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_relations(), st.sampled_from(LINKAGES),
+       st.sampled_from([None, "0.3", "1", "2.5"]), st.data())
+def test_artifacts_keep_their_relations_under_lexicon_transformations(
+        tmp_path, case, linkage, gap, data):
+    """Both runs give the same exit code; when it is 0, `relationship` keeps
+    every byte under the concept relations, `words-analyse` every byte under
+    reordered variants, and under permuted concepts every per-concept file,
+    the rows of mean_sd.csv, the tscore.csv columns by name, the bhatt.csv
+    unordered pairs and, with distinct 1 - BC values, the dendrogram's
+    clades.  Permuted languages give `cluster` the same languages.oc cell
+    for every label pair."""
+    command, kind, *texts = case
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    args = [command] + (["--gap", gap] if gap else [])
+    if command == "relationship":
+        languages = parse_lexicon(texts[0]).languages
+        pairs = [(a, b) for i, a in enumerate(languages) for b in languages[i + 1:]]
+        # distinct positive distances: pair i gets a multiple of the pair count, plus i
+        kms = data.draw(st.lists(st.integers(1, 1000), min_size=len(pairs),
+                                 max_size=len(pairs)), label="km")
+        rows = [f"{a},{b},{km * len(pairs) + i}\n"
+                for i, ((a, b), km) in enumerate(zip(pairs, kms))]
+        (root / "geo.csv").write_text("place_a,place_b,distance_km\n" + "".join(rows),
+                                      encoding="utf-8")
+        args += ["--geo", str(root / "geo.csv")]
+    else:
+        args += ["--linkage", linkage]
+    codes, outs = [], []
+    for name, text in zip("ab", texts):
+        (root / f"{name}.pl").write_text(text, encoding="utf-8")
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes.append(run_cli(args + ["--lexicon", str(root / f"{name}.pl"),
+                                         "--out", str(root / name)]))
+        outs.append(read_dir(root / name) if codes[-1] == 0 else None)
+    assert codes[0] == codes[1]
+    if codes[0] != 0:
+        return
+    a, b = outs
+    if kind == "languages":
+        ma, mb = (read_oc(out["languages.oc"].decode()) for out in outs)
+        assert sorted(ma.labels) == sorted(mb.labels)
+        assert all(ma.get(x, y) == mb.get(x, y) for x in ma.labels for y in ma.labels)
+    elif command == "relationship" or kind == "reorder":
+        assert a == b
+    else:
+        assert set(a) == set(b)
+        per_concept = [name for name in a if name.endswith(".oc") or name.startswith("density_")]
+        assert {name: a[name] for name in per_concept} == {name: b[name] for name in per_concept}
+        ma, mb = csv_rows(a["mean_sd.csv"]), csv_rows(b["mean_sd.csv"])
+        assert ma[0] == mb[0] and sorted(ma[1:]) == sorted(mb[1:])
+        ta, tb = csv_rows(a["tscore.csv"]), csv_rows(b["tscore.csv"])
+        assert dict(zip(ta[0], zip(*ta))) == dict(zip(tb[0], zip(*tb)))
+        ba, bb = ({(frozenset((x, y)), bc) for x, y, bc in csv_rows(out["bhatt.csv"])[1:]}
+                  for out in outs)
+        assert ba == bb
+        if bhatt_distances_are_distinct(texts[0], gap):
+            assert newick_clades(a["bhatt_dendrogram.nwk"].decode()) \
+                == newick_clades(b["bhatt_dendrogram.nwk"].decode())
+
+
+# One run per input kind, reading the file at `path` as that kind and the
+# repository fixtures for the rest.
+INPUT_TEXTS = {
+    "lexicon": open(SHEEP, encoding="utf-8").read(),
+    "table": subst.EDITABLE_DSL,
+    "truth": TRUTH_TEXT,
+    "geo": GEO_TEXT,
+}
+INPUT_SUFFIXES = {"lexicon": ".txt", "table": ".txt", "truth": ".csv", "geo": ".csv"}
+
+
+def input_run(kind, path):
+    return {
+        "lexicon": ["cluster", "--lexicon", path, "--k", "2",
+                    "--truth", str(FIXTURES / "sheep_truth.csv")],
+        "table": ["cluster", "--lexicon", SHEEP, "--table", path],
+        "truth": ["cluster", "--lexicon", SHEEP, "--k", "2", "--truth", path],
+        "geo": ["relationship", "--lexicon", SHEEP, "--geo", path],
+    }[kind]
+
+
+def input_artifacts(kind, path, out):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(input_run(kind, str(path)) + ["--out", str(out)]) == 0
+    return read_dir(out)
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_TEXTS))
+def test_a_byte_order_mark_leaves_every_artifact_as_it_is(kind, tmp_path):
+    path = tmp_path / f"in{INPUT_SUFFIXES[kind]}"
+    path.write_bytes(INPUT_TEXTS[kind].encode())
+    plain = input_artifacts(kind, path, tmp_path / "plain")
+    path.write_bytes(b"\xef\xbb\xbf" + INPUT_TEXTS[kind].encode())
+    assert input_artifacts(kind, path, tmp_path / "bom") == plain
+
+
+# A line each kind refuses, put in place of the fixture's third line
+REFUSED_LINES = {"lexicon": "sheep(oops,[", "table": "nosuch 1", "truth": "a,b,c",
+                 "geo": "a,b,far"}
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("kind", sorted(INPUT_TEXTS))
+def test_line_ends_leave_artifacts_and_refusals_as_they_are(kind, end, tmp_path, capsys):
+    path = tmp_path / f"in{INPUT_SUFFIXES[kind]}"
+    path.write_bytes(INPUT_TEXTS[kind].encode())
+    lf = input_artifacts(kind, path, tmp_path / "lf")
+    path.write_bytes(INPUT_TEXTS[kind].replace("\n", end).encode())
+    assert input_artifacts(kind, path, tmp_path / "other") == lf
+    errors = []
+    for line_end in ("\n", end):
+        bad = _with_line(INPUT_TEXTS[kind], 3, REFUSED_LINES[kind])
+        path.write_bytes(bad.replace("\n", line_end).encode())
+        assert run_cli(input_run(kind, str(path)) + ["--out", str(tmp_path / "bad")]) == 3
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert f"lingdist: {path}: line 3: " in errors[0]
+    assert errors[1] == errors[0]
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("kind", sorted(INPUT_TEXTS))
+def test_an_out_that_holds_an_input_is_refused_untouched(kind, via, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_distances(entries, table):
+        raise AssertionError("distances computed for a run that replaces its input")
+    monkeypatch.setattr(lingdist.editdist, "_entry_triangle", no_distances)
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / f"in{INPUT_SUFFIXES[kind]}"
+    path.write_text(INPUT_TEXTS[kind], encoding="utf-8")
+    if via == "symlink":
+        (tmp_path / "link").symlink_to(path)
+        path = tmp_path / "link"
+    before = tree(tmp_path)
+    assert run_cli(input_run(kind, str(path)) + ["--out", str(data)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"lingdist: --out {data} holds the input file {path}; refusing to replace it\n")
+    assert tree(tmp_path) == before
