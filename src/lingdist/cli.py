@@ -40,6 +40,7 @@ draws.
 
 import argparse
 import csv
+import errno
 import io
 import math
 import os
@@ -51,7 +52,7 @@ from pathlib import Path
 
 from . import cluster as hc
 from . import editdist, lexicon, subst
-from .errors import DegenerateData, FormatError, LingdistError, ParseError, UsageError
+from .errors import DegenerateData, FormatError, LingdistError, ParseError, UsageError, quote
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -61,11 +62,6 @@ ARTIFACT_SUFFIXES = frozenset((".csv", ".oc", ".svg", ".nwk", ".txt"))
 
 def _fmt(value):
     return format(value, ".12g")
-
-
-def _quote(text):
-    """`text` quoted for a message, at most its first 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def _parse_file(path, parse, **options):
@@ -80,17 +76,18 @@ def _parse_file(path, parse, **options):
 
 
 def _csv_rows(text, header, what):
-    """(line the row starts on, row) for each non-empty CSV row not beginning with
-    the `header` fields; refused CSV, or a row of another field count, is a ParseError."""
+    """(line the row starts on, row) for each non-empty CSV row but a first one that
+    is the `header`; refused CSV, or a row of another field count, is a ParseError."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    line = 1
+    line, first = 1, True
     try:
         for row in reader:
-            if row and tuple(row[:len(header)]) != header:
+            if row and not (first and tuple(row) == header):
                 if len(row) != len(header):
                     raise ParseError(f"{what} rows need {len(header)} fields, "
-                                     f"got {_quote(','.join(row))}", line)
+                                     f"got {quote(','.join(row))}", line)
                 yield line, row
+            first = first and not row
             line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(str(exc)) from exc
@@ -103,7 +100,7 @@ def _load_table(name_or_path, gap=None):
         table = _parse_file(name_or_path, subst.parse_table, name=name_or_path)
     else:
         raise UsageError(
-            f"{_quote(name_or_path)} is neither a built-in table nor an existing file")
+            f"{quote(name_or_path)} is neither a built-in table nor an existing file")
     if gap is not None:
         table = table.with_gap(gap)
     return table
@@ -129,11 +126,12 @@ def _check_inputs_outside(args):
 def _check_replaceable(out):
     if out.is_symlink() or not out.is_dir():
         raise UsageError(f"--out {out} exists and is not a directory")
-    for entry in os.scandir(out):
-        if not entry.is_file(follow_symlinks=False) \
-                or Path(entry.name).suffix not in ARTIFACT_SUFFIXES:
-            raise UsageError(f"--out {out} holds {entry.name!r}, which is not a "
-                             "lingdist artifact; refusing to replace it")
+    with os.scandir(out) as entries:
+        for entry in entries:
+            if not entry.is_file(follow_symlinks=False) \
+                    or Path(entry.name).suffix not in ARTIFACT_SUFFIXES:
+                raise UsageError(f"--out {out} holds {entry.name!r}, which is not a "
+                                 "lingdist artifact; refusing to replace it")
 
 
 def _write_artifacts(output_dir, artifacts):
@@ -154,7 +152,12 @@ def _write_artifacts(output_dir, artifacts):
         os.umask(umask)
         stage.chmod(0o777 & ~umask)  # the mode mkdir would give
         for name, text in artifacts.items():
-            (stage / name).write_text(text, encoding="utf-8", newline="\n")
+            try:
+                (stage / name).write_text(text, encoding="utf-8", newline="\n")
+            except OSError as exc:  # a long concept name makes a long artifact name
+                if exc.errno != errno.ENAMETOOLONG:
+                    raise
+                raise LingdistError(f"artifact name {quote(name)} is too long") from None
         if replace:
             old = stage.with_name(stage.name + "-old")
             out.rename(old)
@@ -208,7 +211,7 @@ def cmd_words_analyse(lex, table, args):
                 curve.xs, curve.ys, title=f"density: {cname}")
             tscores[cname] = stats.tscore(matrix.values)
     except (DegenerateData, FormatError) as exc:
-        raise type(exc)(f"concept {cname!r}: {exc}") from None
+        raise type(exc)(f"concept {quote(cname)}: {exc}") from None
 
     summary = stats.mean_sd(columns)
     artifacts["mean_sd.csv"] = _csv_text(
@@ -255,12 +258,13 @@ def _parse_truth(text):
     for line, (label, cls) in _csv_rows(text, ("label", "class"), "truth"):
         label = label.strip()
         if label in truth:
-            raise ParseError(f"label {_quote(label)} listed twice", line)
+            raise ParseError(f"label {quote(label)} listed twice", line)
         truth[label] = cls.strip()
     return truth
 
 
 def cmd_cluster(lex, table, args):
+    truth = None if args.truth is None else _parse_file(args.truth, _parse_truth)
     matrix = editdist.language_matrix(lex, table)
     dend = hc.agglomerate(matrix, args.linkage)
     best_assignment, _report, means = hc.best_cut(matrix, dend)
@@ -276,8 +280,7 @@ def cmd_cluster(lex, table, args):
     if args.k is not None:
         forced = hc.cut(dend, args.k)
         artifacts["clusters_forced.csv"] = _cluster_csv(forced)
-        if args.truth is not None:
-            truth = _parse_file(args.truth, _parse_truth)
+        if truth is not None:
             artifacts["purity.csv"] = _purity_csv(hc.purity(forced, truth))
     return artifacts
 
@@ -290,11 +293,11 @@ def _parse_geo(text):
         try:
             d = float(km)
         except ValueError:
-            raise ParseError(f"bad distance {_quote(km)}", line) from None
+            raise ParseError(f"bad distance {quote(km)}", line) from None
         if not (math.isfinite(d) and d >= 0.0):
-            raise ParseError(f"distance {_quote(km)} is not finite and >= 0", line)
+            raise ParseError(f"distance {quote(km)} is not finite and >= 0", line)
         if (a, b) in geo:
-            raise ParseError(f"pair {_quote(f'{a}/{b}')} listed twice", line)
+            raise ParseError(f"pair {quote(f'{a}/{b}')} listed twice", line)
         geo[a, b] = geo[b, a] = d
     return geo
 
@@ -302,13 +305,13 @@ def _parse_geo(text):
 def cmd_relationship(lex, table, args):
     from . import stats, svgplot
 
-    matrix = editdist.language_matrix(lex, table)
     geo = _parse_file(args.geo, _parse_geo)
+    matrix = editdist.language_matrix(lex, table)
 
     pairs = []
     for a, b, ling in matrix.upper():
         if (a, b) not in geo:
-            raise ParseError(f"{args.geo}: no distance for the pair {a}/{b}")
+            raise ParseError(f"{args.geo}: no distance for the pair {quote(f'{a}/{b}')}")
         pairs.append((a, b, ling, geo[a, b]))
 
     geo_values = [g for _a, _b, _l, g in pairs]
@@ -343,20 +346,19 @@ def cmd_relationship(lex, table, args):
 
 
 def cmd_all_to_all(lex, table, args):
-    matrix = editdist.all_to_all_matrix(lex, table)
-    dend = hc.agglomerate(matrix, args.linkage)
-    best_assignment, _report, _means = hc.best_cut(matrix, dend)
-
     forced_k = args.k if args.k is not None else lex.n_concepts
     if forced_k < 2:
         raise DegenerateData("forced cut needs k >= 2; give --k explicitly")
-    forced = hc.cut(dend, forced_k)
-
     if args.truth is not None:
         truth = _parse_file(args.truth, _parse_truth)
     else:
         truth = {f"{lang}:{cname}": cname
                  for lang in lex.languages for cname in lex.concept_names()}
+
+    matrix = editdist.all_to_all_matrix(lex, table)
+    dend = hc.agglomerate(matrix, args.linkage)
+    best_assignment, _report, _means = hc.best_cut(matrix, dend)
+    forced = hc.cut(dend, forced_k)
     purity_report = hc.purity(forced, truth)
 
     artifacts = {
@@ -373,12 +375,12 @@ def cmd_all_to_all(lex, table, args):
 def _int_at_least(minimum):
     def parse(text):
         if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # int()'s grammar
-            raise argparse.ArgumentTypeError(f"not an integer: {_quote(text)}")
+            raise argparse.ArgumentTypeError(f"not an integer: {quote(text)}")
         from decimal import Decimal
 
         value = int(Decimal(text))  # int() stops at 4,300 digits; Decimal reads any length
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_quote(text)}")
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {quote(text)}")
         return value
     return parse
 
@@ -387,7 +389,7 @@ def _cost(text):
     try:
         return subst.cost_value("the value", text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {_quote(text)}") from None
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {quote(text)}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,7 +397,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, f"invalid choice: {_quote(value)} (choose "
+            raise argparse.ArgumentError(action, f"invalid choice: {quote(value)} (choose "
                                          f"from {', '.join(map(repr, action.choices))})")
 
 
@@ -438,7 +440,7 @@ def main(argv=None):
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:
-        parser.error(f"unrecognized arguments: {_quote(' '.join(extra))}")
+        parser.error(f"unrecognized arguments: {quote(' '.join(extra))}")
     if args.command == "cluster" and args.truth is not None and args.k is None:
         parser.error("cluster --truth needs --k")
     try:

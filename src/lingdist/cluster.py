@@ -53,7 +53,7 @@ import math
 from operator import itemgetter
 
 from ._record import Record
-from .errors import DegenerateData
+from .errors import DegenerateData, quote
 
 LINKAGES = ("single", "complete", "average")
 
@@ -348,7 +348,7 @@ def purity(assignment, truth):
     counts = {}
     for label, cid in assignment.member_of.items():
         if label not in truth:
-            raise DegenerateData(f"no truth class for {label!r}")
+            raise DegenerateData(f"no truth class for {quote(label)}")
         counts.setdefault(cid, {})
         cls = truth[label]
         counts[cid][cls] = counts[cid].get(cls, 0) + 1

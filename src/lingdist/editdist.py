@@ -35,7 +35,7 @@ from itertools import repeat
 from operator import lt
 
 from ._record import FrozenRecord, Record
-from .errors import DegenerateData, FormatError, LimitExceeded
+from .errors import DegenerateData, FormatError, LimitExceeded, quote
 
 GAP = None  # gap marker inside alignment columns
 
@@ -370,7 +370,7 @@ def all_to_all_matrix(lex, table):
         for ci, cname in enumerate(names):
             label = f"{lang}:{cname}"
             if label in items:
-                raise DegenerateData(f"two items are labeled {label!r}")
+                raise DegenerateData(f"two items are labeled {quote(label)}")
             items[label] = lex.entries[lang][ci]
     if not items:
         raise DegenerateData("all-to-all needs at least 1 concept, the lexicon has none")
@@ -388,7 +388,7 @@ def all_to_all_matrix(lex, table):
 def _check_label(label):
     """FormatError unless the OC format can hold `label`."""
     if not label or any(c.isspace() for c in label):
-        raise FormatError(f"label {label!r} is empty or contains whitespace")
+        raise FormatError(f"label {quote(label)} is empty or contains whitespace")
 
 
 def write_oc(matrix):
@@ -399,7 +399,7 @@ def write_oc(matrix):
     for label, row in zip(matrix.labels[:-1], matrix.upper_rows()):
         if not all(map(math.isfinite, row)):
             # read_oc refuses non-finite cells, so never write one
-            raise FormatError(f"row {label!r} holds a non-finite distance")
+            raise FormatError(f"row {quote(label)} holds a non-finite distance")
         lines.append(" ".join(f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"
 
@@ -414,7 +414,7 @@ def read_oc(text):
     try:
         n = int(lines[0].strip())
     except ValueError:
-        raise FormatError(f"bad item count {lines[0]!r}") from None
+        raise FormatError(f"bad item count {quote(lines[0])}") from None
     if n < 1:
         raise FormatError(f"bad item count {n}")
     expected = 1 + n + (n - 1)
@@ -436,8 +436,8 @@ def read_oc(text):
                 try:
                     v = float(cell)
                 except ValueError:
-                    raise FormatError(f"non-numeric cell {cell!r}") from None
+                    raise FormatError(f"non-numeric cell {quote(cell)}") from None
                 if v < 0.0 or math.isnan(v) or math.isinf(v):
-                    raise FormatError(f"bad distance {cell!r}")
+                    raise FormatError(f"bad distance {quote(cell)}")
                 yield v
     return DistanceMatrix(labels, cells())

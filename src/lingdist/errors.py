@@ -1,10 +1,15 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and `quote` for their messages.
 
 Every class derives from LingdistError and carries the exit code the CLI
 gives it: 2 for a usage error, 4 for a limit, 3 for every other error.
 Misuse of the library API, such as an inconsistent DistanceMatrix, stays a
 ValueError.
 """
+
+
+def quote(text):
+    """The repr of `text`'s first 40 characters, then `...` if more follows."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 class LingdistError(Exception):

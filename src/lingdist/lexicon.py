@@ -25,7 +25,7 @@ without it columns are addressed as w1..wN.
 import re
 
 from ._record import FrozenRecord, Record
-from .errors import ParseError
+from .errors import ParseError, quote
 
 # `_FACT` matches one whole fact.  Every `\s*` stands between two tokens,
 # never next to another `\s*`, so a fact that does not match fails in time
@@ -96,7 +96,7 @@ def _extract_concepts(text):
             for name in concepts:
                 # concept names become artifact file names
                 if name in (".", "..") or any(c in name for c in "/\\\0"):
-                    raise ParseError(f"concept name {name!r} is not a file name", line=ln)
+                    raise ParseError(f"concept name {quote(name)} is not a file name", line=ln)
             if len(set(concepts)) != len(concepts):
                 raise ParseError("duplicate concept name in #concepts: header", line=ln)
             header_line = ln
@@ -118,15 +118,15 @@ def parse_lexicon(text):
     while pos < len(body):
         fact = _FACT.match(body, pos)
         if fact is None:
-            raise ParseError(f"malformed fact {body[pos:pos + 40]!r}", line=line)
+            raise ParseError(f"malformed fact {quote(body[pos:])}", line=line)
         name, language, words = fact.groups()
         functor = functor or name
         if name != functor:
             raise ParseError(
-                f"all facts must share one functor, got {name!r} after {functor!r}",
+                f"all facts must share one functor, got {quote(name)} after {quote(functor)}",
                 line=line)
         if language in entries:
-            raise ParseError(f"language {language!r} occurs twice", line=line)
+            raise ParseError(f"language {quote(language)} occurs twice", line=line)
         lines[language] = line
         entries[language] = tuple(
             WordEntry((atom,) if atom else tuple(v.strip() for v in synonyms.split(",")))
@@ -138,7 +138,8 @@ def parse_lexicon(text):
     first = next(iter(lengths.values()), None)
     odd = [lang for lang, n in lengths.items() if n != first]
     if odd:
-        detail = ", ".join(f"{lang}={n}" for lang, n in lengths.items())
+        detail = ", ".join(f"{lang if len(lang) <= 40 else quote(lang)}={n}"
+                           for lang, n in lengths.items())
         raise ParseError(f"word lists differ in length: {detail}", line=lines[odd[0]])
     if concepts is not None and entries and len(concepts) != first:
         raise ParseError(f"{len(concepts)} concept names for {first} words",

@@ -29,7 +29,7 @@ from operator import itemgetter, mul
 
 from ._record import Record
 from .editdist import DistanceMatrix
-from .errors import DegenerateData
+from .errors import DegenerateData, quote
 
 
 _OVERFLOW = "a sum or square of the values overflows a float"
@@ -49,7 +49,7 @@ def mean_sd(columns):
     rows = []
     for name, values in columns.items():
         if len(values) < 2:
-            raise DegenerateData(f"column {name!r} needs >= 2 values for sd")
+            raise DegenerateData(f"column {quote(name)} needs >= 2 values for sd")
         m, sd = _mean_sd(values)
         rows.append((name, m, sd, m * sd))
     return rows

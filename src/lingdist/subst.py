@@ -26,7 +26,7 @@ one lookup, or the default mismatch.
 import math
 from itertools import chain, combinations
 
-from .errors import ParseError, UsageError
+from .errors import ParseError, UsageError, quote
 
 VOWEL_FAMILIES = ("a", "e", "i", "o", "u", "y")
 
@@ -119,25 +119,25 @@ def parse_table(text, name=None):
             continue
         kind, args = fields[0], fields[1:]
         if kind not in _ARITY:
-            raise ParseError(f"unknown directive {kind!r}", line=ln)
+            raise ParseError(f"unknown directive {quote(kind)}", line=ln)
         count, takes = _ARITY[kind]
         if len(args) != count if count else len(args) < 2:
             raise ParseError(f"{kind} takes {takes}", line=ln)
+        if kind not in ("weight", "gap", "default"):
+            rules.append((ln, kind, args))
+            continue
+        try:
+            value = float(args[-1])
+        except ValueError:
+            raise ParseError(f"bad {kind} value {quote(args[-1])}", line=ln) from None
         if kind == "weight":
+            in_unit(f"weight class {quote(args[0])}:", value, ln)
+            bind(classes, args[0], value, f"weight class {quote(args[0])}", ln)
+        else:
             try:
-                value = float(args[1])
-            except ValueError:
-                raise ParseError(f"bad weight value {args[1]!r}", line=ln) from None
-            in_unit(f"weight class {args[0]!r}:", value, ln)
-            bind(classes, args[0], value, f"weight class {args[0]!r}", ln)
-        elif kind in ("gap", "default"):
-            try:
-                value = cost_value(kind, args[0])
+                bind(settings, kind, cost_value(kind, value), kind, ln)
             except ValueError as exc:
                 raise ParseError(str(exc), line=ln) from None
-            bind(settings, kind, value, kind, ln)
-        else:
-            rules.append((ln, kind, args))
 
     pairs, zero, long_shorts = {}, set(), {}
     families = {fam: {fam} for fam in VOWEL_FAMILIES}
@@ -145,16 +145,16 @@ def parse_table(text, name=None):
         symbols = args[1:] if kind == "vset" else args[:2]
         for tok in symbols:
             if len(tok) != 1:
-                raise ParseError(f"symbol must be a single character, got {tok!r}", line=ln)
+                raise ParseError(f"symbol must be a single character, got {quote(tok)}", line=ln)
         if kind == "vset":
             if args[0] not in families:
-                raise ParseError(f"unknown vowel family {args[0]!r}", line=ln)
+                raise ParseError(f"unknown vowel family {quote(args[0])}", line=ln)
             families[args[0]].update(symbols)
             continue
         key, what = _pair(*symbols), f"{args[0]}/{args[1]}"
         if kind == "longshort":
             if args[2] not in classes:
-                raise ParseError(f"weight class {args[2]!r} is not defined", line=ln)
+                raise ParseError(f"weight class {quote(args[2])} is not defined", line=ln)
             bind(long_shorts, key, classes[args[2]], f"longshort {what}", ln)
         elif kind == "zero":
             if pairs.get(key, 0.0) != 0.0:
@@ -164,7 +164,7 @@ def parse_table(text, name=None):
             try:
                 cost = classes[args[2]] if args[2] in classes else float(args[2])
             except ValueError:
-                raise ParseError(f"weight class {args[2]!r} is not defined", line=ln) from None
+                raise ParseError(f"weight class {quote(args[2])} is not defined", ln) from None
             in_unit("literal pair cost", cost, ln)
             if key in zero and cost != 0.0:
                 raise ParseError(f"pair {what} is both zero and {cost}", line=ln)
@@ -299,5 +299,5 @@ def builtin_table(name):
         dsl = BUILTIN_TABLES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_TABLES))
-        raise UsageError(f"no built-in table {name!r} (choose from: {known})") from None
+        raise UsageError(f"no built-in table {quote(name)} (choose from: {known})") from None
     return parse_table(dsl, name=name)

@@ -3,11 +3,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import random
 import re
 import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,14 @@ import lingdist
 from conftest import FIXTURES
 from lingdist import cli, stats, subst
 from lingdist.cli import main as cli_main
-from lingdist.cluster import LINKAGES
-from lingdist.editdist import concept_matrix, read_oc
+from lingdist.cluster import LINKAGES, ClusterAssignment, purity
+from lingdist.editdist import DistanceMatrix, all_to_all_matrix, concept_matrix, read_oc, write_oc
 from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
                              ParseError, UsageError)
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon, serialize_lexicon
-from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
+from test_fastpaths import LONG_TABLE_TOKEN, TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
-from test_lexicon import edit, lexicon_texts
+from test_lexicon import LONG_ATOM, edit, lexicon_texts
 
 SHEEP = str(FIXTURES / "sheep.pl")
 SHEEP_GEO = str(FIXTURES / "sheep_geo.csv")
@@ -330,7 +332,10 @@ def test_out_with_foreign_entries_is_refused_untouched(foreign, tmp_path):
     else:
         (out / foreign).write_text("user data\n")
     before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
-    assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:  # an unclosed directory iterator
+        warnings.simplefilter("always")
+        assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
     assert (out / "clusters.csv").read_text() == "old\n"
 
@@ -581,8 +586,13 @@ def _with_line(text, n, line):
      "line 6: distance '1" + "0" * 39 + "'... is not finite and >= 0"),
     ("geo", GEO_TEXT + "teesdale , swaledale,2\n",
      "line 30: pair 'teesdale/swaledale' listed twice"),
+    ("truth", _with_line(TRUTH_TEXT, 3, "label,class,extra"),
+     "line 3: truth rows need 2 fields, got 'label,class,extra'"),
+    ("geo", _with_line(GEO_TEXT, 1, "place_a,place_b,distance_km,x"),
+     "line 1: geo rows need 3 fields, got 'place_a,place_b,distance_km,x'"),
 ], ids=["truth-fields", "truth-twice", "truth-multiline-row", "truth-long-row", "geo-fields",
-        "geo-bad", "geo-negative", "geo-huge", "geo-twice"])
+        "geo-bad", "geo-negative", "geo-huge", "geo-twice", "truth-header-later",
+        "geo-header-wider"])
 def test_truth_and_geo_errors_name_their_line(kind, text, message, tmp_path, monkeypatch,
                                               capsys):
     monkeypatch.chdir(tmp_path)
@@ -591,6 +601,26 @@ def test_truth_and_geo_errors_name_their_line(kind, text, message, tmp_path, mon
             "geo": ["relationship", "--geo", "t.csv"]}[kind]
     assert run_cli(args + ["--lexicon", SHEEP, "--out", "out"]) == 3
     assert capsys.readouterr().err.endswith(f"lingdist: t.csv: {message}\n")
+    assert files_under(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("cluster", "--truth", "truth rows need 2 fields"),
+    ("all-to-all", "--truth", "truth rows need 2 fields"),
+    ("relationship", "--geo", "geo rows need 3 fields"),
+], ids=["cluster", "all-to-all", "relationship"])
+def test_a_malformed_csv_is_refused_before_any_distance(command, flag, message, tmp_path,
+                                                        capsys, monkeypatch):
+    def no_distances(entries, table):
+        raise AssertionError("distances computed before the CSV was read")
+    monkeypatch.setattr(lingdist.editdist, "_entry_triangle", no_distances)
+    monkeypatch.chdir(tmp_path)
+    Path("t.csv").write_text("foo\n")
+    args = [command, "--lexicon", SHEEP, flag, "t.csv", "--out", "out"]
+    if command == "cluster":
+        args += ["--k", "2"]  # cluster --truth needs --k
+    assert run_cli(args) == 3
+    assert capsys.readouterr().err.endswith(f"lingdist: t.csv: line 1: {message}, got 'foo'\n")
     assert files_under(tmp_path) == ["t.csv"]
 
 
@@ -913,6 +943,80 @@ def test_messages_quote_at_most_40_characters_of_an_argument(flag, value, tmp_pa
     assert value[:41] not in err
 
 
+LONG = "x" * 300
+EDITABLE = subst.builtin_table("editable")
+
+
+def _refusal(call, *args):
+    """The message of the LingdistError that `call(*args)` raises."""
+    with pytest.raises(LingdistError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def _run_refusal(directory, command, lexicon_text, *flags):
+    """stderr of a run on `lexicon_text` that exits 3."""
+    (directory / "lex.pl").write_text(lexicon_text)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run_cli([command, "--lexicon", str(directory / "lex.pl"), *flags,
+                        "--out", str(directory / "out")]) == 3
+    return err.getvalue()
+
+
+def _missing_geo_pair(directory, token):
+    (directory / "geo.csv").write_text("b,c,5\n")
+    return _run_refusal(directory, "relationship", f"n({token},[pa]).\nn(b,[ko]).\nn(c,[ka]).\n",
+                        "--geo", str(directory / "geo.csv"))
+
+
+# Every message that shows lexicon, table, OC, truth or geo text, given a
+# 300-character token: (token, function of the token and a scratch
+# directory that returns the message).
+LONG_TOKEN_SITES = {
+    "concept-name": (LONG + "/", lambda t, d: _refusal(parse_lexicon, f"#concepts: {t}\n")),
+    "malformed-fact": ("n(a,[" + LONG, lambda t, d: _refusal(parse_lexicon, t)),
+    "first-functor": (LONG, lambda t, d: _refusal(parse_lexicon, f"{t}(a,[x]).\nm(b,[y]).")),
+    "second-functor": (LONG, lambda t, d: _refusal(parse_lexicon, f"m(a,[x]).\n{t}(b,[y]).")),
+    "repeated-language": (LONG, lambda t, d: _refusal(parse_lexicon, f"n({t},[x]).\nn({t},[y]).")),
+    "length-detail": (LONG, lambda t, d: _refusal(parse_lexicon, f"n({t},[x]).\nn(b,[y,z]).")),
+    "directive": (LONG, lambda t, d: _refusal(subst.parse_table, t)),
+    "weight-value": (LONG, lambda t, d: _refusal(subst.parse_table, f"weight w {t}")),
+    "weight-range": (LONG, lambda t, d: _refusal(subst.parse_table, f"weight {t} 2")),
+    "weight-twice": (LONG, lambda t, d: _refusal(subst.parse_table,
+                                                  f"weight {t} 0\nweight {t} 1")),
+    "symbol": (LONG, lambda t, d: _refusal(subst.parse_table, f"pair {t} b 0.2")),
+    "vowel-family": (LONG, lambda t, d: _refusal(subst.parse_table, f"vset {t} a b")),
+    "longshort-class": (LONG, lambda t, d: _refusal(subst.parse_table, f"longshort A a {t}")),
+    "pair-class": (LONG, lambda t, d: _refusal(subst.parse_table, f"pair a b {t}")),
+    "gap-value": (LONG, lambda t, d: _refusal(subst.parse_table, f"gap {t}")),
+    "default-value": (LONG, lambda t, d: _refusal(subst.parse_table, f"default {t}")),
+    "builtin-table": (LONG, lambda t, d: _refusal(subst.builtin_table, t)),
+    "item-label-twice": (LONG, lambda t, d: _refusal(
+        all_to_all_matrix, parse_lexicon(f"#concepts: x:y,y\nn({t},[pa,ko]).\nn({t}:x,[ba,go])."),
+        EDITABLE)),
+    "oc-label": (LONG + " x", lambda t, d: _refusal(write_oc, DistanceMatrix([t, "b"], [0.5]))),
+    "oc-row": (LONG, lambda t, d: _refusal(write_oc, DistanceMatrix([t, "b"], [math.inf]))),
+    "oc-count": (LONG, lambda t, d: _refusal(read_oc, t)),
+    "oc-cell": (LONG, lambda t, d: _refusal(read_oc, f"2\na\nb\n{t}\n")),
+    "oc-distance": ("-" + "1" * 299, lambda t, d: _refusal(read_oc, f"2\na\nb\n{t}\n")),
+    "truth-label": (LONG, lambda t, d: _refusal(purity, ClusterAssignment(1, {t: 1}), {})),
+    "sd-column": (LONG, lambda t, d: _refusal(stats.mean_sd, {t: [1.0]})),
+    "concept-prefix": (LONG, lambda t, d: _run_refusal(
+        d, "words-analyse", f"#concepts: {t},b\nn(a,[pa,ko]).\nn(b,[pa,go]).\nn(c,[pa,ka]).")),
+    "artifact-name": (LONG, lambda t, d: _run_refusal(
+        d, "words-analyse", f"#concepts: {t},b\nn(a,[pat,ko]).\nn(b,[bat,go]).\nn(c,[pit,ka]).")),
+    "geo-pair": (LONG, lambda t, d: _missing_geo_pair(d, t)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LONG_TOKEN_SITES))
+def test_messages_quote_at_most_40_characters_of_an_input_token(site, tmp_path):
+    token, message_of = LONG_TOKEN_SITES[site]
+    message = message_of(token, tmp_path)
+    assert repr(token[:40]) + "..." in message
+    assert token[:41] not in message
+
+
 def _edited_csv(draw, text):
     """`text` as bytes with up to three drawn edits: a NUL, a 0xff byte or a
     quote inserted, a field replaced by a huge number, a line dropped (a
@@ -967,7 +1071,8 @@ def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, da
 @given(st.sampled_from(sorted(NUMERIC_FLAGS)), lexicon_texts(), st.data())
 def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, case, data):
     """A drawn lexicon text, edited or not, under the default table or a
-    drawn DSL table, edited or not: exit 0, 2, 3 or 4 with no exception; a
+    drawn DSL table, edited or not: exit 0, 2, 3 or 4 with no exception; no
+    message quotes more than 40 characters of a long inserted token; a
     failing run changes nothing, a run that succeeds changes nothing outside
     --out and writes OC files that read back."""
     lex, spaced, edited = case
@@ -991,9 +1096,10 @@ def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, 
     elif command == "all-to-all":
         args += ["--k", "2"]
     before = tree(root)
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_cli(args)
     assert code in (0, 2, 3, 4)
+    assert LONG_ATOM[:41] not in err.getvalue() and LONG_TABLE_TOKEN[:41] not in err.getvalue()
     after = tree(root)
     if code != 0:
         assert after == before

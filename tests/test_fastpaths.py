@@ -79,10 +79,11 @@ def dsl_tables(draw):
 
 # Table edits: comment, blank and line-break characters, digits, a sign, an
 # exponent, symbols, and whole tokens that add an undefined class, a value
-# past the float range or a directive.
+# past the float range, a directive or a token too long to quote whole.
 TABLE_EDIT_CHARS = st.sampled_from(list("# \n\t\x0b\x85\u2028.-019eabk"))
+LONG_TABLE_TOKEN = "q" * 300
 TABLE_INSERTS = st.one_of(TABLE_EDIT_CHARS, st.sampled_from(
-    ["c3", "nan", "1e999", "\npair a b c1", "\nweight c1 0.3", "\nzero a"]))
+    ["c3", "nan", "1e999", "\npair a b c1", "\nweight c1 0.3", "\nzero a", LONG_TABLE_TOKEN]))
 
 
 def assert_cost_matches_interpreter(table, text):

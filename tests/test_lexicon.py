@@ -238,8 +238,9 @@ FILLER = st.sampled_from(["", "", " ", "\t", "\n", " \n  ", "\u3000", "% note\n"
 # Single-character edits, also to structural characters, line breaks and `#`.
 EDIT_CHARS = st.sampled_from(list(",[]().%# \n\t\x0b\x85\u2028ab"))
 # Insertions also of a few pieces one character cannot make: an empty set,
-# nesting, and a comment that splits an atom.
-INSERTS = st.one_of(EDIT_CHARS, st.sampled_from(["[]", ",[]", "[[", "]]", "%c\n"]))
+# nesting, a comment that splits an atom, and an atom too long to quote whole.
+LONG_ATOM = "z" * 300
+INSERTS = st.one_of(EDIT_CHARS, st.sampled_from(["[]", ",[]", "[[", "]]", "%c\n", LONG_ATOM]))
 
 
 def edit(draw, text, chars=EDIT_CHARS, inserts=INSERTS):
