@@ -21,18 +21,22 @@ node, whose id is the largest, so it takes over only when strictly closer.
 The linkage updates are the reference's expressions, so every height is the
 same float.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 
+`silhouette` and `best_cut` share one core: `_mean_column` gives every
+point's mean distance to one cluster from a correctly rounded `fsum`, the
+same float in any member order, and `_widths` alone turns a(i) and b(i) into
+s(i) and their mean.  A point alone in its cluster scores 0 and gets a row of
+zeros, so either refuses only when a sum that some score needs overflows.
+
 `best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
-splits one cluster in two.  For each new cluster it computes, once, every
-point's `fsum` of distances to the members; `fsum` is correctly rounded, so
-that is the sum `silhouette` takes over the same members in its own order.
+splits one cluster in two, and each new cluster's column is computed once.
 Each point keeps a(i), b(i) and the cluster b(i) came from.  A split can
 only bring b(i) down to one of the two new columns, unless b(i) came from the
 cluster that split and rounding put both halves above it; then that point
-alone rescans the live clusters.  s(i) and the mean use `silhouette`'s float
-operations, so the best k's scores are `best_cut`'s report, with no second
-pass.  The scan costs O(n * sum of |split cluster|): O(n^2 log n) on a
-balanced tree and O(n^3) on a chain, and holds each node's leaf list.  `cut`
-runs for the best k only.  `silhouette_scan` returns the same scan's means.
+alone rescans the live clusters.  So the best k's scores are `silhouette`'s,
+and `best_cut`'s report, with no second pass.  The scan costs O(n * sum of
+|split cluster|): O(n^2 log n) on a balanced tree and O(n^3) on a chain, and
+holds each node's leaf list.  `cut` runs for the best k only.
+`silhouette_scan` returns the same scan's means.
 
 The exports walk the merges forward: merge t builds node n+t from its two
 children's results, which are then dropped, so nothing recurses and a tree of
@@ -185,46 +189,44 @@ def cut(dendrogram, k):
     return ClusterAssignment(k, member_of)
 
 
-def _overflow():
-    return DegenerateData("a sum of distances overflows; no silhouette is defined")
-
-
 def silhouette(matrix, assignment):
     """Per-point silhouette widths s(i) = (b - a) / max(a, b) and their mean.
 
     a is the mean distance to the point's own cluster (excluding itself),
-    b the smallest mean distance to any other cluster.  Points in singleton
-    clusters score 0 by convention, as do points where a = b = 0.  Raises
-    DegenerateData if a sum of distances overflows.
+    b the smallest mean distance to any other cluster.  A point alone in its
+    cluster scores 0, as does one where a = b = 0.  Raises DegenerateData if
+    a sum of distances that some score needs overflows.
     """
     n = matrix.n
     k = assignment.k
     if not 2 <= k <= n - 1:
         raise DegenerateData(f"silhouette needs 2 <= k <= {n - 1}, got k={k}")
-    idx_of = {label: i for i, label in enumerate(matrix.labels)}
-    if set(assignment.member_of) != set(idx_of):
+    if set(assignment.member_of) != set(matrix.labels):
         raise ValueError("assignment labels do not match the matrix labels")
-    cluster_items = {}
-    for label, cid in assignment.member_of.items():
-        cluster_items.setdefault(cid, []).append(idx_of[label])
+    own = [assignment.member_of[label] for label in matrix.labels]
+    clusters = {}
+    for i, cid in enumerate(own):
+        clusters.setdefault(cid, []).append(i)
+    values = matrix.rows()
+    zeros = [0.0] * n
+    for members in clusters.values():
+        if len(members) == 1:  # a point alone scores 0: no sum over its row
+            values[members[0]] = zeros
+    cols = {cid: _mean_column(values, members) for cid, members in clusters.items()}
+    scores, mean = _widths([len(clusters[cid]) for cid in own],
+                           [cols[cid][i] for i, cid in enumerate(own)],
+                           [min(col[i] for c, col in cols.items() if c != cid)
+                            for i, cid in enumerate(own)])
+    return SilhouetteReport(dict(zip(matrix.labels, scores)), mean)
 
-    per_point = {}
-    for i, (label, row) in enumerate(zip(matrix.labels, matrix.rows())):
-        own = assignment.member_of[label]
-        if len(cluster_items[own]) == 1:
-            per_point[label] = 0.0
-            continue
-        try:
-            a = math.fsum(row[j] for j in cluster_items[own] if j != i) \
-                / (len(cluster_items[own]) - 1)
-            b = min(math.fsum(row[j] for j in items) / len(items)
-                    for cid, items in cluster_items.items() if cid != own)
-        except OverflowError:
-            raise _overflow() from None
-        denom = max(a, b)
-        per_point[label] = (b - a) / denom if denom > 0.0 else 0.0
-    mean = math.fsum(per_point.values()) / n
-    return SilhouetteReport(per_point, mean)
+
+def _widths(sizes, a_of, b_of):
+    """Per-point widths s(i) = (b - a) / max(a, b), and their mean.  A point
+    whose own cluster's size, sizes[i], is 1 scores 0 by convention, its a(i)
+    and b(i) unread, as does a point where a = b = 0."""
+    scores = [(b - a) / denom if size > 1 and (denom := max(a, b)) > 0.0 else 0.0
+              for size, a, b in zip(sizes, a_of, b_of)]
+    return scores, math.fsum(scores) / len(scores)
 
 
 def _mean_column(values, members):
@@ -232,26 +234,21 @@ def _mean_column(values, members):
     point itself out: divided by |C| - 1 for a member, by |C| otherwise.
 
     The sum takes the member's own zero diagonal along; adding zero leaves a
-    correctly rounded sum unchanged.  A singleton's column is its row.
+    correctly rounded sum unchanged.  A point alone in its cluster has a row
+    of zeros, so no sum over its distances is taken; a singleton's column is
+    read from the rows, which hold one float at [i][m] and [m][i].
     """
     if len(members) == 1:
-        return values[members[0]]
+        return [row[members[0]] for row in values]
     take = itemgetter(*members)
     try:
         sums = [math.fsum(take(row)) for row in values]
     except OverflowError:
-        raise _overflow() from None
+        raise DegenerateData("a sum of distances overflows; no silhouette is defined") from None
     col = [s / len(members) for s in sums]
     for i in members:
         col[i] = sums[i] / (len(members) - 1)
     return col
-
-
-def _mean_to(row, leaves):
-    """One point's entry of `_mean_column` for a cluster it is not in."""
-    if len(leaves) == 1:
-        return row[leaves[0]]
-    return math.fsum(itemgetter(*leaves)(row)) / len(leaves)
 
 
 def _scan(matrix, dendrogram):
@@ -271,20 +268,26 @@ def _scan(matrix, dendrogram):
         leaves.append(leaves[a] + leaves[b])
     live = {2 * n - 2}
     own = [2 * n - 2] * n  # per point: its cluster,
+    sizes = [n] * n        # that cluster's size,
     a_of = [0.0] * n       # the mean distance a(i) within it,
     b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
     b_from = [None] * n    # and the cluster that gave b(i)
+    zeros = [0.0] * n
     means, best = [], None
     for k in range(2, n):
         parent = 2 * n - k
         ca, cb, _h = dendrogram.merges[n - k]
         live.remove(parent)
         live.update((ca, cb))
+        for child in (ca, cb):
+            if child < n:  # a point alone scores 0: no sum over its row
+                values[child] = zeros
         col_a = _mean_column(values, leaves[ca])
         col_b = _mean_column(values, leaves[cb])
         for child, col, other, other_col in ((ca, col_a, cb, col_b), (cb, col_b, ca, col_a)):
             for i in leaves[child]:
                 own[i] = child
+                sizes[i] = len(leaves[child])
                 a_of[i] = col[i]
                 if b_of[i] is None or other_col[i] < b_of[i]:
                     b_of[i], b_from[i] = other_col[i], other
@@ -295,17 +298,10 @@ def _scan(matrix, dendrogram):
             if m < b_of[i] or (b_from[i] == parent and m <= b_of[i]):
                 b_of[i], b_from[i] = m, src
             elif b_from[i] == parent:  # rounding left both halves above the whole
-                b_of[i], b_from[i] = min((_mean_to(values[i], leaves[c]), c)
+                row = values[i]  # as `_mean_column` for a cluster i is not in
+                b_of[i], b_from[i] = min((math.fsum(row[j] for j in leaves[c]) / len(leaves[c]), c)
                                          for c in live if c != own[i])
-        scores = []
-        for i in range(n):
-            if len(leaves[own[i]]) == 1:
-                scores.append(0.0)
-                continue
-            a, b = a_of[i], b_of[i]
-            denom = max(a, b)
-            scores.append((b - a) / denom if denom > 0.0 else 0.0)
-        mean = math.fsum(scores) / n
+        scores, mean = _widths(sizes, a_of, b_of)
         if best is None or mean > best[1]:  # as `max`: ties and NaN keep the smaller k
             best = (k, mean, scores)
         means.append((k, mean))

@@ -77,7 +77,8 @@ def brute_optimal_alignments(a, b, cost, gap=1.0):
 
 
 def direct_silhouette(matrix, assignment):
-    """Quadratic textbook silhouette, no caching, plain sums."""
+    """Quadratic textbook silhouette, no caching; each sum is `math.fsum`,
+    correctly rounded, so every width is the float `silhouette` gives."""
     labels = matrix.labels
     member = assignment.member_of
     scores = {}
@@ -87,9 +88,9 @@ def direct_silhouette(matrix, assignment):
         if not own_others:
             scores[la] = 0.0
             continue
-        a = sum(matrix.get(la, lb) for lb in own_others) / len(own_others)
+        a = math.fsum(matrix.get(la, lb) for lb in own_others) / len(own_others)
         b = min(
-            sum(matrix.get(la, lb) for lb in labels if member[lb] == cid)
+            math.fsum(matrix.get(la, lb) for lb in labels if member[lb] == cid)
             / sum(1 for lb in labels if member[lb] == cid)
             for cid in set(member.values()) if cid != own)
         top = max(a, b)

@@ -139,15 +139,18 @@ def test_silhouette_matches_direct_reimplementation():
     rng = random.Random(41)
     for _ in range(40):
         n = rng.randint(3, 12)
-        m = random_distance_matrix(rng, n)
-        d = agglomerate(m, rng.choice(("single", "complete", "average")))
-        for k in range(2, n):
-            assignment = cut(d, k)
-            report = silhouette(m, assignment)
-            oracle = direct_silhouette(m, assignment)
-            for label in m.labels:
-                assert report.per_point[label] == pytest.approx(oracle[label], abs=1e-12)
-                assert -1.0 <= report.per_point[label] <= 1.0
+        tied = random_distance_matrix(rng, n, distinct=False)
+        # five levels, so many distances tie and some are 0 (a = b = 0)
+        tied = DistanceMatrix(tied.labels, [round(v * 4) / 4 for v in tied.values])
+        for m in (random_distance_matrix(rng, n), tied):
+            d = agglomerate(m, rng.choice(("single", "complete", "average")))
+            for k in range(2, n):
+                assignment = cut(d, k)
+                report = silhouette(m, assignment)
+                oracle = direct_silhouette(m, assignment)
+                for label in m.labels:  # both take correctly rounded sums: bit for bit
+                    assert report.per_point[label].hex() == oracle[label].hex()
+                    assert -1.0 <= report.per_point[label] <= 1.0
 
 
 def test_best_cut_two_pairs_plus_outlier():

@@ -31,7 +31,7 @@ from oracles import (ReferenceTable, naive_lev, random_distance_matrix, random_t
                      reference_language_values, reference_raw_distance)
 
 from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut,
-                              export_newick, export_svg)
+                              export_newick, export_svg, silhouette)
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
                                language_matrix, raw_distance)
 from lingdist.errors import DegenerateData, LingdistError
@@ -391,6 +391,19 @@ def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
         best_cut(matrix, dendrogram)
     with pytest.raises(DegenerateData):
         reference_cut_scan(matrix, dendrogram)  # through `silhouette`
+
+
+def test_scan_takes_no_sum_for_a_point_alone_in_its_cluster():
+    # e is 1e308 from the other four, so its row's sum overflows; but e sits
+    # alone at every k and scores 0, so no score needs that sum
+    matrix = DistanceMatrix(["a", "b", "c", "d", "e"],
+                            [1.0, 2.0, 2.0, 1e308, 2.0, 2.0, 1e308, 1.0, 1e308, 1e308])
+    for linkage in LINKAGES:
+        dendrogram = agglomerate(matrix, linkage)
+        assignment, report, means = best_cut(matrix, dendrogram)
+        assert [(k, m.hex()) for k, m in means] == \
+            [(k, silhouette(matrix, cut(dendrogram, k)).mean.hex()) for k in range(2, 5)]
+        assert report_bits(report) == report_bits(silhouette(matrix, assignment))
 
 
 @settings(max_examples=60, deadline=None)
