@@ -27,7 +27,7 @@ lines itself, so `\n`, `\r\n` and `\r` read alike.
 Lexicon symbols that no rule of the table prices cost the default
 mismatch; the run lists them in one warning on stderr and goes on.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 limit exceeded.  Each
+Exit codes: 0 success, 2 usage error, 3 data error.  Each
 error class names its code (`lingdist.errors`); an input file that cannot be
 read or is not UTF-8 is a data error, and the message names the file.  No
 failure ends in a traceback.

@@ -11,7 +11,8 @@ word, the next row.  Its floats equal those of the plain
 ``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.  Each call
 codes its words' symbols as small ints over their sorted alphabet and builds
 each symbol's dense cost row over that alphabet once.  `raw_distance` and
-`alignments` stack the rows into the full table.  A matrix runs one pair
+`alignments` stack the rows into the full table, which `alignments` walks
+lazily along its optimal cells.  A matrix runs one pair
 table over its distinct variants, sorted: each unordered pair once, and a
 row word reuses the rows of the prefix it shares with the previous row word
 against the same column word.  A row is a function of the column word, the
@@ -32,15 +33,12 @@ can make an indirect route cheaper than the direct substitution.
 import math
 from array import array
 from itertools import repeat
-from operator import lt
+from operator import ge
 
 from ._record import FrozenRecord, Record
-from .errors import DegenerateData, FormatError, LimitExceeded, quote
+from .errors import DegenerateData, FormatError, quote
 
 GAP = None  # gap marker inside alignment columns
-
-# Alignment column kinds, in enumeration order.
-_GAP_LEFT, _MATCH, _GAP_RIGHT = 0, 1, 2
 
 
 class Alignment(FrozenRecord):
@@ -131,53 +129,50 @@ def normalized_distance(a, b, table):
     return raw_distance(a, b, table) / longer
 
 
-def _column_kind(col):
-    if col[0] is GAP:
-        return _GAP_LEFT
-    if col[1] is GAP:
-        return _GAP_RIGHT
-    return _MATCH
+def alignments(a, b, table):
+    """Every co-optimal alignment of `a` and `b`, generated lazily in order
+    of column kind left to right (gap-on-left < substitution < gap-on-right);
+    ``next(alignments(a, b, table))`` is the first.
 
-
-def alignments(a, b, table, limit=10000):
-    """Every co-optimal alignment of `a` and `b`, at most `limit` of them.
-
-    Each returned alignment's raw_cost equals raw_distance(a, b) exactly:
-    paths are read off the dynamic-programming table itself, so their
-    column costs sum to the table corner with identical rounding.  Results
-    are ordered by column kind left to right (gap-on-left < substitution <
-    gap-on-right).  Raises LimitExceeded rather than silently truncating,
-    since a truncated answer would misrepresent the set of alignments.
+    Each raw_cost equals raw_distance(a, b) exactly: paths are read off the
+    DP table itself, taking a step only where ``d[pred] + step == d[cell]``,
+    so their column costs sum to the table corner with identical rounding.
+    One backward pass from the corner marks every cell on an optimal path.
+    A depth-first walk from (0, 0) then tries the three kinds in order and
+    enters only marked cells, so it never dead-ends; as no path's kinds are
+    a proper prefix of another's, walk order is sort order.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
     gap = table.gap_penalty
     d, costs = _dp_table(a, b, table)
-    total = d[len(a)][len(b)]
+    n, m = len(a), len(b)
+    on_path = [bytearray(m + 1) for _ in range(n + 1)]
+    on_path[n][m] = 1
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            if on_path[i][j]:
+                here = d[i][j]
+                if i > 0 and d[i - 1][j] + gap == here:
+                    on_path[i - 1][j] = 1
+                if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
+                    on_path[i - 1][j - 1] = 1
+                if j > 0 and d[i][j - 1] + gap == here:
+                    on_path[i][j - 1] = 1
 
-    found = []
-    todo = [(len(a), len(b), ())]  # a path holds its columns as (column, rest)
+    walk = []  # walk[k]: the column into the k-th cell of the path; None for (0, 0)
+    todo = [(0, 0, 0, None)]
     while todo:
-        i, j, path = todo.pop()
-        if i == 0 and j == 0:
-            if len(found) >= limit:
-                raise LimitExceeded(
-                    f"more than {limit} co-optimal alignments; raise the limit")
-            columns = []
-            while path:
-                column, path = path
-                columns.append(column)
-            found.append(tuple(columns))
-            continue
-        here = d[i][j]
-        if i > 0 and d[i - 1][j] + gap == here:
-            todo.append((i - 1, j, ((a[i - 1], GAP), path)))
-        if i > 0 and j > 0 and d[i - 1][j - 1] + costs[i - 1][j - 1] == here:
-            todo.append((i - 1, j - 1, ((a[i - 1], b[j - 1]), path)))
-        if j > 0 and d[i][j - 1] + gap == here:
-            todo.append((i, j - 1, ((GAP, b[j - 1]), path)))
-    found.sort(key=lambda cols: [_column_kind(c) for c in cols])
-    return [Alignment(cols, total) for cols in found]
+        i, j, depth, column = todo.pop()
+        walk[depth:] = [column]
+        if i == n and j == m:
+            yield Alignment(tuple(walk[1:]), d[n][m])
+        here, depth = d[i][j], depth + 1
+        # pushed last kind first, so gap-on-left is walked first
+        if i < n and on_path[i + 1][j] and here + gap == d[i + 1][j]:
+            todo.append((i + 1, j, depth, (a[i], GAP)))
+        if i < n and j < m and on_path[i + 1][j + 1] and here + costs[i][j] == d[i + 1][j + 1]:
+            todo.append((i + 1, j + 1, depth, (a[i], b[j])))
+        if j < m and on_path[i][j + 1] and here + gap == d[i][j + 1]:
+            todo.append((i, j + 1, depth, (GAP, b[j])))
 
 
 def entry_distance(e1, e2, table):
@@ -205,7 +200,7 @@ class DistanceMatrix(Record):
             raise ValueError("matrix labels must be unique")
         if len(self.values) != n * (n - 1) // 2:
             raise ValueError(f"{n} items need {n * (n - 1) // 2} values, got {len(self.values)}")
-        if any(map(lt, self.values, repeat(0.0))):  # v < 0.0: NaN and -0.0 pass
+        if not all(map(ge, self.values, repeat(0.0))):  # v >= 0.0: -0.0 passes, NaN fails
             raise ValueError("distances must be non-negative")
 
     @staticmethod

@@ -1,7 +1,7 @@
 """Exception types raised across the package, and `quote` for their messages.
 
 Every class derives from LingdistError and carries the exit code the CLI
-gives it: 2 for a usage error, 4 for a limit, 3 for every other error.
+gives it: 2 for a usage error, 3 for every other error.
 Misuse of the library API, such as an inconsistent DistanceMatrix, stays a
 ValueError.
 """
@@ -45,9 +45,3 @@ class DegenerateData(LingdistError):
     """The data admit no result: too few languages, items or values, an
     index or cluster count out of range, a label with no truth class, no
     spread to estimate from, or sums too large for a float."""
-
-
-class LimitExceeded(LingdistError):
-    """More co-optimal alignments exist than the caller's limit allows."""
-
-    exit_code = 4

@@ -1,13 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: the edit-distance
-oracle is the plain exponential recursion, the alignment oracle enumerates
-every monotone path outright, and the silhouette oracle recomputes the
-textbook formula point by point with no shared sums.  The reference DP,
-matrices, density and Bhattacharyya coefficient below are the plain forms
-the fast paths replaced: one `table.cost` call per cell, no pair memo, one
-`exp` per value, one bin lookup per value.  The clustering references are
-the pair-dict agglomeration and the per-k cut scan that the
+These deliberately avoid the production code paths: the edit-distance oracle
+is the plain exponential recursion, the alignment oracle enumerates every
+monotone path outright, the co-optimal alignment reference collects every
+optimal path of the per-cell DP table and sorts them, and the silhouette
+oracle recomputes the textbook formula point by point with no shared sums.
+The reference DP, matrices, density and Bhattacharyya coefficient below are
+the plain forms the fast paths replaced: one `table.cost` call per cell, no
+pair memo, one `exp` per value, one bin lookup per value.  The clustering
+references are the pair-dict agglomeration and the per-k cut scan that the
 nearest-neighbour and top-down forms replaced.  `ReferenceTable` is the rule
 interpreter that the substitution table's resolved cost map replaced.  The
 export references are the recursive Newick writer and the depth-first leaf
@@ -20,6 +21,7 @@ import math
 import random
 
 from lingdist.cluster import LINKAGES, Dendrogram, _newick_label, cut, silhouette
+from lingdist.editdist import GAP, Alignment
 from lingdist.errors import DegenerateData, ParseError
 from lingdist.lexicon import Lexicon, WordEntry, _extract_concepts
 from lingdist.stats import bandwidth_nrd0, sturges_bins
@@ -74,6 +76,45 @@ def brute_optimal_alignments(a, b, cost, gap=1.0):
     everything = brute_alignments(a, b, cost, gap)
     best = min(c for _cols, c in everything)
     return {cols for cols, c in everything if c == best}, best
+
+
+def reference_alignments(a, b, table):
+    """Every co-optimal alignment, as a list: each path of optimal steps
+    (``d[pred] + step == d[cell]``) back from the corner of the per-cell DP
+    table, collected in full and then sorted by column kind left to right
+    (gap-on-left < substitution < gap-on-right).  The eager form that the
+    lazy walk of `editdist.alignments` replaced."""
+    gap = table.gap_penalty
+    d = [[0.0]]
+    for _ in b:
+        d[0].append(d[0][-1] + gap)
+    for x in a:
+        prev = d[-1]
+        row = [prev[0] + gap]
+        for j, y in enumerate(b):
+            row.append(min(prev[j + 1] + gap, row[j] + gap, prev[j] + table.cost(x, y)))
+        d.append(row)
+    found = []
+    todo = [(len(a), len(b), ())]  # a path holds its columns as (column, rest)
+    while todo:
+        i, j, path = todo.pop()
+        if i == 0 and j == 0:
+            columns = []
+            while path:
+                column, path = path
+                columns.append(column)
+            found.append(tuple(columns))
+            continue
+        here = d[i][j]
+        if i > 0 and d[i - 1][j] + gap == here:
+            todo.append((i - 1, j, ((a[i - 1], GAP), path)))
+        if i > 0 and j > 0 and d[i - 1][j - 1] + table.cost(a[i - 1], b[j - 1]) == here:
+            todo.append((i - 1, j - 1, ((a[i - 1], b[j - 1]), path)))
+        if j > 0 and d[i][j - 1] + gap == here:
+            todo.append((i, j - 1, ((GAP, b[j - 1]), path)))
+    found.sort(key=lambda columns: [0 if left is GAP else 2 if right is GAP else 1
+                                    for left, right in columns])
+    return [Alignment(columns, d[-1][-1]) for columns in found]
 
 
 def direct_silhouette(matrix, assignment):

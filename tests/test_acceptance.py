@@ -45,7 +45,7 @@ def test_criterion_1_golden_example():
             t0 = time.perf_counter()
             raw = raw_distance("overa", "hofa", table)
             norm = normalized_distance("overa", "hofa", table)
-            found = alignments("overa", "hofa", table)
+            found = list(alignments("overa", "hofa", table))
             elapsed.append(time.perf_counter() - t0)
         assert raw == 3.2
         assert norm == 0.64

@@ -22,8 +22,8 @@ from lingdist import cli, stats, subst
 from lingdist.cli import main as cli_main
 from lingdist.cluster import LINKAGES, ClusterAssignment, purity
 from lingdist.editdist import DistanceMatrix, all_to_all_matrix, concept_matrix, read_oc, write_oc
-from lingdist.errors import (DegenerateData, FormatError, LimitExceeded, LingdistError,
-                             ParseError, UsageError)
+from lingdist.errors import (DegenerateData, FormatError, LingdistError, ParseError,
+                             UsageError)
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon, serialize_lexicon
 from test_fastpaths import LONG_TABLE_TOKEN, TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
@@ -96,7 +96,6 @@ def test_missing_lexicon_file(tmp_path):
     (ParseError("parse", line=7), 3),
     (FormatError("format"), 3),
     (DegenerateData("degenerate"), 3),
-    (LimitExceeded("limit"), 4),
     (OSError("os"), 3),
     (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 3),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
@@ -117,8 +116,8 @@ def _non_utf8(tmp_path, name, text):
 
 @pytest.mark.parametrize("kind", ["lexicon", "table", "truth", "geo"])
 def test_non_utf8_input_is_data_error(kind, tmp_path, capsys):
-    truth = open(FIXTURES / "sheep_truth.csv").read()
-    geo = open(SHEEP_GEO).read()
+    truth = (FIXTURES / "sheep_truth.csv").read_text(encoding="utf-8")
+    geo = Path(SHEEP_GEO).read_text(encoding="utf-8")
     args = {
         "lexicon": ["cluster", "--lexicon", _non_utf8(tmp_path, "bad.pl", "w(a,[b")],
         "table": ["cluster", "--lexicon", SHEEP,
@@ -140,7 +139,8 @@ def test_non_utf8_input_is_data_error(kind, tmp_path, capsys):
 def test_oversized_csv_field_is_data_error(kind, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     source = FIXTURES / "sheep_truth.csv" if kind == "truth" else SHEEP_GEO
-    bad.write_text(open(source).read() + "x" * (csv.field_size_limit() + 1) + ",1\n")
+    text = Path(source).read_text(encoding="utf-8")
+    bad.write_text(text + "x" * (csv.field_size_limit() + 1) + ",1\n")
     args = {
         "truth": ["cluster", "--lexicon", SHEEP, "--k", "2", "--truth", str(bad)],
         "geo": ["relationship", "--lexicon", SHEEP, "--geo", str(bad)],
@@ -551,7 +551,7 @@ def test_cluster_truth_missing_label(tmp_path):
 
 
 def test_cluster_truth_repeated_label(tmp_path, capsys):
-    truth = open(FIXTURES / "sheep_truth.csv").read().strip().splitlines()
+    truth = (FIXTURES / "sheep_truth.csv").read_text(encoding="utf-8").strip().splitlines()
     bad_truth = tmp_path / "truth.csv"
     bad_truth.write_text("\n".join(truth + ["swaledale,southern"]) + "\n")
     assert "swaledale,northern" in truth
@@ -561,8 +561,8 @@ def test_cluster_truth_repeated_label(tmp_path, capsys):
     assert files_under(tmp_path) == ["truth.csv"]
 
 
-TRUTH_TEXT = open(FIXTURES / "sheep_truth.csv").read()
-GEO_TEXT = open(SHEEP_GEO).read()
+TRUTH_TEXT = (FIXTURES / "sheep_truth.csv").read_text(encoding="utf-8")
+GEO_TEXT = Path(SHEEP_GEO).read_text(encoding="utf-8")
 
 
 def _with_line(text, n, line):
@@ -664,11 +664,12 @@ def test_relationship_perfect_line(tmp_path):
 
 
 def test_relationship_shuffled_geo_near_zero(fixtures_dir, tmp_path):
-    lex = lingdist.parse_lexicon(open(SHEEP).read())
+    lex = lingdist.parse_lexicon(Path(SHEEP).read_text(encoding="utf-8"))
     table = lingdist.builtin_table("editable")
     m = lingdist.language_matrix(lex, table)
     geo = {}
-    for row in csv.reader(open(fixtures_dir / "sheep_geo.csv")):
+    rows = (fixtures_dir / "sheep_geo.csv").read_text(encoding="utf-8").splitlines()
+    for row in csv.reader(rows):
         if row[0] != "place_a":
             geo[frozenset((row[0], row[1]))] = float(row[2])
     keys = [frozenset((m.labels[i], m.labels[j]))
@@ -690,7 +691,7 @@ def test_relationship_shuffled_geo_near_zero(fixtures_dir, tmp_path):
 
 
 def test_relationship_missing_pair(tmp_path, fixtures_dir):
-    rows = open(fixtures_dir / "sheep_geo.csv").read().strip().splitlines()
+    rows = (fixtures_dir / "sheep_geo.csv").read_text(encoding="utf-8").strip().splitlines()
     geo_path = tmp_path / "geo.csv"
     geo_path.write_text("\n".join(rows[:-1]) + "\n")  # drop one pair
     assert run_cli(["relationship", "--lexicon", SHEEP,
@@ -699,7 +700,7 @@ def test_relationship_missing_pair(tmp_path, fixtures_dir):
 
 
 def test_relationship_duplicate_pair(tmp_path, fixtures_dir):
-    rows = open(fixtures_dir / "sheep_geo.csv").read().strip().splitlines()
+    rows = (fixtures_dir / "sheep_geo.csv").read_text(encoding="utf-8").strip().splitlines()
     dup = rows + [rows[1]]
     geo_path = tmp_path / "geo.csv"
     geo_path.write_text("\n".join(dup) + "\n")
@@ -709,7 +710,7 @@ def test_relationship_duplicate_pair(tmp_path, fixtures_dir):
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_relationship_non_finite_geo_distance(bad, tmp_path):
-    rows = open(SHEEP_GEO).read().strip().splitlines()
+    rows = Path(SHEEP_GEO).read_text(encoding="utf-8").strip().splitlines()
     rows[-1] = rows[-1].rsplit(",", 1)[0] + "," + bad
     geo_path = tmp_path / "geo.csv"
     geo_path.write_text("\n".join(rows) + "\n")
@@ -729,7 +730,7 @@ def test_relationship_nonpositive_distance(tmp_path):
 
 
 def test_relationship_refuses_a_zero_distance_before_log10(tmp_path, capsys):
-    rows = open(SHEEP_GEO).read().splitlines()
+    rows = Path(SHEEP_GEO).read_text(encoding="utf-8").splitlines()
     rows[-1] = rows[-1].rsplit(",", 1)[0] + ",0"
     geo_path = tmp_path / "geo.csv"
     geo_path.write_text("\n".join(rows) + "\n")
@@ -875,7 +876,7 @@ def tree(path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(sorted(NUMERIC_FLAGS)), st.data())
 def test_numeric_flag_edge_values_keep_the_failure_contract(tmp_path, command, data):
-    """Exit 0, 2, 3 or 4 with no exception; a failing run leaves the tree
+    """Exit 0, 2 or 3 with no exception; a failing run leaves the tree
     around --out as it was, and a run that succeeds writes OC files that
     read back.  --out sometimes holds a previous run's artifact."""
     root = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -892,7 +893,7 @@ def test_numeric_flag_edge_values_keep_the_failure_contract(tmp_path, command, d
             args += [flag, value]
     before = tree(root)
     code = run_cli(args)
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     if code != 0:
         assert tree(root) == before
         return
@@ -1046,7 +1047,7 @@ def _edited_csv(draw, text):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["truth", "geo"]), st.data())
 def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, data):
-    """Exit 0, 2, 3 or 4 with no exception; a failing run changes nothing,
+    """Exit 0, 2 or 3 with no exception; a failing run changes nothing,
     a run that succeeds changes nothing outside --out, and no message quotes
     more than 40 characters of a huge number."""
     root = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1057,7 +1058,7 @@ def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, da
     before = tree(root)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_cli(args + ["--lexicon", SHEEP, "--out", str(root / "out")])
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     assert "0" * 41 not in err.getvalue()
     after = tree(root)
     if code == 0:
@@ -1071,7 +1072,7 @@ def test_edited_truth_and_geo_files_keep_the_failure_contract(tmp_path, kind, da
 @given(st.sampled_from(sorted(NUMERIC_FLAGS)), lexicon_texts(), st.data())
 def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, case, data):
     """A drawn lexicon text, edited or not, under the default table or a
-    drawn DSL table, edited or not: exit 0, 2, 3 or 4 with no exception; no
+    drawn DSL table, edited or not: exit 0, 2 or 3 with no exception; no
     message quotes more than 40 characters of a long inserted token; a
     failing run changes nothing, a run that succeeds changes nothing outside
     --out and writes OC files that read back."""
@@ -1098,7 +1099,7 @@ def test_drawn_lexicons_and_tables_keep_the_failure_contract(tmp_path, command, 
     before = tree(root)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_cli(args)
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     assert LONG_ATOM[:41] not in err.getvalue() and LONG_TABLE_TOKEN[:41] not in err.getvalue()
     after = tree(root)
     if code != 0:
@@ -1226,7 +1227,7 @@ def test_artifacts_keep_their_relations_under_lexicon_transformations(
 # One run per input kind, reading the file at `path` as that kind and the
 # repository fixtures for the rest.
 INPUT_TEXTS = {
-    "lexicon": open(SHEEP, encoding="utf-8").read(),
+    "lexicon": Path(SHEEP).read_text(encoding="utf-8"),
     "table": subst.EDITABLE_DSL,
     "truth": TRUTH_TEXT,
     "geo": GEO_TEXT,

@@ -1,22 +1,23 @@
 import math
 import random
 from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_optimal_alignments, naive_lev, random_table,
-                     random_word, reference_language_values)
+                     random_word, reference_alignments, reference_language_values)
 
 from lingdist.editdist import (GAP, DistanceMatrix, alignments,
                                all_to_all_matrix, concept_matrix,
                                entry_distance, language_matrix,
                                normalized_distance, raw_distance, read_oc,
                                write_oc)
-from lingdist.errors import DegenerateData, FormatError, LimitExceeded
+from lingdist.errors import DegenerateData, FormatError
 from lingdist.lexicon import WordEntry, parse_lexicon
-from lingdist.subst import builtin_table, parse_table
+from lingdist.subst import BUILTIN_TABLES, builtin_table, parse_table
 
 # the worked example's table: gap 1, f<->v 0.2, e<->o 0.2, everything else 1
 EXAMPLE_TABLE = parse_table("weight close 0.2\npair f v close\npair e o close\n")
@@ -33,7 +34,7 @@ def test_golden_normalized():
 
 
 def test_golden_alignments():
-    found = alignments("overa", "hofa", EXAMPLE_TABLE)
+    found = list(alignments("overa", "hofa", EXAMPLE_TABLE))
     assert len(found) == 3
     assert WORKED_ALIGNMENT in [a.columns for a in found]
     for a in found:
@@ -43,7 +44,7 @@ def test_golden_alignments():
 
 
 def test_alignment_order_is_pinned():
-    found = alignments("overa", "hofa", EXAMPLE_TABLE)
+    found = list(alignments("overa", "hofa", EXAMPLE_TABLE))
     # gap-on-left sorts first, so the example alignment leads
     assert found[0].columns == WORKED_ALIGNMENT
     assert [a.columns for a in found] == [a.columns for a in alignments("overa", "hofa", EXAMPLE_TABLE)]
@@ -52,7 +53,7 @@ def test_alignment_order_is_pinned():
 def test_identity_distance_and_alignment():
     table = builtin_table("editable")
     assert raw_distance("siks", "siks", table) == 0.0
-    found = alignments("siks", "siks", table)
+    found = list(alignments("siks", "siks", table))
     assert len(found) == 1
     assert found[0].raw_cost == 0.0
     assert all(l == r for l, r in found[0].columns)
@@ -60,7 +61,7 @@ def test_identity_distance_and_alignment():
 
 def test_alignments_of_long_words_without_recursion():
     # 1,200 traceback steps, past the default recursion limit of 1,000
-    found = alignments("a" * 1200, "a" * 1200, builtin_table("editable"))
+    found = list(alignments("a" * 1200, "a" * 1200, builtin_table("editable")))
     assert len(found) == 1
     assert found[0].raw_cost == 0.0
     assert found[0].columns == (("a", "a"),) * 1200
@@ -86,7 +87,7 @@ def test_kitten_sitting_unit_costs():
 def test_ab_ba_co_optimal_set_matches_brute_force():
     table = parse_table("")
     expected, best = brute_optimal_alignments("ab", "ba", table.cost, table.gap_penalty)
-    found = alignments("ab", "ba", table)
+    found = list(alignments("ab", "ba", table))
     assert {a.columns for a in found} == expected
     assert all(a.raw_cost == best == 2.0 for a in found)
 
@@ -97,7 +98,7 @@ def test_alignment_column_costs_sum_to_raw_cost():
         table = random_table(rng)
         a, b = random_word(rng), random_word(rng)
         total = raw_distance(a, b, table)
-        for al in alignments(a, b, table, limit=5000):
+        for al in alignments(a, b, table):
             acc = 0.0
             for left, right in al.columns:
                 if left is GAP or right is GAP:
@@ -105,13 +106,6 @@ def test_alignment_column_costs_sum_to_raw_cost():
                 else:
                     acc += table.cost(left, right)
             assert acc == al.raw_cost == total
-
-
-def test_limit_exceeded():
-    with pytest.raises(LimitExceeded):
-        alignments("overa", "hofa", EXAMPLE_TABLE, limit=2)
-    with pytest.raises(ValueError):
-        alignments("a", "b", EXAMPLE_TABLE, limit=0)
 
 
 def test_oracle_equivalence_small():
@@ -160,9 +154,45 @@ def test_alignments_match_brute_force_random():
         a = random_word(rng, alphabet="abcd", max_len=4)
         b = random_word(rng, alphabet="abcd", max_len=4)
         expected, best = brute_optimal_alignments(a, b, table.cost, table.gap_penalty)
-        got = alignments(a, b, table, limit=100000)
+        got = list(alignments(a, b, table))
         assert {al.columns for al in got} == expected
         assert all(al.raw_cost == best for al in got)
+
+
+def test_alignments_equal_the_sorted_reference():
+    # columns, raw_cost and order, against the eager enumerate-and-sort
+    rng = random.Random(97)
+    tables = [builtin_table(name) for name in sorted(BUILTIN_TABLES)]
+    symbols = "abptkgCeiAEIlrž"  # l, r and ž match no rule of either table
+    several = 0
+    for _ in range(1000):
+        table = rng.choice(tables)
+        gap = rng.choice((None, 0.3, 0.5, 1.0, 2.0))
+        if gap is not None:
+            table = table.with_gap(gap)
+        a = random_word(rng, alphabet=symbols, max_len=8)
+        b = random_word(rng, alphabet=symbols, max_len=8)
+        want = reference_alignments(a, b, table)
+        got = list(alignments(a, b, table))
+        assert got == want
+        assert [al.raw_cost.hex() for al in got] == [al.raw_cost.hex() for al in want]
+        several += len(want) > 1
+    assert several > 300
+
+
+def kinds(alignment):
+    """L for gap-on-left, M for substitution, R for gap-on-right."""
+    return "".join("L" if left is GAP else "R" if right is GAP else "M"
+                   for left, right in alignment.columns)
+
+
+def test_first_alignments_come_without_the_rest():
+    # every interleaving of the 24 gaps is co-optimal: C(24, 12) of them and more
+    table = parse_table("gap 0.5\ndefault 1")
+    first = list(islice(alignments("a" * 12, "b" * 12, table), 3))
+    assert [kinds(al) for al in first] == [
+        "L" * 12 + "R" * 12, "L" * 11 + "M" + "R" * 11, "L" * 11 + "RL" + "R" * 11]
+    assert all(al.raw_cost == 12.0 for al in first)
 
 
 def test_entry_distance_min_over_variants():
@@ -309,8 +339,9 @@ def test_distance_matrix_upper_order():
             DistanceMatrix("abc", cells)
     with pytest.raises(ValueError):
         DistanceMatrix("ab", (-1.0,))  # negative cell
-    # the check is v < 0.0, so NaN and -0.0 pass and are kept bit for bit
-    assert math.isnan(DistanceMatrix("ab", (math.nan,)).values[0])
+    # the check is v >= 0.0, so NaN is refused and -0.0 is kept bit for bit
+    with pytest.raises(ValueError):
+        DistanceMatrix("ab", (math.nan,))
     assert math.copysign(1.0, DistanceMatrix("ab", (-0.0,)).values[0]) == -1.0
 
 
