@@ -13,12 +13,14 @@ Four subcommands cover the analysis workflows:
 
 All artifacts for a run are computed first and written only if everything
 succeeded, so a failing run leaves no partial output.  They are written to a
-new directory beside --out and renamed into place, so --out holds exactly
-the last run's files.  An existing --out is replaced only if it holds
-nothing but regular files with artifact suffixes (.csv .oc .svg .nwk .txt);
-anything else is a usage error and --out is left as it was, as is an --out
-that holds an input file of the run.  Given identical inputs and flags, every
-artifact is byte-identical between runs.
+stage directory and renamed into place, so --out holds exactly the last
+run's files.  The stage is made by `mkdir` inside a private `mkdtemp`
+directory beside --out, so it gets the mode `mkdir` gives a new --out.  An
+existing --out is replaced only if it holds nothing but regular files with
+artifact suffixes (.csv .oc .svg .nwk .txt); anything else is a usage error
+and --out is left as it was, as is an --out that holds an input file of the
+run.  Given identical inputs and flags, every artifact is byte-identical
+between runs.
 
 Every input file is read once, by `_parse_file`: as UTF-8 with or without a
 byte order mark and with its line ends as written, for a parser that splits
@@ -146,11 +148,10 @@ def _write_artifacts(output_dir, artifacts):
     if replace:
         _check_replaceable(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    stage = work / out.name
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        stage.chmod(0o777 & ~umask)  # the mode mkdir would give
+        stage.mkdir()  # the mode mkdir gives a new --out
         for name, text in artifacts.items():
             try:
                 (stage / name).write_text(text, encoding="utf-8", newline="\n")
@@ -159,7 +160,7 @@ def _write_artifacts(output_dir, artifacts):
                     raise
                 raise LingdistError(f"artifact name {quote(name)} is too long") from None
         if replace:
-            old = stage.with_name(stage.name + "-old")
+            old = work.with_name(work.name + "-old")
             out.rename(old)
             try:
                 stage.rename(out)
@@ -169,8 +170,9 @@ def _write_artifacts(output_dir, artifacts):
         else:
             stage.rename(out)
     except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
         raise
+    work.rmdir()
     if replace:
         shutil.rmtree(old)
 

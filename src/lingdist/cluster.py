@@ -73,6 +73,8 @@ class Dendrogram(Record):
             raise ValueError(f"need n >= 1 leaves and n - 1 merges, got {n} and {len(merges)}")
         live = set(range(n))  # nodes made and not yet merged
         for t, (a, b, _) in enumerate(merges):
+            if type(a) is not int or type(b) is not int:  # 0.0 == 0 and True == 1
+                raise ValueError(f"merge {t} node ids must be ints, got {a!r}, {b!r}")
             if a == b or a not in live or b not in live:
                 raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
             live -= {a, b}
@@ -180,13 +182,11 @@ def cut(dendrogram, k):
     members = {i: [i] for i in range(n)}
     for t, (a, b, _h) in enumerate(dendrogram.merges[:n - k]):
         members[n + t] = members.pop(a) + members.pop(b)
-    groups = sorted(members.values(), key=min)
-    member_of = {}
-    for cid, leaves in enumerate(groups, start=1):
+    own = [0] * n
+    for cid, leaves in enumerate(sorted(members.values(), key=min), start=1):
         for leaf in leaves:
-            member_of[dendrogram.leaf_labels[leaf]] = cid
-    member_of = {label: member_of[label] for label in dendrogram.leaf_labels}
-    return ClusterAssignment(k, member_of)
+            own[leaf] = cid
+    return ClusterAssignment(k, dict(zip(dendrogram.leaf_labels, own)))
 
 
 def silhouette(matrix, assignment):

@@ -177,7 +177,7 @@ def alignments(a, b, table):
 
 def entry_distance(e1, e2, table):
     """Closest normalized distance across the two entries' variant pairs."""
-    return min(normalized_distance(v1, v2, table) for v1 in e1.variants for v2 in e2.variants)
+    return _entry_triangle((e1, e2), table)[0]
 
 
 # --- distance matrices -------------------------------------------------------

@@ -10,17 +10,17 @@ are long vowels; M,N long consonants).
 
 Lookup precedence, first match wins:
 
-  identity > zero pair > shared vowel family > explicit pair rule
-  > long/short counterpart > generic vowel-vowel > default mismatch
+  identity > shared vowel family > pair rule (a `zero` rule is a pair
+  of cost 0) > long/short counterpart > generic vowel-vowel > default mismatch
 
 `parse_table` is the one place that reads, checks and resolves rules.  Every
 refusal is a ParseError that names its line: a syntax error, a value out of
 range, an undefined class, or a class, gap, default or symbol pair bound to
 two different values.  It resolves every rule into one map from unordered
 symbol pair to cost, filled in the reverse of that order, generic vowel
-pairs first and zero pairs last, so each rule overwrites exactly the rules
-it beats.  A `SubstitutionTable` holds that map, and `cost` is identity,
-one lookup, or the default mismatch.
+pairs first and shared vowel families last, so each rule overwrites exactly
+the rules it beats.  A `SubstitutionTable` holds that map, and `cost` is
+identity, one lookup, or the default mismatch.
 """
 
 import math
@@ -139,7 +139,7 @@ def parse_table(text, name=None):
             except ValueError as exc:
                 raise ParseError(str(exc), line=ln) from None
 
-    pairs, zero, long_shorts = {}, set(), {}
+    pairs, long_shorts = {}, {}
     families = {fam: {fam} for fam in VOWEL_FAMILIES}
     for ln, kind, args in rules:
         symbols = args[1:] if kind == "vset" else args[:2]
@@ -151,24 +151,20 @@ def parse_table(text, name=None):
                 raise ParseError(f"unknown vowel family {quote(args[0])}", line=ln)
             families[args[0]].update(symbols)
             continue
-        key, what = _pair(*symbols), f"{args[0]}/{args[1]}"
+        key, what = _pair(*symbols), f"{kind} {args[0]}/{args[1]}"
         if kind == "longshort":
             if args[2] not in classes:
                 raise ParseError(f"weight class {quote(args[2])} is not defined", line=ln)
-            bind(long_shorts, key, classes[args[2]], f"longshort {what}", ln)
+            bind(long_shorts, key, classes[args[2]], what, ln)
         elif kind == "zero":
-            if pairs.get(key, 0.0) != 0.0:
-                raise ParseError(f"pair {what} is both zero and {pairs[key]}", line=ln)
-            zero.add(key)
+            bind(pairs, key, 0.0, what, ln)
         else:
             try:
                 cost = classes[args[2]] if args[2] in classes else float(args[2])
             except ValueError:
                 raise ParseError(f"weight class {quote(args[2])} is not defined", ln) from None
             in_unit("literal pair cost", cost, ln)
-            if key in zero and cost != 0.0:
-                raise ParseError(f"pair {what} is both zero and {cost}", line=ln)
-            bind(pairs, key, cost, f"pair {what}", ln)
+            bind(pairs, key, cost, what, ln)
 
     # The module docstring's precedence, lowest first, so each rule
     # overwrites the rules it beats; combinations of a sorted set yield
@@ -181,7 +177,6 @@ def parse_table(text, name=None):
     costs.update(pairs)
     for members in families.values():
         costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
-    costs.update(dict.fromkeys(zero, 0.0))
     return SubstitutionTable(costs, classes, settings.get("gap", 1.0),
                              settings.get("default", 1.0), name=name)
 

@@ -8,6 +8,8 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -320,6 +322,39 @@ def test_rerun_into_same_out_replaces_stale_artifacts(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+
+
+def test_a_run_leaves_the_umask_alone(tmp_path, monkeypatch):
+    """The stage gets its mode from mkdir, so no run reads the umask by
+    setting it, which would change it for the whole process meanwhile."""
+    umask = os.umask(0)
+    os.umask(umask)
+
+    def no_umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    out = tmp_path / "out"
+    for _ in ("new --out", "existing --out"):
+        assert run_cli(["cluster", "--lexicon", SHEEP, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_runs_are_clean_under_dev_mode(name, tmp_path):
+    """Each golden run as its own process under dev mode with warnings as
+    errors exits 0, and every stderr line is lingdist's: an unclosed file or
+    an ignored exception in `__del__` prints to stderr but still exits 0."""
+    args = [str(FIXTURES / a) if a.endswith((".pl", ".csv")) else a for a in CASES[name]]
+    src = Path(lingdist.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "lingdist.cli", *args,
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert all(line.startswith("lingdist: ") for line in done.stderr.splitlines()), done.stderr
 
 
 @pytest.mark.parametrize("foreign", ["notes.md", "sub/", ".csv"])

@@ -367,6 +367,18 @@ def test_dendrogram_must_be_one_full_tree(labels, merges):
         Dendrogram(labels, merges)
 
 
+@pytest.mark.parametrize("merges", [
+    ((0.0, 1, 0.5), (2, 3, 0.7)),
+    ((0, 1, 0.5), (2, 3.0, 0.7)),
+    ((False, True, 0.5), (2, 3, 0.7)),
+    ((True, 2, 0.5), (0, 3, 0.7)),
+], ids=["float-leaf", "float-node", "bool-leaves", "bool-leaf"])
+def test_dendrogram_node_ids_must_be_ints(merges):
+    # each tree passes a check by value alone, as 0.0 == 0 and True == 1
+    with pytest.raises(ValueError, match="node ids must be ints"):
+        Dendrogram(("a", "b", "c"), merges)
+
+
 def test_newick_two_leaves():
     d = Dendrogram(("A", "B"), ((0, 1, 0.4),))
     assert export_newick(d) == "(A:0.2,B:0.2);"

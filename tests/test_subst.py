@@ -109,7 +109,7 @@ def test_parse_table_exact_duplicate_ok():
 
 
 def test_parse_table_zero_vs_pair_conflict():
-    with pytest.raises(ParseError, match=r"pair a/b is both zero and 0\.2"):
+    with pytest.raises(ParseError, match=r"^line 2: zero a/b bound to both 0\.2 and 0\.0$"):
         parse_table("pair a b 0.2\nzero a b\n")
 
 
@@ -142,8 +142,8 @@ def test_parse_table_syntax_errors(bad):
     ("longshort A a nosuch", "weight class 'nosuch' is not defined"),
     ("pair a b v\npair b a 0.3", "pair b/a bound to both 0.1 and 0.3"),
     ("pair a b 0.3\npair a b v", "pair a/b bound to both 0.3 and 0.1"),
-    ("zero a b\npair b a v", "pair b/a is both zero and 0.1"),
-    ("pair a b v\nzero b a", "pair b/a is both zero and 0.1"),
+    ("zero a b\npair b a v", "pair b/a bound to both 0.0 and 0.1"),
+    ("pair a b v\nzero b a", "zero b/a bound to both 0.1 and 0.0"),
     ("longshort A a v\nlongshort a A w", "longshort a/A bound to both 0.1 and 0.5"),
     ("weight x 1.5", "weight class 'x': 1.5 outside [0, 1]"),
     ("weight x -0.5", "weight class 'x': -0.5 outside [0, 1]"),
