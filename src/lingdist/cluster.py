@@ -57,7 +57,7 @@ import math
 from operator import itemgetter
 
 from ._record import Record
-from .errors import DegenerateData, quote
+from .errors import DegenerateData, FormatError, quote
 
 LINKAGES = ("single", "complete", "average")
 
@@ -71,12 +71,16 @@ class Dendrogram(Record):
         n = len(leaf_labels)
         if n < 1 or len(merges) != n - 1:
             raise ValueError(f"need n >= 1 leaves and n - 1 merges, got {n} and {len(merges)}")
+        if len(set(leaf_labels)) != n:
+            raise ValueError("leaf labels must be unique")
         live = set(range(n))  # nodes made and not yet merged
-        for t, (a, b, _) in enumerate(merges):
+        for t, (a, b, h) in enumerate(merges):
             if type(a) is not int or type(b) is not int:  # 0.0 == 0 and True == 1
                 raise ValueError(f"merge {t} node ids must be ints, got {a!r}, {b!r}")
             if a == b or a not in live or b not in live:
                 raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
+            if not h >= 0.0:  # NaN fails, -0.0 and inf pass
+                raise ValueError(f"merge {t} height must be >= 0, got {h!r}")
             live -= {a, b}
             live.add(n + t)
 
@@ -175,6 +179,8 @@ def cut(dendrogram, k):
     Cluster ids follow the smallest leaf index each cluster contains.
     """
     n = dendrogram.n_leaves
+    if type(k) is not int:  # 2.0 == 2 and True == 1
+        raise ValueError(f"k must be an int, got {type(k).__name__}")
     if not 1 <= k <= n:
         # a k of more than 40 characters is not quoted; past 4,300 digits str(k) raises
         got = f", got {k}" if -10**39 < k < 10**39 else ""
@@ -372,8 +378,16 @@ def _newick_label(label):
     return label
 
 
+def _check_finite_heights(dendrogram):
+    """FormatError if a merge height is infinite, which no export can place."""
+    for t, (_a, _b, h) in enumerate(dendrogram.merges):
+        if not math.isfinite(h):
+            raise FormatError(f"merge {t} has an infinite height")
+
+
 def export_newick(dendrogram):
     """Newick text with ultrametric branch lengths."""
+    _check_finite_heights(dendrogram)
     text = [_newick_label(label) for label in dendrogram.leaf_labels]
     pos = [0.0] * dendrogram.n_leaves
     for a, b, h in dendrogram.merges:
@@ -392,6 +406,7 @@ def export_svg(dendrogram, assignment=None):
     the root on the left, horizontal position proportional to merge height.
     With an assignment, leaf labels are colored by cluster.
     """
+    _check_finite_heights(dendrogram)
     from .svgplot import PALETTE, Canvas  # loaded only by the runs that draw
 
     n = dendrogram.n_leaves

@@ -5,10 +5,18 @@ into the other using insertions and deletions (each costing the table's gap
 penalty) and substitutions (costing ``table.cost(s1, s2)``).  Dividing by the
 longer length gives the normalized distance used everywhere downstream.
 
-Every distance runs one DP kernel, the row step `_dp_row`: from a row of
-prefix distances and the costs of the next row symbol against the column
-word, the next row.  Its floats equal those of the plain
-``min(up + gap, left + gap, up_left + cost)`` DP bit for bit.  Each call
+Every distance runs one DP kernel, the row step `_row_kernel(m)` for a
+column word of m symbols: from a row of prefix distances and the costs of
+the next row symbol against the column word, the next row.  A kernel has no
+loop.  Its source is built from the integer m alone, never from a symbol,
+cost or label: it unpacks the row and the costs into named locals and
+spells out the one cell template for each column.  It is `exec`'d on first
+use and cached per length.  A column of more than `_W` = 64 symbols chains
+64-wide blocks, each continuing from the cell carried in from its left, so
+no generated function holds more than 3 * 64 + 6 locals.  Each cell makes
+the plain loop's additions and comparisons in the same order, so its
+floats equal those of the plain ``min(up + gap, left + gap, up_left +
+cost)`` DP bit for bit (see `_row_kernel`).  Each call
 codes its words' symbols as small ints over their sorted alphabet and builds
 each symbol's dense cost row over that alphabet once.  `raw_distance` and
 `alignments` stack the rows into the full table, which `alignments` walks
@@ -79,28 +87,61 @@ def _first_row(length, gap):
     return row
 
 
-def _dp_row(prev, costs, gap):
-    """The one DP kernel: the row after `prev` against column word b, where
-    `costs[j]` is the cost of the new row symbol against b[j].
+# One cell of the row kernels, the DP recurrence: q{j} from the cell above
+# (p{j}), the cell to the left (q{i}) and the cell up-left (p{i}).
+_CELL = """\
+    q{j} = (p{j} if p{j} < q{i} else q{i}) + gap
+    d = p{i} + c{j}
+    if d < q{j}:
+        q{j} = d"""
+_W = 64  # the widest generated kernel; a longer column chains W-wide blocks
+_generated = {}  # (columns, carried) -> kernel, generated on first use
+
+
+def _generated_kernel(w, carried):
+    """The straight-line kernel over `w` columns, its source built from the
+    integer `w` alone.  With `carried`, it is a block ``block(prev, costs,
+    gap, q0)`` that continues from the cell q0 carried in from its left and
+    returns q1..qw; otherwise ``row(prev, costs, gap)``, which starts from
+    q0 = p0 + gap and returns the whole row q0..qw."""
+    kernel = _generated.get((w, carried))
+    if kernel is None:
+        q = [f"q{j}" for j in range(w + 1)]
+        lines = [f"def kernel(prev, costs, gap{', q0' if carried else ''}):",
+                 f"    {', '.join(f'p{j}' for j in range(w + 1))}, = prev"]
+        if w:
+            lines.append(f"    {', '.join(f'c{j}' for j in range(1, w + 1))}, = costs")
+        if not carried:
+            lines.append("    q0 = p0 + gap")
+        lines += [_CELL.format(i=j - 1, j=j) for j in range(1, w + 1)]
+        lines.append(f"    return ({', '.join(q[1:] if carried else q)},)")
+        namespace = {"__builtins__": {}}
+        exec("\n".join(lines), namespace)
+        kernel = _generated[w, carried] = namespace["kernel"]
+    return kernel
+
+
+def _row_kernel(m):
+    """The DP row step for column words of `m` symbols: ``row(prev, costs,
+    gap)`` is the row after `prev`, where `costs[j]` is the cost of the new
+    row symbol against the column word's symbol j.
 
     Each cell is min(up + gap, left + gap, up_left + cost), computed as
     min(up, left) + gap and one more comparison.  That is the same float:
-    rounding is monotonic, and gap and costs are finite and >= 0
-    (`subst.cost_value`), so no cell is NaN or -0.0 and equal cells have
-    equal bits.
+    rounding is monotonic, and gap and costs are >= 0 (`subst.cost_value`),
+    so from the first row's 0.0 no cell is NaN or -0.0 and equal cells have
+    equal bits.  Up to `_W` columns the row is one generated kernel; past
+    that, W-wide blocks each take the last cell of the one before.
     """
-    up_left = prev[0]
-    left = up_left + gap
-    row = [left]
-    for up, cost in zip(prev[1:], costs):
-        if up < left:
-            left = up
-        left += gap
-        diagonal = up_left + cost
-        if diagonal < left:
-            left = diagonal
-        row.append(left)
-        up_left = up
+    if m <= _W:
+        return _generated_kernel(m, False)
+    blocks = [(s, _generated_kernel(min(_W, m - s), True)) for s in range(0, m, _W)]
+
+    def row(prev, costs, gap):
+        out = [prev[0] + gap]
+        for s, block in blocks:
+            out += block(prev[s:s + _W + 1], costs[s:s + _W], gap, out[-1])
+        return tuple(out)
     return row
 
 
@@ -110,9 +151,10 @@ def _dp_table(a, b, table):
     (ca, cb), dense = _coded_words((a, b), table)
     gap = table.gap_penalty
     costs = [[dense[s][t] for t in cb] for s in ca]
+    row = _row_kernel(len(b))
     d = [_first_row(len(b), gap)]
     for vector in costs:
-        d.append(_dp_row(d[-1], vector, gap))
+        d.append(row(d[-1], vector, gap))
     return d, costs
 
 
@@ -289,6 +331,7 @@ def _entry_triangle(entries, table):
     gap = table.gap_penalty
     for p, column in enumerate(coded):
         vectors = [None] * len(dense)
+        row = _row_kernel(len(column))
         stack = [_first_row(len(column), gap)]
         column_held = holders[p]
         for q in range(p + 1, len(coded)):
@@ -298,7 +341,7 @@ def _entry_triangle(entries, table):
                 costs = vectors[s]
                 if costs is None:
                     costs = vectors[s] = list(map(dense[s].__getitem__, column))
-                stack.append(_dp_row(stack[-1], costs, gap))
+                stack.append(row(stack[-1], costs, gap))
             d = stack[-1][-1] / max(len(row_word), len(column))
             for i in column_held:
                 for j in holders[q]:

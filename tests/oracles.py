@@ -6,15 +6,16 @@ monotone path outright, the co-optimal alignment reference collects every
 optimal path of the per-cell DP table and sorts them, and the silhouette
 oracle recomputes the textbook formula point by point with no shared sums.
 The reference DP, matrices, density and Bhattacharyya coefficient below are
-the plain forms the fast paths replaced: one `table.cost` call per cell, no
-pair memo, one `exp` per value, one bin lookup per value.  The clustering
-references are the pair-dict agglomeration and the per-k cut scan that the
-nearest-neighbour and top-down forms replaced.  `ReferenceTable` is the rule
-interpreter that the substitution table's resolved cost map replaced.  The
-export references are the recursive Newick writer and the depth-first leaf
-order that the forward passes over the merges replaced.  The lexicon
-reference is the tokenizer, token stream and recursive-descent parser that
-one regular grammar per fact replaced.
+the plain forms the fast paths replaced: one `table.cost` call per cell and
+a per-cell loop for each row, no pair memo, one `exp` per value, one bin
+lookup per value.  The clustering references are the pair-dict
+agglomeration and the per-k cut scan that the nearest-neighbour and
+top-down forms replaced.  `ReferenceTable` is the rule interpreter that the
+substitution table's resolved cost map replaced.  The export references
+are the recursive Newick writer and the depth-first leaf order that the
+forward passes over the merges replaced.  The lexicon reference is the
+tokenizer, token stream and recursive-descent parser that one regular
+grammar per fact replaced.
 """
 
 import math
@@ -89,11 +90,7 @@ def reference_alignments(a, b, table):
     for _ in b:
         d[0].append(d[0][-1] + gap)
     for x in a:
-        prev = d[-1]
-        row = [prev[0] + gap]
-        for j, y in enumerate(b):
-            row.append(min(prev[j + 1] + gap, row[j] + gap, prev[j] + table.cost(x, y)))
-        d.append(row)
+        d.append(reference_row(d[-1], [table.cost(x, y) for y in b], gap))
     found = []
     todo = [(len(a), len(b), ())]  # a path holds its columns as (column, rest)
     while todo:
@@ -251,6 +248,16 @@ def random_distance_matrix(rng: random.Random, n, distinct=True):
     return DistanceMatrix(labels, values)
 
 
+def reference_row(prev, costs, gap):
+    """The DP row after `prev`, where `costs[j]` is the new row symbol's cost
+    against column symbol j: the plain per-cell loop that the generated row
+    kernels replaced."""
+    row = [prev[0] + gap]
+    for j, cost in enumerate(costs):
+        row.append(min(prev[j + 1] + gap, row[j] + gap, prev[j] + cost))
+    return row
+
+
 def reference_raw_distance(a, b, table):
     """Weighted edit distance with one `table.cost` call per cell: the
     quadratic DP before cost rows, kept as the reference for them."""
@@ -259,10 +266,7 @@ def reference_raw_distance(a, b, table):
     for j in range(len(b)):
         prev.append(prev[j] + gap)
     for x in a:
-        cur = [prev[0] + gap]
-        for j, y in enumerate(b):
-            cur.append(min(prev[j + 1] + gap, cur[j] + gap, prev[j] + table.cost(x, y)))
-        prev = cur
+        prev = reference_row(prev, [table.cost(x, y) for y in b], gap)
     return prev[-1]
 
 

@@ -243,11 +243,19 @@ def test_non_finite_oc_refusal_names_the_concept(tmp_path, capsys):
         "lingdist: concept 'w1': row 'nidderdale' holds a non-finite distance\n")
 
 
-def test_distance_sum_overflow_is_data_error(tmp_path):
-    # gaps this large give distance sums beyond the float range
+def test_distance_sum_overflow_is_data_error(tmp_path, capsys):
+    # gaps this large give distance sums beyond the float range, and
+    # agglomerate an infinite height, which no export is reached with
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--gap", "1e308",
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == []
+    assert capsys.readouterr().err.endswith(
+        "lingdist: a sum of distances overflows; no silhouette is defined\n")
+    assert run_cli(["cluster", "--lexicon", SHEEP, "--gap", "1e308",
+                    "--out", str(tmp_path / "out")]) == 3
+    assert files_under(tmp_path) == []
+    assert capsys.readouterr().err.endswith(
+        "lingdist: row 'swaledale' holds a non-finite distance\n")
     table_path = tmp_path / "huge.tbl"
     table_path.write_text("gap 1e308\ndefault 1e308\n")
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--table", str(table_path),

@@ -10,7 +10,7 @@ from lingdist.cluster import (LINKAGES, ClusterAssignment, Dendrogram,
                               agglomerate, best_cut, cut, export_newick,
                               export_svg, purity, silhouette, silhouette_scan)
 from lingdist.editdist import DistanceMatrix
-from lingdist.errors import DegenerateData
+from lingdist.errors import DegenerateData, FormatError
 
 
 def _matrix(labels, pairs):
@@ -95,6 +95,13 @@ def test_cut_extremes():
         cut(d, 0)
     with pytest.raises(DegenerateData, match=r"k must be in 1\.\.5, got 6"):
         cut(d, 6)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True], ids=["fraction", "whole-float", "bool"])
+def test_cut_k_must_be_an_int(k):
+    # 2.0 == 2 and True == 1 pass the range check by value alone
+    with pytest.raises(ValueError, match="k must be an int"):
+        cut(agglomerate(FIVE, "complete"), k)
 
 
 def test_cut_two_pairs():
@@ -377,6 +384,27 @@ def test_dendrogram_node_ids_must_be_ints(merges):
     # each tree passes a check by value alone, as 0.0 == 0 and True == 1
     with pytest.raises(ValueError, match="node ids must be ints"):
         Dendrogram(("a", "b", "c"), merges)
+
+
+@pytest.mark.parametrize("labels, merges, message", [
+    (("a", "a"), ((0, 1, 0.1),), "labels must be unique"),
+    (("a", "b", "a"), ((0, 1, 0.1), (2, 3, 0.2)), "labels must be unique"),
+    (("a", "b"), ((0, 1, math.nan),), "height must be >= 0"),
+    (("a", "b"), ((0, 1, -1.0),), "height must be >= 0"),
+    (("a", "b", "c"), ((0, 1, 0.1), (2, 3, -math.inf)), "height must be >= 0"),
+], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height"])
+def test_dendrogram_refuses_repeated_labels_and_bad_heights(labels, merges, message):
+    with pytest.raises(ValueError, match=message):
+        Dendrogram(labels, merges)
+
+
+def test_exports_refuse_an_infinite_height():
+    # agglomerate emits such a height on an overflowing matrix; -0.0 is a height
+    tree = Dendrogram(("a", "b", "c"), ((0, 1, -0.0), (2, 3, math.inf)))
+    with pytest.raises(FormatError, match="merge 1 has an infinite height"):
+        export_newick(tree)
+    with pytest.raises(FormatError, match="merge 1 has an infinite height"):
+        export_svg(tree)
 
 
 def test_newick_two_leaves():

@@ -2,7 +2,8 @@
 
 `SubstitutionTable.cost` and `with_gap` clones against the rule interpreter
 on built-in and random tables, the coded DP against
-the exponential recursion and the per-cell DP, the concept, language and
+the exponential recursion and the per-cell DP, the generated row kernels
+against the per-cell row, the concept, language and
 all-to-all matrices of the shared-prefix pair table against per-pair ones on
 built-in and random tables (also on words built from one stem), the
 distinct-value density against one `exp` per value, the counted
@@ -28,8 +29,9 @@ from oracles import (ReferenceTable, naive_lev, random_distance_matrix, random_t
                      reference_bhattacharyya, reference_cut_scan,
                      reference_entry_distance, reference_export_newick,
                      reference_export_svg, reference_kde,
-                     reference_language_values, reference_raw_distance)
+                     reference_language_values, reference_raw_distance, reference_row)
 
+from lingdist import editdist
 from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut,
                               export_newick, export_svg, silhouette)
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
@@ -162,6 +164,32 @@ def test_raw_distance_bitwise_equals_per_cell_reference(table, a, b):
     assert raw_distance(a, b, table).hex() == want
     # both orders: the pair table runs each unordered pair in one orientation
     assert raw_distance(b, a, table).hex() == want
+
+
+@pytest.mark.parametrize("gap", (0.0, -0.0, 0.3, 1.0, 1e308))
+def test_generated_row_kernels_equal_the_plain_recurrence(gap):
+    """Every column length on each side of one and two block widths (64),
+    and two longer ones; rows chained from the first row, so a gap of 1e308
+    overflows cells to inf."""
+    rng = random.Random(28)
+    for m in (*range(141), 300, 1000):
+        row = editdist._row_kernel(m)
+        prev = [0.0]
+        for j in range(m):
+            prev.append(prev[j] + gap)
+        for _ in range(4):
+            costs = [rng.choice((-0.0, 0.05, *COSTS)) for _ in range(m)]
+            got, want = row(prev, costs, gap), reference_row(prev, costs, gap)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (m, gap)
+            prev = got
+
+
+def test_a_long_column_chains_bounded_kernels():
+    table = builtin_table("editable")
+    a, b = "a", "b" * 20000
+    assert raw_distance(a, b, table).hex() == reference_raw_distance(a, b, table).hex()
+    # p0..pw, c1..cw, q0..qw, d, prev, costs and gap: 3w + 6 locals
+    assert max(k.__code__.co_nlocals for k in editdist._generated.values()) <= 3 * editdist._W + 6
 
 
 WORD_POOLS = st.lists(st.text(alphabet=WORD_SYMBOLS, min_size=1, max_size=6),
