@@ -268,11 +268,12 @@ def _parse_truth(text):
 def cmd_cluster(lex, table, args):
     truth = None if args.truth is None else _parse_file(args.truth, _parse_truth)
     matrix = editdist.language_matrix(lex, table)
+    oc_text = editdist.write_oc(matrix)  # a non-finite cell is named before the scan refuses it
     dend = hc.agglomerate(matrix, args.linkage)
     best_assignment, _report, means = hc.best_cut(matrix, dend)
 
     artifacts = {
-        "languages.oc": editdist.write_oc(matrix),
+        "languages.oc": oc_text,
         "dendrogram.nwk": hc.export_newick(dend) + "\n",
         "dendrogram.svg": hc.export_svg(dend, best_assignment),
         "clusters.csv": _cluster_csv(best_assignment),

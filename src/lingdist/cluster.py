@@ -25,7 +25,8 @@ same float.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 point's mean distance to one cluster from a correctly rounded `fsum`, the
 same float in any member order, and `_widths` alone turns a(i) and b(i) into
 s(i) and their mean.  A point alone in its cluster scores 0 and gets a row of
-zeros, so either refuses only when a sum that some score needs overflows.
+zeros, so either refuses only when a sum that some score needs overflows, or
+when an infinite a(i) or b(i) leaves a score undefined.
 
 `best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
 splits one cluster in two, and each new cluster's column is computed once.
@@ -38,14 +39,15 @@ and `best_cut`'s report, with no second pass.  The scan costs O(n * sum of
 holds each node's leaf list.  `cut` runs for the best k only.
 `silhouette_scan` returns the same scan's means.
 
-The exports walk the merges forward: merge t builds node n+t from its two
-children's results, which are then dropped, so nothing recurses and a tree of
-any depth exports.  Newick branch lengths are ultrametric: a leaf sits at 0,
-and a merge at height h at h/2, and never below its children (an average
-update of equal distances can round a merge one ulp below a child), as in
-`export_svg`.  That walks twice, for the leaf order and then to draw, 720
-wide with an 18-high row per leaf.  It imports `svgplot` when called, so a
-run that draws no dendrogram never loads it.
+The exports walk the merges forward, each node built from its two children,
+so nothing recurses and a tree of any depth exports.  `_leaf_lists` gives
+each node its leaves in merge order: the scan's clusters and, at the root,
+the SVG's leaf order.  `_placed_heights` places a leaf at 0 and merge t at
+the largest of its children's heights and its own, so never below a child
+(an average update of equal distances can round a merge one ulp below one).
+Newick puts each node at half that height, so branch lengths are ultrametric;
+`export_svg` draws at it, 720 wide with an 18-high row per leaf.  It imports
+`svgplot` when called, so a run that draws no dendrogram never loads it.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate` and the scan
 each work on a square from `matrix.rows()` and release it before the next
@@ -54,6 +56,7 @@ scores one given cut; no subcommand calls it.
 """
 
 import math
+from collections import Counter
 from operator import itemgetter
 
 from ._record import Record
@@ -201,7 +204,8 @@ def silhouette(matrix, assignment):
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster.  A point alone in its
     cluster scores 0, as does one where a = b = 0.  Raises DegenerateData if
-    a sum of distances that some score needs overflows.
+    a sum of distances that some score needs overflows, or if an infinite
+    distance leaves a score undefined.
     """
     n = matrix.n
     k = assignment.k
@@ -232,7 +236,10 @@ def _widths(sizes, a_of, b_of):
     and b(i) unread, as does a point where a = b = 0."""
     scores = [(b - a) / denom if size > 1 and (denom := max(a, b)) > 0.0 else 0.0
               for size, a, b in zip(sizes, a_of, b_of)]
-    return scores, math.fsum(scores) / len(scores)
+    mean = math.fsum(scores) / len(scores)
+    if math.isnan(mean):  # inf - inf or inf / inf: an infinite a(i) or b(i)
+        raise DegenerateData("an infinite distance leaves a silhouette undefined")
+    return scores, mean
 
 
 def _mean_column(values, members):
@@ -257,6 +264,14 @@ def _mean_column(values, members):
     return col
 
 
+def _leaf_lists(dendrogram):
+    """Per node, its leaves in merge order."""
+    leaves = [[i] for i in range(dendrogram.n_leaves)]
+    for a, b, _h in dendrogram.merges:
+        leaves.append(leaves[a] + leaves[b])
+    return leaves
+
+
 def _scan(matrix, dendrogram):
     """Score the cut at every k in 2..n-1 in one pass over one square.
 
@@ -269,9 +284,7 @@ def _scan(matrix, dendrogram):
         raise ValueError("the dendrogram's leaf labels are not the matrix labels, in order")
     values = matrix.rows()
     n = len(values)
-    leaves = [[i] for i in range(n)]
-    for a, b, _h in dendrogram.merges:
-        leaves.append(leaves[a] + leaves[b])
+    leaves = _leaf_lists(dendrogram)
     live = {2 * n - 2}
     own = [2 * n - 2] * n  # per point: its cluster,
     sizes = [n] * n        # that cluster's size,
@@ -308,7 +321,7 @@ def _scan(matrix, dendrogram):
                 b_of[i], b_from[i] = min((math.fsum(row[j] for j in leaves[c]) / len(leaves[c]), c)
                                          for c in live if c != own[i])
         scores, mean = _widths(sizes, a_of, b_of)
-        if best is None or mean > best[1]:  # as `max`: ties and NaN keep the smaller k
+        if best is None or mean > best[1]:  # as `max`: ties keep the smaller k
             best = (k, mean, scores)
         means.append((k, mean))
     return means, best
@@ -351,23 +364,17 @@ def purity(assignment, truth):
     for label, cid in assignment.member_of.items():
         if label not in truth:
             raise DegenerateData(f"no truth class for {quote(label)}")
-        counts.setdefault(cid, {})
-        cls = truth[label]
-        counts[cid][cls] = counts[cid].get(cls, 0) + 1
+        counts.setdefault(cid, Counter())[truth[label]] += 1
     per_cluster, majority, sizes = {}, {}, {}
-    total = 0
     hits = 0
     for cid in sorted(counts):
         by_class = counts[cid]
-        size = sum(by_class.values())
         top = max(by_class.values())
-        # deterministic majority label under ties
-        majority[cid] = min(c for c, v in by_class.items() if v == top)
-        per_cluster[cid] = top / size
-        sizes[cid] = size
-        total += size
+        majority[cid] = min(c for c, v in by_class.items() if v == top)  # deterministic under ties
+        sizes[cid] = by_class.total()
+        per_cluster[cid] = top / sizes[cid]
         hits += top
-    return PurityReport(per_cluster, majority, sizes, hits / total)
+    return PurityReport(per_cluster, majority, sizes, hits / len(assignment.member_of))
 
 
 # --- export -------------------------------------------------------------------
@@ -378,23 +385,25 @@ def _newick_label(label):
     return label
 
 
-def _check_finite_heights(dendrogram):
-    """FormatError if a merge height is infinite, which no export can place."""
-    for t, (_a, _b, h) in enumerate(dendrogram.merges):
+def _placed_heights(dendrogram):
+    """Per node, the height the exports draw it at, the children first in
+    each max so that a -0.0 height never wins a tie.  FormatError if a merge
+    height is infinite, which no export can place."""
+    placed = [0.0] * dendrogram.n_leaves
+    for t, (a, b, h) in enumerate(dendrogram.merges):
         if not math.isfinite(h):
             raise FormatError(f"merge {t} has an infinite height")
+        placed.append(max(placed[a], placed[b], h))
+    return placed
 
 
 def export_newick(dendrogram):
-    """Newick text with ultrametric branch lengths."""
-    _check_finite_heights(dendrogram)
+    """Newick text with ultrametric branch lengths, each node at half its placed height."""
+    pos = [h / 2.0 for h in _placed_heights(dendrogram)]
     text = [_newick_label(label) for label in dendrogram.leaf_labels]
-    pos = [0.0] * dendrogram.n_leaves
-    for a, b, h in dendrogram.merges:
-        here = max(h / 2.0, pos[a], pos[b])  # never below a child
-        text.append(f"({text[a]}:{format(here - pos[a], 'g')},"
-                    f"{text[b]}:{format(here - pos[b], 'g')})")
-        pos.append(here)
+    for node, (a, b, _h) in enumerate(dendrogram.merges, start=dendrogram.n_leaves):
+        text.append(f"({text[a]}:{format(pos[node] - pos[a], 'g')},"
+                    f"{text[b]}:{format(pos[node] - pos[b], 'g')})")
         text[a] = text[b] = None
     return text[-1] + ";"
 
@@ -403,19 +412,15 @@ def export_svg(dendrogram, assignment=None):
     """Render the dendrogram as an SVG document string.
 
     Leaves sit on the right in depth-first order, children in merge order,
-    the root on the left, horizontal position proportional to merge height.
+    the root on the left, horizontal position proportional to placed height.
     With an assignment, leaf labels are colored by cluster.
     """
-    _check_finite_heights(dendrogram)
+    placed = _placed_heights(dendrogram)
     from .svgplot import PALETTE, Canvas  # loaded only by the runs that draw
 
     n = dendrogram.n_leaves
-    leaves = [[i] for i in range(n)]  # per node: its leaves in display order
-    for a, b, _h in dendrogram.merges:
-        leaves.append(leaves[a] + leaves[b])
-        leaves[a] = leaves[b] = None
-    order = leaves[-1]
-    max_h = max((h for _a, _b, h in dendrogram.merges), default=1.0) or 1.0
+    order = _leaf_lists(dendrogram)[-1]
+    max_h = placed[-1] or 1.0  # the root is placed highest
     width, row_height, margin = 720, 18, 36
     label_w = 8 * max(len(label) for label in dendrogram.leaf_labels) + 12
     plot_w = width - margin - label_w - margin
@@ -428,15 +433,12 @@ def export_svg(dendrogram, assignment=None):
     ys = [0.0] * n
     for row, leaf in enumerate(order):
         ys[leaf] = margin + row_height * (row + 0.5)
-    heights = [0.0] * n
-    for a, b, h in dendrogram.merges:
-        h = max(h, heights[a], heights[b])  # never below a child
-        x = x_of(h)
+    for node, (a, b, _h) in enumerate(dendrogram.merges, start=n):
+        x = x_of(placed[node])
         canvas.line(x, ys[a], x, ys[b], stroke="#555555")
         for child in (a, b):
-            canvas.line(x, ys[child], x_of(heights[child]), ys[child], stroke="#555555")
+            canvas.line(x, ys[child], x_of(placed[child]), ys[child], stroke="#555555")
         ys.append((ys[a] + ys[b]) / 2.0)
-        heights.append(h)
 
     for leaf in order:
         label = dendrogram.leaf_labels[leaf]

@@ -419,10 +419,11 @@ def _children(dendrogram):
 def _node_positions(dendrogram):
     """Ultrametric node heights: a merge at height h sits at h/2, and never
     below its children, leaves at 0, so the path between any two leaves
-    through their join spans h wherever the heights do not fall."""
+    through their join spans h wherever the heights do not fall.  The
+    children come first, so a -0.0 height never wins a tie."""
     pos = {i: 0.0 for i in range(dendrogram.n_leaves)}
     for t, (a, b, h) in enumerate(dendrogram.merges):
-        pos[dendrogram.n_leaves + t] = max(h / 2.0, pos[a], pos[b])
+        pos[dendrogram.n_leaves + t] = max(pos[a], pos[b], h / 2.0)
     return pos
 
 
@@ -495,7 +496,7 @@ def reference_export_svg(dendrogram, assignment=None, width=720, row_height=18):
 
     heights = {i: 0.0 for i in range(n)}
     for t, (a, b, h) in enumerate(dendrogram.merges):
-        heights[n + t] = max(h, heights[a], heights[b])
+        heights[n + t] = max(heights[a], heights[b], h)
 
     for t, (a, b, _h) in enumerate(dendrogram.merges):
         x = x_of(heights[n + t])

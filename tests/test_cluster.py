@@ -263,6 +263,17 @@ def test_best_cut_rescans_when_rounding_lifts_both_halves():
         assert [(k, v.hex()) for k, v in means] == [(k, v.hex()) for k, v in want_means]
 
 
+def test_an_infinite_distance_leaves_the_silhouette_undefined():
+    # at k = 2 the clusters {a, c} and {b, d} give b(a) = inf, so s(a) is
+    # inf / inf, a NaN; the cut at k = 3 scores a mean of 0.0
+    matrix = DistanceMatrix(list("abcd"), [math.inf, 1.0, 1.0, 1.0, 1.0, math.inf])
+    dendrogram = agglomerate(matrix, "average")
+    with pytest.raises(DegenerateData, match="an infinite distance leaves a silhouette undefined"):
+        best_cut(matrix, dendrogram)
+    with pytest.raises(DegenerateData, match="an infinite distance leaves a silhouette undefined"):
+        silhouette(matrix, cut(dendrogram, 2))
+
+
 def test_best_cut_and_scan_refuse_a_dendrogram_of_other_leaves():
     # the scan reads rows by leaf number, so a dendrogram over the labels in
     # another order would score another clustering
@@ -422,6 +433,8 @@ def test_exports_never_place_a_merge_below_its_children():
     level = Dendrogram(("a", "b", "c"), ((0, 1, 0.8), (2, 3, 0.8)))
     assert export_newick(low) == "(c:0.4,(a:0.4,b:0.4):0);"
     assert export_svg(low) == export_svg(level)
+    # a -0.0 height ties its children at 0.0, and the children's zero is drawn
+    assert export_newick(Dendrogram(("a", "b"), ((0, 1, -0.0),))) == "(a:0,b:0);"
 
 
 def test_newick_quotes_awkward_labels():

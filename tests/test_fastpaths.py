@@ -370,14 +370,18 @@ def distance_matrices(draw, values, min_n):
     return DistanceMatrix([f"p{i}" for i in range(n)], cells)
 
 
-# Few distinct values (many ties, zeros, an infinity) or any finite value
-# whose sums over 40 items stay finite.
+# Few distinct values (many ties and zeros, with or without an infinity) or
+# any finite value whose sums over 40 items stay finite.  Most cuts of a
+# matrix with an infinity have no silhouette, so the finite tied values keep
+# scored tied cuts in the draw.
 TIED = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 3.0, math.inf))
+TIED_FINITE = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0, 3.0))
 ANY = st.floats(min_value=0.0, max_value=1e300)
 
 
 def matrices(min_n):
-    return st.one_of(distance_matrices(TIED, min_n), distance_matrices(ANY, min_n))
+    return st.one_of(distance_matrices(TIED, min_n), distance_matrices(TIED_FINITE, min_n),
+                     distance_matrices(ANY, min_n))
 
 
 def dendrogram_bits(dendrogram):
@@ -403,9 +407,14 @@ def test_agglomerate_equals_pair_dict_reference(matrix):
 def test_best_cut_equals_per_k_reference(matrix):
     for linkage in LINKAGES:
         dendrogram = agglomerate(matrix, linkage)
+        try:
+            (want_k, want_assignment, want_report), want_means = \
+                reference_cut_scan(matrix, dendrogram)
+        except DegenerateData:  # some cut's silhouette is undefined
+            with pytest.raises(DegenerateData):
+                best_cut(matrix, dendrogram)
+            continue
         assignment, report, means = best_cut(matrix, dendrogram)
-        (want_k, want_assignment, want_report), want_means = \
-            reference_cut_scan(matrix, dendrogram)
         assert assignment.k == want_k
         assert assignment == want_assignment
         assert report_bits(report) == report_bits(want_report)

@@ -3,13 +3,21 @@
 `perfbench/traced_run.py` replaces each `module.attr` in its span tables with
 a timing wrapper, so a renamed or deleted function makes every traced run
 fail with AttributeError.  This keeps those names in step with the package,
-and `kde`'s parameters in step with the names its span note binds.
+and `kde`'s parameters in step with the names its span note binds.  The
+traced `dp_cells_per_s` divides by `editdist.matrix_s`, the self time of the
+matrix builders, so each subcommand must build its matrices through them.
 """
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURES
+from lingdist import cli, editdist
+from test_golden import CASES
 
 TRACED_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "traced_run.py"
 
@@ -40,3 +48,24 @@ def test_kde_has_the_parameters_the_traced_run_binds_by_name():
     import lingdist.stats
 
     assert {"values", "grid_points"} <= set(inspect.signature(lingdist.stats.kde).parameters)
+
+
+@pytest.mark.parametrize("command", sorted(CASES))
+def test_every_subcommand_builds_its_matrices_through_the_traced_builders(
+        command, tmp_path, monkeypatch):
+    names = load_traced_run().SELF_TIME["editdist.matrix_s"]
+    calls = []
+
+    def counted(name, builder):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        module_name, attr = name.split(".")
+        assert module_name == "editdist"
+        monkeypatch.setattr(editdist, attr, counted(name, getattr(editdist, attr)))
+    args = [str(FIXTURES / a) if a.endswith((".pl", ".csv")) else a for a in CASES[command]]
+    assert cli.main(args + ["--out", str(tmp_path / "out")]) == 0
+    assert calls, f"{command} built no matrix through {names}"
