@@ -205,7 +205,8 @@ def silhouette(matrix, assignment):
     b the smallest mean distance to any other cluster.  A point alone in its
     cluster scores 0, as does one where a = b = 0.  Raises DegenerateData if
     a sum of distances that some score needs overflows, or if an infinite
-    distance leaves a score undefined.
+    distance leaves a score undefined; ValueError unless the assignment has
+    the matrix labels and k distinct cluster ids.
     """
     n = matrix.n
     k = assignment.k
@@ -213,6 +214,8 @@ def silhouette(matrix, assignment):
         raise DegenerateData(f"silhouette needs 2 <= k <= {n - 1}, got k={k}")
     if set(assignment.member_of) != set(matrix.labels):
         raise ValueError("assignment labels do not match the matrix labels")
+    if (ids := len(set(assignment.member_of.values()))) != k:
+        raise ValueError(f"the assignment's count of distinct cluster ids is {ids}, not k = {k}")
     own = [assignment.member_of[label] for label in matrix.labels]
     clusters = {}
     for i, cid in enumerate(own):
@@ -359,7 +362,10 @@ class PurityReport(Record):
 
 
 def purity(assignment, truth):
-    """How single-classed each cluster is, against ground-truth classes."""
+    """How single-classed each cluster is, against ground-truth classes;
+    DegenerateData for an assignment with no members."""
+    if not assignment.member_of:
+        raise DegenerateData("purity of an assignment with no members is undefined")
     counts = {}
     for label, cid in assignment.member_of.items():
         if label not in truth:
@@ -413,8 +419,11 @@ def export_svg(dendrogram, assignment=None):
 
     Leaves sit on the right in depth-first order, children in merge order,
     the root on the left, horizontal position proportional to placed height.
-    With an assignment, leaf labels are colored by cluster.
+    With an assignment, leaf labels are colored by cluster; its labels must
+    be the leaf labels.
     """
+    if assignment is not None and set(assignment.member_of) != set(dendrogram.leaf_labels):
+        raise ValueError("assignment labels do not match the dendrogram's leaf labels")
     placed = _placed_heights(dendrogram)
     from .svgplot import PALETTE, Canvas  # loaded only by the runs that draw
 

@@ -7,6 +7,11 @@ kernel density curves, t-score standardization (mean 50, sd 10),
 Bhattacharyya coefficients between columns, and simple least-squares
 regression with R-squared for the distance-vs-geography comparison.
 
+Each input rule is stated once: every statistic checks its columns through
+`_column` (DegenerateData for too few values or one that is not finite) and
+its `bins` or `grid_points` through `_count` (ValueError unless an int, not
+a bool, and large enough).  `_finite` refuses a result that overflows.
+
 Densities and coefficients work once per distinct value, and both are exact:
 they equal the per-value computation bit for bit.  A density hands
 `math.fsum` (correctly rounded, Shewchuk 1997) one term `t * 2**k` for each
@@ -24,7 +29,6 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
 from operator import itemgetter, mul
 
 from ._record import Record
@@ -35,8 +39,32 @@ from .errors import DegenerateData, quote
 _OVERFLOW = "a sum or square of the values overflows a float"
 
 
-def _mean_sd(values):
-    """Mean and sample standard deviation."""
+def _column(values, at_least, what):
+    """DegenerateData unless `values` holds at least `at_least` values, each finite."""
+    if len(values) < at_least:
+        raise DegenerateData(f"{what} needs {at_least} or more values, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise DegenerateData(f"{what} needs finite values")
+
+
+def _count(value, name, minimum):
+    """ValueError unless `value` is an int, not a bool, of at least `minimum`."""
+    if type(value) is not int:  # 2.0 == 2 and True == 1
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _finite(results, what):
+    """DegenerateData unless every result is finite: a float `*` or `/` gives
+    inf, or NaN through inf * 0, where a sum or a square raises."""
+    if not all(map(math.isfinite, results)):
+        raise DegenerateData(f"{what} overflows a float")
+
+
+def _mean_sd(values, what):
+    """Mean and sample standard deviation; `what` names the statistic in a refusal."""
+    _column(values, 2, what)
     try:
         m = math.fsum(values) / len(values)
         return m, math.sqrt(math.fsum((x - m) ** 2 for x in values) / (len(values) - 1))
@@ -48,18 +76,16 @@ def mean_sd(columns):
     """Per column of the name -> values mapping: (name, mean, sample sd, mean*sd)."""
     rows = []
     for name, values in columns.items():
-        if len(values) < 2:
-            raise DegenerateData(f"column {quote(name)} needs >= 2 values for sd")
-        m, sd = _mean_sd(values)
-        rows.append((name, m, sd, m * sd))
+        m, sd = _mean_sd(values, f"sd of column {quote(name)}")
+        prod = m * sd
+        _finite([prod], f"mean*sd of column {quote(name)}")
+        rows.append((name, m, sd, prod))
     return rows
 
 
 def tscore(values):
     """Shift and scale to mean 50, sample standard deviation 10."""
-    if len(values) < 2:
-        raise DegenerateData("t-score needs at least 2 values")
-    m, sd = _mean_sd(values)
+    m, sd = _mean_sd(values, "t-score")
     if sd == 0.0:
         raise DegenerateData("t-score undefined for constant values")
     return [50.0 + 10.0 * (x - m) / sd for x in values]
@@ -87,7 +113,7 @@ def _quantile(sorted_values, p):
 def bandwidth_nrd0(values):
     """Rule-of-thumb Gaussian bandwidth: 0.9 * min(sd, IQR/1.34) * n^(-1/5),
     falling back to sd when the IQR collapses."""
-    sd = _mean_sd(values)[1]
+    sd = _mean_sd(values, "bandwidth")[1]
     ordered = sorted(values)
     iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     lo = min(sd, iqr / 1.34)
@@ -124,11 +150,9 @@ def kde(values, grid_points=512):
     changes only `fsum`'s speed, never its float.  The grid rises, so the
     order is built again only where the grid passes a value.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if not all(map(math.isfinite, values)):
-        raise DegenerateData("density needs finite values")
-    if len(values) < 2 or min(values) == max(values):
+    _count(grid_points, "grid_points", 2)
+    _column(values, 2, "density")
+    if min(values) == max(values):
         raise DegenerateData("density needs at least 2 distinct values")
     h = bandwidth_nrd0(values)
     lo = min(values) - 3.0 * h
@@ -159,6 +183,7 @@ def kde(values, grid_points=512):
         # h underflowed to 0, or is so small against the spread that the
         # squared distance overflows
         raise DegenerateData(f"bandwidth {h!r} too small for the data's spread") from None
+    _finite(ys, f"density at bandwidth {h!r}")
     return DensityCurve(xs, ys, h)
 
 
@@ -173,19 +198,15 @@ def bhattacharyya(a, b, bins=None):
     default bin count is Sturges' rule on the combined sample size.  A value
     that is not finite, a range beyond the float range, or a bin width that
     underflows (as for any bin count past the float range) raises
-    DegenerateData.
+    DegenerateData; a `bins` that is not an int >= 1 raises ValueError.
     """
     return _bhatt_counted(_counted(a), _counted(b), bins)
 
 
 def _counted(values):
-    """`Counter(values)`, refusing an empty sample or a value that is not finite."""
-    counts = Counter(values)
-    if not counts:
-        raise DegenerateData("both value lists must be non-empty")
-    if not all(map(math.isfinite, counts)):
-        raise DegenerateData("Bhattacharyya coefficients need finite values")
-    return counts
+    """`Counter(values)` of a column of at least 1 finite value."""
+    _column(values, 1, "Bhattacharyya coefficient")
+    return Counter(values)
 
 
 def _bhatt_counted(ca, cb, bins):
@@ -203,8 +224,7 @@ def _bhatt_counted(ca, cb, bins):
     na, nb = ca.total(), cb.total()
     if bins is None:
         bins = sturges_bins(na + nb)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    _count(bins, "bins", 1)
     lo = min(min(ca), min(cb))
     hi = max(max(ca), max(cb))
     if hi == lo:
@@ -270,14 +290,13 @@ def linregress(x, y):
     """Ordinary least squares y = slope*x + intercept, with R-squared.
 
     A constant y gives slope 0 and R-squared 0.  A non-finite value, or
-    sums and squares beyond the float range, raise DegenerateData.
+    sums, squares, a slope or an intercept beyond the float range, raise
+    DegenerateData.
     """
     if len(x) != len(y):
         raise DegenerateData(f"x has {len(x)} values, y has {len(y)}")
-    if len(x) < 3:
-        raise DegenerateData(f"need at least 3 paired values, got {len(x)}")
-    if not all(map(math.isfinite, chain(x, y))):
-        raise DegenerateData("regression needs finite x and y values")
+    _column(x, 3, "regression x")
+    _column(y, 3, "regression y")
     n = len(x)
     try:
         mx = math.fsum(x) / n
@@ -288,6 +307,7 @@ def linregress(x, y):
         sxy = math.fsum((vx - mx) * (vy - my) for vx, vy in zip(x, y))
         slope = sxy / sxx
         intercept = my - slope * mx
+        _finite((slope, intercept), "regression slope or intercept")
         ss_tot = math.fsum((v - my) ** 2 for v in y)
         if ss_tot == 0.0:
             return RegressionResult(slope, intercept, 0.0, n)

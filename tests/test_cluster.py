@@ -3,6 +3,8 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import direct_silhouette, random_distance_matrix, reference_cut_scan
 
@@ -140,6 +142,12 @@ def test_silhouette_bad_k():
         silhouette(TWO_PAIRS, cut(d, 1))
     with pytest.raises(DegenerateData, match=r"silhouette needs 2 <= k <= 3, got k=4"):
         silhouette(TWO_PAIRS, cut(d, 4))
+
+
+def test_silhouette_refuses_an_assignment_of_other_than_k_clusters():
+    matrix = DistanceMatrix(list("abc"), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"count of distinct cluster ids is 1, not k = 2"):
+        silhouette(matrix, ClusterAssignment(2, {"a": 1, "b": 1, "c": 1}))
 
 
 def test_silhouette_matches_direct_reimplementation():
@@ -347,6 +355,11 @@ def test_purity_missing_truth_label():
         purity(ClusterAssignment(1, {"a": 1}), {})
 
 
+def test_purity_of_an_empty_assignment_is_degenerate_data():
+    with pytest.raises(DegenerateData, match=r"purity of an assignment with no members"):
+        purity(ClusterAssignment(0, {}), {})
+
+
 def test_purity_range_and_perfect_iff_single_class():
     rng = random.Random(83)
     for _ in range(40):
@@ -418,6 +431,12 @@ def test_exports_refuse_an_infinite_height():
         export_svg(tree)
 
 
+def test_export_svg_refuses_an_assignment_of_other_labels():
+    dendrogram = agglomerate(DistanceMatrix(list("abc"), [1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="labels do not match the dendrogram's leaf labels"):
+        export_svg(dendrogram, ClusterAssignment(1, {"a": 1}))
+
+
 def test_newick_two_leaves():
     d = Dendrogram(("A", "B"), ((0, 1, 0.4),))
     assert export_newick(d) == "(A:0.2,B:0.2);"
@@ -464,3 +483,53 @@ def test_cut_then_silhouette_full_pipeline():
     d = agglomerate(m)
     assert set(cut(d, 6).member_of.values()) == {1, 2, 3, 4, 5, 6}
     assert set(cut(d, 1).member_of.values()) == {1}
+
+
+DISTANCES = st.one_of(st.floats(0.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308,
+                                       -1e308, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), linkage=st.sampled_from(LINKAGES))
+def test_cluster_calls_give_finite_floats_or_refuse(data, n, linkage):
+    """`silhouette`, `purity` and `export_svg` on matrices that mix edge
+    floats with ordinary ones, and on cuts or arbitrary (possibly empty or
+    mislabelled) assignments, return finite floats (the silhouette equal to
+    its oracle's by float.hex) or refuse with DegenerateData, ValueError or,
+    for the export, FormatError."""
+    labels = list("abcd"[:n])
+    values = data.draw(st.lists(DISTANCES, min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    try:
+        matrix = DistanceMatrix(labels, values)
+    except ValueError:  # a NaN or negative distance
+        return
+    dendrogram = agglomerate(matrix, linkage)
+    k = data.draw(st.integers(0, n + 1))
+    if 1 <= k <= n and data.draw(st.booleans()):
+        assignment = cut(dendrogram, k)
+    else:
+        members = data.draw(st.lists(st.sampled_from(labels), unique=True))
+        assignment = ClusterAssignment(k, {label: data.draw(st.integers(1, 3))
+                                           for label in members})
+    truth = {label: data.draw(st.sampled_from("xy")) for label in labels}
+    try:
+        report = silhouette(matrix, assignment)
+    except (DegenerateData, ValueError):
+        pass
+    else:
+        assert all(map(math.isfinite, [*report.per_point.values(), report.mean]))
+        oracle = direct_silhouette(matrix, assignment)
+        assert {label: s.hex() for label, s in report.per_point.items()} \
+            == {label: s.hex() for label, s in oracle.items()}
+    try:
+        scores = purity(assignment, truth)
+    except (DegenerateData, ValueError):
+        pass
+    else:
+        assert all(map(math.isfinite, [*scores.per_cluster.values(), scores.overall]))
+    try:
+        export_svg(dendrogram, assignment)
+    except (FormatError, ValueError):
+        pass

@@ -2,11 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_bhattacharyya, reference_kde
 
 from lingdist.editdist import DistanceMatrix
 from lingdist.errors import DegenerateData
-from lingdist.stats import (bhatt_distance_matrix, bhatt_matrix, bhattacharyya,
-                            kde, linregress, mean_sd, sturges_bins, tscore)
+from lingdist.stats import (bandwidth_nrd0, bhatt_distance_matrix, bhatt_matrix,
+                            bhattacharyya, kde, linregress, mean_sd, sturges_bins,
+                            tscore)
 
 
 def trapezoid(xs, ys):
@@ -35,7 +40,7 @@ def test_mean_sd_empty_frame():
 
 
 def test_mean_sd_column_too_short():
-    with pytest.raises(DegenerateData, match=r"column 'c' needs >= 2 values for sd"):
+    with pytest.raises(DegenerateData, match=r"^sd of column 'c' needs 2 or more values, got 1$"):
         mean_sd({"c": [1.0]})
 
 
@@ -81,7 +86,7 @@ def test_tscore_idempotent_and_affine_invariant():
 def test_tscore_zero_variance():
     with pytest.raises(DegenerateData, match=r"t-score undefined for constant values"):
         tscore([2.0, 2.0, 2.0])
-    with pytest.raises(DegenerateData, match=r"t-score needs at least 2 values"):
+    with pytest.raises(DegenerateData, match=r"^t-score needs 2 or more values, got 1$"):
         tscore([1.0])
 
 
@@ -129,6 +134,45 @@ def test_kde_non_finite_value_is_degenerate_data(values):
         kde(values, 8)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: tscore([math.inf, 1.0, 2.0]),
+    lambda: mean_sd({"a": [math.inf, 1.0]}),
+    lambda: bandwidth_nrd0([1.0]),
+    lambda: bandwidth_nrd0([]),
+    lambda: bandwidth_nrd0([math.inf, 1.0]),
+], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf"])
+def test_every_column_statistic_refuses_a_short_or_non_finite_column(call):
+    with pytest.raises(DegenerateData):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # the squares of x's deviations are subnormal, so sxy / sxx overflows
+    (lambda: linregress([0.0, 1e-161, 2e-161], [1e150, 1e150, -1e150]),
+     r"^regression slope or intercept overflows a float$"),
+    # sd**2 is finite, but the mean is too large for mean * sd
+    (lambda: mean_sd({"a": [1e165, 1e165 + 2e153]}), r"^mean\*sd of column 'a' overflows a float$"),
+    # a quartile gap of 2e-313 gives a bandwidth whose 1/h overflows
+    (lambda: kde([0.0, 0.0, 0.0, 1.0, 2.2250738585e-313], 16),
+     r"^density at bandwidth 1.0831488467e-313 overflows a float$"),
+], ids=["regression", "mean_sd", "density"])
+def test_a_result_that_overflows_is_degenerate_data(call, message):
+    with pytest.raises(DegenerateData, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kde([0.0, 1.0, 2.0], grid_points=2.5),
+    lambda: kde([0.0, 1.0, 2.0], grid_points=True),
+    lambda: bhattacharyya([0.0, 1.0, 2.0], [0.5, 1.5, 2.5], bins=2.5),
+    lambda: bhattacharyya([0.0, 1.0, 2.0], [0.5, 1.5, 2.5], bins=True),
+    lambda: bhatt_matrix({"a": [0.0, 1.0], "b": [0.5, 2.0]}, bins=2.0),
+], ids=["grid-fraction", "grid-bool", "bins-fraction", "bins-bool", "matrix-bins-float"])
+def test_bins_and_grid_points_must_be_ints(call):
+    with pytest.raises(ValueError, match=r"(bins|grid_points) must be an int, got (float|bool)"):
+        call()
+
+
 def test_kde_grid_spans_data_plus_bandwidth():
     values = [0.0, 1.0, 2.0, 4.0]
     curve = kde(values, grid_points=64)
@@ -163,9 +207,10 @@ def test_bc_hand_case():
 
 
 def test_bc_empty_input():
-    with pytest.raises(DegenerateData, match=r"both value lists must be non-empty"):
+    message = r"^Bhattacharyya coefficient needs 1 or more values, got 0$"
+    with pytest.raises(DegenerateData, match=message):
         bhattacharyya([], [1.0])
-    with pytest.raises(DegenerateData, match=r"both value lists must be non-empty"):
+    with pytest.raises(DegenerateData, match=message):
         bhattacharyya([1.0], [])
 
 
@@ -203,7 +248,8 @@ def test_columns_may_differ_in_length():
 
 def test_bhatt_matrix_empty_column_is_degenerate_data():
     for columns in ({"a": [], "b": [1.0]}, {"a": [1.0], "b": []}):
-        with pytest.raises(DegenerateData, match=r"both value lists must be non-empty"):
+        with pytest.raises(DegenerateData,
+                           match=r"^Bhattacharyya coefficient needs 1 or more values, got 0$"):
             bhatt_matrix(columns)
 
 
@@ -306,7 +352,7 @@ def test_linregress_matches_normal_equations():
 def test_linregress_errors():
     with pytest.raises(DegenerateData, match=r"x has 2 values, y has 3"):
         linregress([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateData, match=r"need at least 3 paired values, got 2"):
+    with pytest.raises(DegenerateData, match=r"^regression x needs 3 or more values, got 2$"):
         linregress([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(DegenerateData, match=r"x has zero variance"):
         linregress([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -336,3 +382,58 @@ def test_linregress_r2_affine_invariant_in_x():
     base = linregress(x, y).r_squared
     scaled = linregress([3.0 * v + 11.0 for v in x], y).r_squared
     assert scaled == pytest.approx(base, abs=1e-12)
+
+
+# --- the numeric contract -------------------------------------------------------
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308,
+                               5e-324, -5e-324])
+VALUES = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                   EDGE_FLOATS)
+COLUMNS = st.lists(VALUES, max_size=6)
+
+
+def _unless_refused(call, *args, **kwargs):
+    """The call's result, or None if it raised DegenerateData or ValueError;
+    any other exception propagates and fails the test."""
+    try:
+        return call(*args, **kwargs)
+    except (DegenerateData, ValueError):
+        return None
+
+
+def _assert_finite(floats):
+    floats = list(floats)
+    assert all(math.isfinite(x) for x in floats), floats
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=COLUMNS, b=COLUMNS, c=COLUMNS, pairs=st.lists(st.tuples(VALUES, VALUES), max_size=6),
+       bins=st.one_of(st.none(), st.integers(1, 64)))
+def test_column_statistics_give_finite_floats_or_refuse(a, b, c, pairs, bins):
+    """Every statistic, on columns that mix edge floats (NaN, infinities,
+    -0.0, 1e308, subnormals) with ordinary ones, returns finite floats equal
+    to its oracle's by float.hex, or refuses with DegenerateData or ValueError."""
+    if (rows := _unless_refused(mean_sd, {"a": a, "b": b})) is not None:
+        _assert_finite(x for _name, *floats in rows for x in floats)
+    for column in (a, b):
+        if (scored := _unless_refused(tscore, column)) is not None:
+            _assert_finite(scored)
+        if (h := _unless_refused(bandwidth_nrd0, column)) is not None:
+            _assert_finite([h])
+        if (curve := _unless_refused(kde, column, 16)) is not None:
+            _assert_finite([*curve.xs, *curve.ys, curve.bandwidth])
+            xs, ys = reference_kde(column, 16)
+            assert [x.hex() for x in curve.xs + curve.ys] == [x.hex() for x in xs + ys]
+    if (bc := _unless_refused(bhattacharyya, a, b, bins)) is not None:
+        _assert_finite([bc])
+        assert bc.hex() == reference_bhattacharyya(a, b, bins).hex()
+    if (grid := _unless_refused(bhatt_matrix, {"a": a, "b": b, "c": c}, bins)) is not None:
+        _names, bcs = grid
+        _assert_finite(bcs)
+        assert [x.hex() for x in bcs] == [
+            reference_bhattacharyya((a, b, c)[i], (a, b, c)[j], bins).hex()
+            for i, j in DistanceMatrix.upper_pairs(3)]
+    x, y = [p[0] for p in pairs], [p[1] for p in pairs]
+    if (fit := _unless_refused(linregress, x, y)) is not None:
+        _assert_finite([fit.slope, fit.intercept, fit.r_squared])
