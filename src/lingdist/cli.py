@@ -11,6 +11,10 @@ Four subcommands cover the analysis workflows:
   all-to-all     distances between every (language, word) item, best and
                  forced-K cuts, purity against the word labels
 
+`cluster` and `all-to-all` share one clustering stage, `_clustered`: the
+dendrogram, the silhouette-optimal cut, a forced cut and its purity.  They
+differ only in the matrix, their defaults and their artifact names.
+
 All artifacts for a run are computed first and written only if everything
 succeeded, so a failing run leaves no partial output.  They are written to a
 stage directory and renamed into place, so --out holds exactly the last
@@ -265,26 +269,32 @@ def _parse_truth(text):
     return truth
 
 
+def _clustered(matrix, linkage, forced_k, truth):
+    """(dendrogram, best cut, scan means, cut at forced_k or None, its purity or None)."""
+    dend = hc.agglomerate(matrix, linkage)
+    best, _report, means = hc.best_cut(matrix, dend)
+    forced = None if forced_k is None else hc.cut(dend, forced_k)
+    return dend, best, means, forced, None if truth is None else hc.purity(forced, truth)
+
+
 def cmd_cluster(lex, table, args):
     truth = None if args.truth is None else _parse_file(args.truth, _parse_truth)
     matrix = editdist.language_matrix(lex, table)
     oc_text = editdist.write_oc(matrix)  # a non-finite cell is named before the scan refuses it
-    dend = hc.agglomerate(matrix, args.linkage)
-    best_assignment, _report, means = hc.best_cut(matrix, dend)
+    dend, best, means, forced, report = _clustered(matrix, args.linkage, args.k, truth)
 
     artifacts = {
         "languages.oc": oc_text,
         "dendrogram.nwk": hc.export_newick(dend) + "\n",
-        "dendrogram.svg": hc.export_svg(dend, best_assignment),
-        "clusters.csv": _cluster_csv(best_assignment),
+        "dendrogram.svg": hc.export_svg(dend, best),
+        "clusters.csv": _cluster_csv(best),
         "silhouette.csv": _csv_text(("k", "mean_silhouette"),
                                     [(k, _fmt(mean)) for k, mean in means]),
     }
-    if args.k is not None:
-        forced = hc.cut(dend, args.k)
+    if forced is not None:
         artifacts["clusters_forced.csv"] = _cluster_csv(forced)
-        if truth is not None:
-            artifacts["purity.csv"] = _purity_csv(hc.purity(forced, truth))
+    if report is not None:
+        artifacts["purity.csv"] = _purity_csv(report)
     return artifacts
 
 
@@ -359,18 +369,14 @@ def cmd_all_to_all(lex, table, args):
                  for lang in lex.languages for cname in lex.concept_names()}
 
     matrix = editdist.all_to_all_matrix(lex, table)
-    dend = hc.agglomerate(matrix, args.linkage)
-    best_assignment, _report, _means = hc.best_cut(matrix, dend)
-    forced = hc.cut(dend, forced_k)
-    purity_report = hc.purity(forced, truth)
+    _dend, best, _means, forced, report = _clustered(matrix, args.linkage, forced_k, truth)
 
-    artifacts = {
+    return {
         "all_to_all.oc": editdist.write_oc(matrix),
-        "clusters_best.csv": _cluster_csv(best_assignment),
+        "clusters_best.csv": _cluster_csv(best),
         f"clusters_k{forced_k}.csv": _cluster_csv(forced),
-        "purity.csv": _purity_csv(purity_report),
+        "purity.csv": _purity_csv(report),
     }
-    return artifacts
 
 
 # --- argument parsing -------------------------------------------------------

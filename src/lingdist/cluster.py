@@ -97,7 +97,14 @@ class ClusterAssignment(Record):
 
     def __init__(self, k, member_of):
         self.k = k
-        self.member_of = member_of  # label -> cluster id in 1..k
+        self.member_of = member_of  # label -> cluster id in 1..k, each id used
+        if type(k) is not int or k < 1:  # True == 1; ids are checked by bounds, as k may be huge
+            raise ValueError(f"k must be an int >= 1, got {k!r}")
+        if bad := [c for c in member_of.values() if type(c) is not int or not 1 <= c <= k]:
+            raise ValueError(f"cluster id {bad[0]!r} is not an int in 1..{k}")
+        if (ids := len(set(member_of.values()))) != k:
+            raise ValueError(f"the assignment's count of distinct cluster ids is {ids}, "
+                             f"not k = {k}")
 
 
 class SilhouetteReport(Record):
@@ -205,17 +212,13 @@ def silhouette(matrix, assignment):
     b the smallest mean distance to any other cluster.  A point alone in its
     cluster scores 0, as does one where a = b = 0.  Raises DegenerateData if
     a sum of distances that some score needs overflows, or if an infinite
-    distance leaves a score undefined; ValueError unless the assignment has
-    the matrix labels and k distinct cluster ids.
+    distance leaves a score undefined; ValueError for other labels than the matrix's.
     """
     n = matrix.n
-    k = assignment.k
-    if not 2 <= k <= n - 1:
-        raise DegenerateData(f"silhouette needs 2 <= k <= {n - 1}, got k={k}")
+    if not 2 <= assignment.k <= n - 1:
+        raise DegenerateData(f"silhouette needs 2 <= k <= {n - 1}, got k={assignment.k}")
     if set(assignment.member_of) != set(matrix.labels):
         raise ValueError("assignment labels do not match the matrix labels")
-    if (ids := len(set(assignment.member_of.values()))) != k:
-        raise ValueError(f"the assignment's count of distinct cluster ids is {ids}, not k = {k}")
     own = [assignment.member_of[label] for label in matrix.labels]
     clusters = {}
     for i, cid in enumerate(own):
@@ -362,10 +365,9 @@ class PurityReport(Record):
 
 
 def purity(assignment, truth):
-    """How single-classed each cluster is, against ground-truth classes;
-    DegenerateData for an assignment with no members."""
-    if not assignment.member_of:
-        raise DegenerateData("purity of an assignment with no members is undefined")
+    """How single-classed each cluster is, against ground-truth classes.  A
+    cluster's majority tie goes to the smallest tied class; ValueError if the
+    tied classes do not order, as a str and an int do not."""
     counts = {}
     for label, cid in assignment.member_of.items():
         if label not in truth:
@@ -376,7 +378,10 @@ def purity(assignment, truth):
     for cid in sorted(counts):
         by_class = counts[cid]
         top = max(by_class.values())
-        majority[cid] = min(c for c, v in by_class.items() if v == top)  # deterministic under ties
+        try:
+            majority[cid] = min(c for c, v in by_class.items() if v == top)
+        except TypeError:
+            raise ValueError(f"cluster {cid}'s tied truth classes do not order") from None
         sizes[cid] = by_class.total()
         per_cluster[cid] = top / sizes[cid]
         hits += top

@@ -525,6 +525,24 @@ def test_cli_picks_the_best_cut_in_one_scan(args, tmp_path, monkeypatch):
     assert calls == {"best_cut": 1, "silhouette": 0}
 
 
+def test_cluster_writes_the_forced_cut_and_purity_only_when_asked(tmp_path):
+    truth = str(FIXTURES / "sheep_truth.csv")
+    outs = []
+    for name, extra in (("plain", []), ("k", ["--k", "2"]),
+                        ("truth", ["--k", "2", "--truth", truth])):
+        assert run_cli(["cluster", "--lexicon", SHEEP, *extra,
+                        "--out", str(tmp_path / name)]) == 0
+        outs.append(read_dir(tmp_path / name))
+    shared = {"languages.oc", "dendrogram.nwk", "dendrogram.svg", "clusters.csv",
+              "silhouette.csv"}
+    assert [set(out) for out in outs] == [
+        shared, shared | {"clusters_forced.csv"},
+        shared | {"clusters_forced.csv", "purity.csv"}]
+    for out in outs[1:]:
+        assert {name: out[name] for name in shared} == {name: outs[0][name] for name in shared}
+    assert outs[1]["clusters_forced.csv"] == outs[2]["clusters_forced.csv"]
+
+
 WORDS = st.text("aeioptkmns", min_size=1, max_size=5)
 
 

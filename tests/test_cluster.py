@@ -355,18 +355,37 @@ def test_purity_missing_truth_label():
         purity(ClusterAssignment(1, {"a": 1}), {})
 
 
-def test_purity_of_an_empty_assignment_is_degenerate_data():
-    with pytest.raises(DegenerateData, match=r"purity of an assignment with no members"):
-        purity(ClusterAssignment(0, {}), {})
+@pytest.mark.parametrize("k, member_of, message", [
+    (0, {}, r"k must be an int >= 1, got 0"),
+    (True, {"a": 1}, r"k must be an int >= 1, got True"),
+    (2.0, {"a": 1, "b": 2}, r"k must be an int >= 1, got 2\.0"),
+    (2, {"a": 1, "b": True}, r"cluster id True is not an int in 1\.\.2"),
+    (1, {"a": "x", "b": "x", "c": "x"}, r"cluster id 'x' is not an int in 1\.\.1"),
+    (2, {"a": 1, "b": 3}, r"cluster id 3 is not an int in 1\.\.2"),
+    (2, {"a": 0, "b": 1}, r"cluster id 0 is not an int in 1\.\.2"),
+    (2, {"a": 1, "b": 2.0}, r"cluster id 2\.0 is not an int in 1\.\.2"),
+    (3, {"a": 1, "b": 3}, r"the assignment's count of distinct cluster ids is 2, not k = 3"),
+    (1, {"a": 1, "b": 2}, r"cluster id 2 is not an int in 1\.\.1"),
+    (10**9, {"a": 1}, r"the assignment's count of distinct cluster ids is 1, not k = 1000000000"),
+], ids=["k0-empty", "k-true", "k-float", "bool-id", "str-id", "id-past-k", "id-zero",
+        "float-id", "fewer-ids", "more-ids", "huge-k"])
+def test_cluster_assignment_refuses_misuse(k, member_of, message):
+    # the ids of a k-cluster assignment are the ints 1..k, each used, so an
+    # empty assignment, or the str ids `export_svg` could not colour, is
+    # refused when built, before any call reads it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ClusterAssignment(k, member_of)
 
 
 def test_purity_range_and_perfect_iff_single_class():
     rng = random.Random(83)
     for _ in range(40):
         labels = [f"x{i}" for i in range(rng.randint(1, 12))]
-        member = {label: rng.randint(1, 4) for label in labels}
+        drawn = {label: rng.randint(1, 4) for label in labels}
+        ids = {cid: new for new, cid in enumerate(sorted(set(drawn.values())), start=1)}
+        member = {label: ids[cid] for label, cid in drawn.items()}  # ids 1..k, each used
         truth = {label: rng.choice("pqr") for label in labels}
-        report = purity(ClusterAssignment(len(set(member.values())), member), truth)
+        report = purity(ClusterAssignment(len(ids), member), truth)
         for value in report.per_cluster.values():
             assert 0.0 < value <= 1.0
         single_class = all(
@@ -380,6 +399,16 @@ def test_purity_overall_weighted_by_size():
     truth = {"a": "x", "b": "x", "c": "y", "d": "z"}
     report = purity(assignment, truth)
     assert report.overall == pytest.approx((2 + 1) / 4)
+
+
+def test_purity_refuses_tied_classes_that_do_not_order():
+    # a majority tie goes to the smallest tied class, so those classes must order
+    with pytest.raises(ValueError, match=r"^cluster 1's tied truth classes do not order$"):
+        purity(ClusterAssignment(1, {"a": 1, "b": 1}), {"a": 1, "b": "x"})
+    untied = purity(ClusterAssignment(1, {"a": 1, "b": 1, "c": 1}), {"a": 1, "b": "x", "c": 1})
+    assert untied.majority == {1: 1}
+    tied = purity(ClusterAssignment(1, {"a": 1, "b": 1}), {"a": "y", "b": "x"})
+    assert tied.majority == {1: "x"}
 
 
 @pytest.mark.parametrize("labels, merges", [
@@ -494,10 +523,11 @@ DISTANCES = st.one_of(st.floats(0.0, 10.0), st.floats(allow_nan=False, allow_inf
 @given(data=st.data(), n=st.integers(2, 4), linkage=st.sampled_from(LINKAGES))
 def test_cluster_calls_give_finite_floats_or_refuse(data, n, linkage):
     """`silhouette`, `purity` and `export_svg` on matrices that mix edge
-    floats with ordinary ones, and on cuts or arbitrary (possibly empty or
-    mislabelled) assignments, return finite floats (the silhouette equal to
-    its oracle's by float.hex) or refuse with DegenerateData, ValueError or,
-    for the export, FormatError."""
+    floats with ordinary ones, and on cuts or arbitrary (possibly mislabelled)
+    assignments, return finite floats (the silhouette equal to its oracle's
+    by float.hex) or refuse with DegenerateData, ValueError or, for the
+    export, FormatError.  An arbitrary assignment whose ids are not 1..k,
+    each used, is refused with ValueError when it is built."""
     labels = list("abcd"[:n])
     values = data.draw(st.lists(DISTANCES, min_size=n * (n - 1) // 2,
                                 max_size=n * (n - 1) // 2))
@@ -511,8 +541,11 @@ def test_cluster_calls_give_finite_floats_or_refuse(data, n, linkage):
         assignment = cut(dendrogram, k)
     else:
         members = data.draw(st.lists(st.sampled_from(labels), unique=True))
-        assignment = ClusterAssignment(k, {label: data.draw(st.integers(1, 3))
-                                           for label in members})
+        try:
+            assignment = ClusterAssignment(k, {label: data.draw(st.integers(1, 3))
+                                               for label in members})
+        except ValueError:  # not the ids 1..k, each used
+            return
     truth = {label: data.draw(st.sampled_from("xy")) for label in labels}
     try:
         report = silhouette(matrix, assignment)

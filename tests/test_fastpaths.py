@@ -35,8 +35,8 @@ from lingdist import editdist
 from lingdist.cluster import (LINKAGES, Dendrogram, agglomerate, best_cut, cut,
                               export_newick, export_svg, silhouette)
 from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix,
-                               language_matrix, raw_distance)
-from lingdist.errors import DegenerateData, LingdistError
+                               language_matrix, raw_distance, read_oc, write_oc)
+from lingdist.errors import DegenerateData, FormatError, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
 from lingdist.stats import bhatt_matrix, bhattacharyya, kde
 from lingdist.subst import BUILTIN_TABLES, builtin_table, parse_table
@@ -419,6 +419,42 @@ def test_best_cut_equals_per_k_reference(matrix):
         assert assignment == want_assignment
         assert report_bits(report) == report_bits(want_report)
         assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
+
+
+EDGE_CELLS = st.one_of(st.floats(0.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300,
+                                       1e308, sys.float_info.max]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5))
+def test_matrix_calls_on_edge_floats_equal_their_oracles_or_refuse(data, n):
+    """On 2-5 points whose cells mix NaN, +-inf, -0.0, the smallest subnormal,
+    1e-300, 1e308 and the largest float with ordinary values, each call gives
+    its oracle's floats by float.hex or raises its documented class."""
+    cells = data.draw(st.lists(EDGE_CELLS, min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    try:
+        matrix = DistanceMatrix("abcde"[:n], cells)
+    except ValueError:  # a NaN or negative cell
+        return
+    for linkage in LINKAGES:
+        dendrogram = agglomerate(matrix, linkage)
+        assert dendrogram_bits(dendrogram) \
+            == dendrogram_bits(reference_agglomerate(matrix, linkage))
+        try:
+            _best, want_means = reference_cut_scan(matrix, dendrogram)
+        except DegenerateData:
+            with pytest.raises(DegenerateData):
+                best_cut(matrix, dendrogram)
+            continue
+        _assignment, _report, means = best_cut(matrix, dendrogram)
+        assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
+    try:
+        text = write_oc(matrix)
+    except FormatError:  # a non-finite cell
+        return
+    assert write_oc(read_oc(text)) == text
 
 
 def test_scan_and_silhouette_raise_degenerate_data_on_overflow():
