@@ -280,11 +280,10 @@ def _clustered(matrix, linkage, forced_k, truth):
 def cmd_cluster(lex, table, args):
     truth = None if args.truth is None else _parse_file(args.truth, _parse_truth)
     matrix = editdist.language_matrix(lex, table)
-    oc_text = editdist.write_oc(matrix)  # a non-finite cell is named before the scan refuses it
     dend, best, means, forced, report = _clustered(matrix, args.linkage, args.k, truth)
 
     artifacts = {
-        "languages.oc": oc_text,
+        "languages.oc": editdist.write_oc(matrix),
         "dendrogram.nwk": hc.export_newick(dend) + "\n",
         "dendrogram.svg": hc.export_svg(dend, best),
         "clusters.csv": _cluster_csv(best),

@@ -19,14 +19,15 @@ pairs i < j, the reference's rule.  After a merge only the entries that
 pointed at a merged node rescan their row; every other entry meets the new
 node, whose id is the largest, so it takes over only when strictly closer.
 The linkage updates are the reference's expressions, so every height is the
-same float.  Time is O(n^2) plus the rescans (O(n^3) at worst).
+same float; an average whose weighted sum overflows takes the form that lies
+between its two distances, so finite cells give finite heights, as a
+Dendrogram requires.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 
 `silhouette` and `best_cut` share one core: `_mean_column` gives every
 point's mean distance to one cluster from a correctly rounded `fsum`, the
 same float in any member order, and `_widths` alone turns a(i) and b(i) into
 s(i) and their mean.  A point alone in its cluster scores 0 and gets a row of
-zeros, so either refuses only when a sum that some score needs overflows, or
-when an infinite a(i) or b(i) leaves a score undefined.
+zeros, so either refuses only when a sum that some score needs overflows.
 
 `best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
 splits one cluster in two, and each new cluster's column is computed once.
@@ -60,7 +61,7 @@ from collections import Counter
 from operator import itemgetter
 
 from ._record import Record
-from .errors import DegenerateData, FormatError, quote
+from .errors import DegenerateData, quote
 
 LINKAGES = ("single", "complete", "average")
 
@@ -82,8 +83,8 @@ class Dendrogram(Record):
                 raise ValueError(f"merge {t} node ids must be ints, got {a!r}, {b!r}")
             if a == b or a not in live or b not in live:
                 raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
-            if not h >= 0.0:  # NaN fails, -0.0 and inf pass
-                raise ValueError(f"merge {t} height must be >= 0, got {h!r}")
+            if not 0.0 <= h < math.inf:  # NaN and inf fail, -0.0 passes
+                raise ValueError(f"merge {t} height must be >= 0 and finite, got {h!r}")
             live -= {a, b}
             live.add(n + t)
 
@@ -163,6 +164,8 @@ def agglomerate(matrix, linkage="complete"):
                 d = dak if dak > dbk else dbk
             else:
                 d = (size[sa] * dak + size[sb] * dbk) / (size[sa] + size[sb])
+                if d == math.inf:  # the weighted sum overflowed; this lies between dak and dbk
+                    d = dak + (dbk - dak) * (size[sb] / (size[sa] + size[sb]))
             row_a[k] = dist[k][sa] = d
 
         live.remove(sa)
@@ -211,8 +214,8 @@ def silhouette(matrix, assignment):
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster.  A point alone in its
     cluster scores 0, as does one where a = b = 0.  Raises DegenerateData if
-    a sum of distances that some score needs overflows, or if an infinite
-    distance leaves a score undefined; ValueError for other labels than the matrix's.
+    a sum of distances that some score needs overflows; ValueError for other
+    labels than the matrix's.
     """
     n = matrix.n
     if not 2 <= assignment.k <= n - 1:
@@ -242,10 +245,7 @@ def _widths(sizes, a_of, b_of):
     and b(i) unread, as does a point where a = b = 0."""
     scores = [(b - a) / denom if size > 1 and (denom := max(a, b)) > 0.0 else 0.0
               for size, a, b in zip(sizes, a_of, b_of)]
-    mean = math.fsum(scores) / len(scores)
-    if math.isnan(mean):  # inf - inf or inf / inf: an infinite a(i) or b(i)
-        raise DegenerateData("an infinite distance leaves a silhouette undefined")
-    return scores, mean
+    return scores, math.fsum(scores) / len(scores)
 
 
 def _mean_column(values, members):
@@ -398,12 +398,9 @@ def _newick_label(label):
 
 def _placed_heights(dendrogram):
     """Per node, the height the exports draw it at, the children first in
-    each max so that a -0.0 height never wins a tie.  FormatError if a merge
-    height is infinite, which no export can place."""
+    each max so that a -0.0 height never wins a tie."""
     placed = [0.0] * dendrogram.n_leaves
-    for t, (a, b, h) in enumerate(dendrogram.merges):
-        if not math.isfinite(h):
-            raise FormatError(f"merge {t} has an infinite height")
+    for a, b, h in dendrogram.merges:
         placed.append(max(placed[a], placed[b], h))
     return placed
 

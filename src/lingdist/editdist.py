@@ -40,7 +40,7 @@ can make an indirect route cheaper than the direct substitution.
 
 import math
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
 from operator import ge
 
 from ._record import FrozenRecord, Record
@@ -228,7 +228,9 @@ class DistanceMatrix(Record):
     """Labeled symmetric matrix with zero diagonal, stored as `values`: one
     array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
     order, the order of every flat listing (the OC file, the `words-analyse`
-    columns, `pairs.csv`).  The constructor takes any iterable of them."""
+    columns, `pairs.csv`).  The constructor takes any iterable of them, each
+    >= 0 (ValueError) and finite: an infinite one, which only a sum of costs
+    past the float range gives, is DegenerateData naming the first such pair."""
 
     _fields = ("labels", "values")
 
@@ -244,6 +246,10 @@ class DistanceMatrix(Record):
             raise ValueError(f"{n} items need {n * (n - 1) // 2} values, got {len(self.values)}")
         if not all(map(ge, self.values, repeat(0.0))):  # v >= 0.0: -0.0 passes, NaN fails
             raise ValueError("distances must be non-negative")
+        if math.inf in self.values:
+            i, j = next(islice(self.upper_pairs(n), self.values.index(math.inf), None))
+            raise DegenerateData(f"the distance between {quote(str(self.labels[i]))} and "
+                                 f"{quote(str(self.labels[j]))} is infinite")
 
     @staticmethod
     def upper_pairs(n):
@@ -434,10 +440,7 @@ def write_oc(matrix):
     for label in matrix.labels:
         _check_label(label)
     lines = [str(matrix.n), *matrix.labels]
-    for label, row in zip(matrix.labels[:-1], matrix.upper_rows()):
-        if not all(map(math.isfinite, row)):
-            # read_oc refuses non-finite cells, so never write one
-            raise FormatError(f"row {quote(label)} holds a non-finite distance")
+    for row in islice(matrix.upper_rows(), matrix.n - 1):  # the last row is empty
         lines.append(" ".join(f"{v:.6f}" for v in row))
     return "\n".join(lines) + "\n"
 

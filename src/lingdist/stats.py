@@ -101,12 +101,11 @@ class DensityCurve(Record):
 
 
 def _quantile(sorted_values, p):
-    # linear interpolation between order statistics (the common type-7 rule)
+    # linear interpolation between order statistics (the common type-7 rule);
+    # p < 1 and n >= 2 at both calls, so lo + 1 < n
     pos = (len(sorted_values) - 1) * p
     lo = math.floor(pos)
     frac = pos - lo
-    if lo + 1 >= len(sorted_values):
-        return sorted_values[-1]
     return sorted_values[lo] + (sorted_values[lo + 1] - sorted_values[lo]) * frac
 
 

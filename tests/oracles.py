@@ -341,7 +341,8 @@ def reference_bhattacharyya(a, b, bins=None):
 
 def reference_agglomerate(matrix, linkage="complete"):
     """Cluster bottom-up by rescanning every live pair at each merge: the
-    O(n^3) pair-dict form `agglomerate` replaced, kept verbatim."""
+    O(n^3) pair-dict form `agglomerate` replaced, kept verbatim but for the
+    average update's fallback when its weighted sum overflows."""
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     n = matrix.n
@@ -376,7 +377,10 @@ def reference_agglomerate(matrix, linkage="complete"):
             elif linkage == "complete":
                 new_dists[k] = dak if dak > dbk else dbk
             else:
-                new_dists[k] = (size[a] * dak + size[b] * dbk) / (size[a] + size[b])
+                d = (size[a] * dak + size[b] * dbk) / (size[a] + size[b])
+                if d == math.inf:
+                    d = dak + (dbk - dak) * (size[b] / (size[a] + size[b]))
+                new_dists[k] = d
 
         for pair in list(dist):
             if a in pair or b in pair:

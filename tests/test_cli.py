@@ -234,28 +234,28 @@ def test_undefined_concept_statistic_names_the_concept(tmp_path, capsys):
         "lingdist: concept 'w1': density needs at least 2 distinct values\n")
 
 
-def test_non_finite_oc_refusal_names_the_concept(tmp_path, capsys):
-    # gaps this large give infinite normalized distances, which OC cannot hold
+def test_infinite_distance_refusal_names_the_concept(tmp_path, capsys):
+    # gaps this large give infinite normalized distances, which no matrix holds
     assert run_cli(["words-analyse", "--lexicon", SHEEP, "--gap", "1e308",
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == []
     assert capsys.readouterr().err.endswith(
-        "lingdist: concept 'w1': row 'nidderdale' holds a non-finite distance\n")
+        "lingdist: concept 'w1': the distance between 'nidderdale' and 'welsh' is infinite\n")
 
 
 def test_distance_sum_overflow_is_data_error(tmp_path, capsys):
-    # gaps this large give distance sums beyond the float range, and
-    # agglomerate an infinite height, which no export is reached with
+    # gaps this large give distance sums beyond the float range, so the
+    # matrix refuses its first infinite cell
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--gap", "1e308",
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == []
     assert capsys.readouterr().err.endswith(
-        "lingdist: a sum of distances overflows; no silhouette is defined\n")
+        "lingdist: the distance between 'swaledale:w1' and 'swaledale:w3' is infinite\n")
     assert run_cli(["cluster", "--lexicon", SHEEP, "--gap", "1e308",
                     "--out", str(tmp_path / "out")]) == 3
     assert files_under(tmp_path) == []
     assert capsys.readouterr().err.endswith(
-        "lingdist: row 'swaledale' holds a non-finite distance\n")
+        "lingdist: the distance between 'swaledale' and 'borrowdale' is infinite\n")
     table_path = tmp_path / "huge.tbl"
     table_path.write_text("gap 1e308\ndefault 1e308\n")
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--table", str(table_path),
@@ -879,6 +879,34 @@ def test_all_to_all_one_concept_needs_explicit_k(tmp_path, capsys):
                     "--out", str(tmp_path / "out")]) == 0
 
 
+def test_average_linkage_of_huge_distances_exports_a_finite_tree(tmp_path):
+    # every language pair is 1e308 apart, whose weighted sum overflows; the
+    # average is 1e308 all the same, as scipy's linkage gives
+    (tmp_path / "huge.tbl").write_text("gap 1\ndefault 1e308\n")
+    (tmp_path / "abc.pl").write_text("n(a,[x]).\nn(b,[y]).\nn(c,[z]).\n")
+    common = ["--gap", "6e307", "--table", str(tmp_path / "huge.tbl"),
+              "--lexicon", str(tmp_path / "abc.pl")]
+    out = tmp_path / "out"
+    assert run_cli(["cluster", "--linkage", "average", *common, "--out", str(out)]) == 0
+    assert (out / "dendrogram.nwk").read_text() == "(c:5e+307,(a:5e+307,b:5e+307):0);\n"
+    # all-to-all exports no tree: these bytes are those it wrote when the root was at inf
+    out = tmp_path / "all"
+    assert run_cli(["all-to-all", "--k", "2", *common, "--out", str(out)]) == 0
+    assert (out / "clusters_best.csv").read_text() == "label,cluster\na:w1,1\nb:w1,1\nc:w1,2\n"
+    assert hashlib.sha256((out / "all_to_all.oc").read_bytes()).hexdigest() \
+        == "286cf3c3e287ab584d2af1b37478444d3dbb2b5b1ca7946822e2b333064d9bd2"
+
+
+def test_all_to_all_without_concepts_is_data_error_even_with_k(tmp_path, capsys):
+    lex_path = tmp_path / "empty_words.pl"
+    lex_path.write_text("n(a,[]).\nn(b,[]).\n")
+    assert run_cli(["all-to-all", "--k", "2", "--lexicon", str(lex_path),
+                    "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.endswith(
+        "lingdist: all-to-all needs at least 1 concept, the lexicon has none\n")
+    assert files_under(tmp_path) == ["empty_words.pl"]
+
+
 def test_all_to_all_sheep_runs(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["all-to-all", "--lexicon", SHEEP, "--out", str(out)]) == 0
@@ -1057,7 +1085,7 @@ LONG_TOKEN_SITES = {
         all_to_all_matrix, parse_lexicon(f"#concepts: x:y,y\nn({t},[pa,ko]).\nn({t}:x,[ba,go])."),
         EDITABLE)),
     "oc-label": (LONG + " x", lambda t, d: _refusal(write_oc, DistanceMatrix([t, "b"], [0.5]))),
-    "oc-row": (LONG, lambda t, d: _refusal(write_oc, DistanceMatrix([t, "b"], [math.inf]))),
+    "matrix-cell": (LONG, lambda t, d: _refusal(DistanceMatrix, [t, "b"], [math.inf])),
     "oc-count": (LONG, lambda t, d: _refusal(read_oc, t)),
     "oc-cell": (LONG, lambda t, d: _refusal(read_oc, f"2\na\nb\n{t}\n")),
     "oc-distance": ("-" + "1" * 299, lambda t, d: _refusal(read_oc, f"2\na\nb\n{t}\n")),

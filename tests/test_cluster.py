@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -12,7 +13,7 @@ from lingdist.cluster import (LINKAGES, ClusterAssignment, Dendrogram,
                               agglomerate, best_cut, cut, export_newick,
                               export_svg, purity, silhouette, silhouette_scan)
 from lingdist.editdist import DistanceMatrix
-from lingdist.errors import DegenerateData, FormatError
+from lingdist.errors import DegenerateData
 
 
 def _matrix(labels, pairs):
@@ -87,6 +88,13 @@ def test_unknown_linkage_and_too_few():
         agglomerate(DistanceMatrix(["only"], []), "complete")
 
 
+@pytest.mark.parametrize("far", [1e308, sys.float_info.max])
+def test_an_average_whose_weighted_sum_overflows_stays_finite(far):
+    # (1 * far + 1 * far) / 2 overflows; far + (far - far) * 0.5 is the average
+    assert agglomerate(DistanceMatrix("abc", [far] * 3), "average").merges \
+        == ((0, 1, far), (2, 3, far))
+
+
 def test_cut_extremes():
     d = agglomerate(FIVE, "complete")
     ones = cut(d, 1)
@@ -148,6 +156,11 @@ def test_silhouette_refuses_an_assignment_of_other_than_k_clusters():
     matrix = DistanceMatrix(list("abc"), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=r"count of distinct cluster ids is 1, not k = 2"):
         silhouette(matrix, ClusterAssignment(2, {"a": 1, "b": 1, "c": 1}))
+
+
+def test_silhouette_refuses_an_assignment_of_other_labels():
+    with pytest.raises(ValueError, match="^assignment labels do not match the matrix labels$"):
+        silhouette(TWO_PAIRS, ClusterAssignment(2, {"a": 1, "b": 1, "c": 2, "x": 2}))
 
 
 def test_silhouette_matches_direct_reimplementation():
@@ -271,15 +284,16 @@ def test_best_cut_rescans_when_rounding_lifts_both_halves():
         assert [(k, v.hex()) for k, v in means] == [(k, v.hex()) for k, v in want_means]
 
 
-def test_an_infinite_distance_leaves_the_silhouette_undefined():
-    # at k = 2 the clusters {a, c} and {b, d} give b(a) = inf, so s(a) is
-    # inf / inf, a NaN; the cut at k = 3 scores a mean of 0.0
-    matrix = DistanceMatrix(list("abcd"), [math.inf, 1.0, 1.0, 1.0, 1.0, math.inf])
-    dendrogram = agglomerate(matrix, "average")
-    with pytest.raises(DegenerateData, match="an infinite distance leaves a silhouette undefined"):
-        best_cut(matrix, dendrogram)
-    with pytest.raises(DegenerateData, match="an infinite distance leaves a silhouette undefined"):
-        silhouette(matrix, cut(dendrogram, 2))
+@pytest.mark.parametrize("labels", ["aebcdf", "aebdcf"])
+def test_a_matrix_refuses_an_infinite_distance(labels):
+    # every cell 1.0 but d(a, b) = d(a, d) = 1e308 and d(a, c) = inf: a sum
+    # over {b, c, d} of 1e308, inf and 1e308 is inf in one order and an
+    # OverflowError in the other, so no silhouette may see such a cell
+    far = {"b": 1e308, "c": math.inf, "d": 1e308}
+    cells = [far.get(y, 1.0) if x == "a" else 1.0
+             for x, y in ((labels[i], labels[j]) for i, j in DistanceMatrix.upper_pairs(6))]
+    with pytest.raises(DegenerateData, match="^the distance between 'a' and 'c' is infinite$"):
+        DistanceMatrix(list(labels), cells)
 
 
 def test_best_cut_and_scan_refuse_a_dendrogram_of_other_leaves():
@@ -319,6 +333,41 @@ def test_label_permutation_equivariance():
         groups2 = {frozenset(l for l, c in a2.member_of.items() if c == cid)
                    for cid in set(a2.member_of.values())}
         assert groups1 == groups2
+
+
+FINITE_EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 1e308, sys.float_info.max])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(3, 6))
+def test_silhouette_scores_follow_a_relabelling(data, n):
+    """Renaming and reordering the points of a matrix of finite edge cells,
+    and renaming the cluster ids, permutes `silhouette`'s per-point scores,
+    the same floats by float.hex, or both calls refuse with the same class."""
+    labels = [f"p{i}" for i in range(n)]
+    matrix = DistanceMatrix(labels, data.draw(st.lists(FINITE_EDGES, min_size=n * (n - 1) // 2,
+                                                       max_size=n * (n - 1) // 2)))
+    k = data.draw(st.integers(1, n))
+    ids = data.draw(st.permutations([*range(1, k + 1)] + data.draw(
+        st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))))
+    place = data.draw(st.permutations(range(n)))  # point i becomes q{place[i]}, at place[i]
+    rename = data.draw(st.permutations(range(1, k + 1)))  # cluster id c becomes rename[c - 1]
+    point_at = {p: i for i, p in enumerate(place)}
+    moved = DistanceMatrix([f"q{p}" for p in range(n)],
+                           [matrix.get(labels[point_at[u]], labels[point_at[v]])
+                            for u, v in DistanceMatrix.upper_pairs(n)])
+    outcomes = []
+    for m, member_of in ((matrix, dict(zip(labels, ids))),
+                         (moved, {f"q{place[i]}": rename[c - 1] for i, c in enumerate(ids)})):
+        try:
+            report = silhouette(m, ClusterAssignment(k, member_of))
+        except DegenerateData as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append({label: s.hex() for label, s in report.per_point.items()})
+    if isinstance(outcomes[0], dict):
+        outcomes[0] = {f"q{place[i]}": outcomes[0][label] for i, label in enumerate(labels)}
+    assert outcomes[0] == outcomes[1]
 
 
 def test_purity_singletons_and_mixed():
@@ -445,19 +494,12 @@ def test_dendrogram_node_ids_must_be_ints(merges):
     (("a", "b"), ((0, 1, math.nan),), "height must be >= 0"),
     (("a", "b"), ((0, 1, -1.0),), "height must be >= 0"),
     (("a", "b", "c"), ((0, 1, 0.1), (2, 3, -math.inf)), "height must be >= 0"),
-], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height"])
+    (("a", "b", "c"), ((0, 1, -0.0), (2, 3, math.inf)), "merge 1 height must be >= 0 and finite"),
+], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height",
+        "inf-height"])
 def test_dendrogram_refuses_repeated_labels_and_bad_heights(labels, merges, message):
     with pytest.raises(ValueError, match=message):
         Dendrogram(labels, merges)
-
-
-def test_exports_refuse_an_infinite_height():
-    # agglomerate emits such a height on an overflowing matrix; -0.0 is a height
-    tree = Dendrogram(("a", "b", "c"), ((0, 1, -0.0), (2, 3, math.inf)))
-    with pytest.raises(FormatError, match="merge 1 has an infinite height"):
-        export_newick(tree)
-    with pytest.raises(FormatError, match="merge 1 has an infinite height"):
-        export_svg(tree)
 
 
 def test_export_svg_refuses_an_assignment_of_other_labels():
@@ -525,15 +567,19 @@ def test_cluster_calls_give_finite_floats_or_refuse(data, n, linkage):
     """`silhouette`, `purity` and `export_svg` on matrices that mix edge
     floats with ordinary ones, and on cuts or arbitrary (possibly mislabelled)
     assignments, return finite floats (the silhouette equal to its oracle's
-    by float.hex) or refuse with DegenerateData, ValueError or, for the
-    export, FormatError.  An arbitrary assignment whose ids are not 1..k,
-    each used, is refused with ValueError when it is built."""
+    by float.hex) or refuse with DegenerateData or ValueError.  An infinite
+    distance is refused with DegenerateData when the matrix is built, and an
+    arbitrary assignment whose ids are not 1..k, each used, with ValueError
+    when it is built."""
     labels = list("abcd"[:n])
     values = data.draw(st.lists(DISTANCES, min_size=n * (n - 1) // 2,
                                 max_size=n * (n - 1) // 2))
     try:
         matrix = DistanceMatrix(labels, values)
     except ValueError:  # a NaN or negative distance
+        return
+    except DegenerateData:  # an infinite distance
+        assert math.inf in values
         return
     dendrogram = agglomerate(matrix, linkage)
     k = data.draw(st.integers(0, n + 1))
@@ -564,5 +610,5 @@ def test_cluster_calls_give_finite_floats_or_refuse(data, n, linkage):
         assert all(map(math.isfinite, [*scores.per_cluster.values(), scores.overall]))
     try:
         export_svg(dendrogram, assignment)
-    except (FormatError, ValueError):
+    except ValueError:
         pass
