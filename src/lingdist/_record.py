@@ -1,29 +1,24 @@
 """Base classes for the package's plain value classes.
 
-A subclass names its fields in `_fields` and sets them in its own
-`__init__`.  It gets `==` and `repr` over those fields in that order, with
-the semantics a dataclass would give: equal only to an instance of the very
-same class, and ``Name(field=value, ...)`` with each value's repr.  A Record
-is unhashable; a FrozenRecord refuses every assignment after `__init__` and
-hashes the tuple of its field values.  They stand in for `dataclasses`,
-whose import pulls in `inspect`, `ast` and `dis`: a large share of a short
-run's start-up.
+A subclass's `__init__` sets exactly its fields, and nothing else sets an
+attribute, so `vars(self)` holds the fields in the order `__init__` sets
+them.  The subclass gets `==` and `repr` over them with the semantics a
+dataclass would give: equal only to an instance of the very same class, and
+``Name(field=value, ...)`` with each value's repr.  A Record is unhashable; a
+FrozenRecord refuses every assignment after `__init__` and hashes the tuple
+of its field values.  They stand in for `dataclasses`, whose import pulls in
+`inspect`, `ast` and `dis`: a large share of a short run's start-up.
 """
 
 
 class Record:
-    _fields = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return vars(self) == vars(other)
         return NotImplemented
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -40,4 +35,4 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(vars(self).values()))

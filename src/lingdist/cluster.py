@@ -67,8 +67,6 @@ LINKAGES = ("single", "complete", "average")
 
 
 class Dendrogram(Record):
-    _fields = ("leaf_labels", "merges")
-
     def __init__(self, leaf_labels, merges):
         self.leaf_labels = leaf_labels  # a tuple
         self.merges = merges  # tuple of (node_a, node_b, height), node ids as described above
@@ -94,8 +92,6 @@ class Dendrogram(Record):
 
 
 class ClusterAssignment(Record):
-    _fields = ("k", "member_of")
-
     def __init__(self, k, member_of):
         self.k = k
         self.member_of = member_of  # label -> cluster id in 1..k, each id used
@@ -109,8 +105,6 @@ class ClusterAssignment(Record):
 
 
 class SilhouetteReport(Record):
-    _fields = ("per_point", "mean")
-
     def __init__(self, per_point, mean):
         self.per_point = per_point  # label -> s(i) in [-1, 1]
         self.mean = mean
@@ -355,8 +349,6 @@ def silhouette_scan(matrix, dendrogram):
 
 
 class PurityReport(Record):
-    _fields = ("per_cluster", "majority", "sizes", "overall")
-
     def __init__(self, per_cluster, majority, sizes, overall):
         self.per_cluster = per_cluster  # cluster id -> purity in (0, 1]
         self.majority = majority        # cluster id -> majority truth class
@@ -408,7 +400,7 @@ def _placed_heights(dendrogram):
 def export_newick(dendrogram):
     """Newick text with ultrametric branch lengths, each node at half its placed height."""
     pos = [h / 2.0 for h in _placed_heights(dendrogram)]
-    text = [_newick_label(label) for label in dendrogram.leaf_labels]
+    text = [_newick_label(str(label)) for label in dendrogram.leaf_labels]
     for node, (a, b, _h) in enumerate(dendrogram.merges, start=dendrogram.n_leaves):
         text.append(f"({text[a]}:{format(pos[node] - pos[a], 'g')},"
                     f"{text[b]}:{format(pos[node] - pos[b], 'g')})")
@@ -433,7 +425,7 @@ def export_svg(dendrogram, assignment=None):
     order = _leaf_lists(dendrogram)[-1]
     max_h = placed[-1] or 1.0  # the root is placed highest
     width, row_height, margin = 720, 18, 36
-    label_w = 8 * max(len(label) for label in dendrogram.leaf_labels) + 12
+    label_w = 8 * max(len(str(label)) for label in dendrogram.leaf_labels) + 12
     plot_w = width - margin - label_w - margin
     height = margin * 2 + row_height * n
     canvas = Canvas(width, height)

@@ -52,8 +52,6 @@ GAP = None  # gap marker inside alignment columns
 class Alignment(FrozenRecord):
     """One co-optimal alignment: columns of (left, right), GAP for gaps."""
 
-    _fields = ("columns", "raw_cost")
-
     def __init__(self, columns, raw_cost):
         self._set(columns=columns, raw_cost=raw_cost)
 
@@ -232,8 +230,6 @@ class DistanceMatrix(Record):
     >= 0 (ValueError) and finite: an infinite one, which only a sum of costs
     past the float range gives, is DegenerateData naming the first such pair."""
 
-    _fields = ("labels", "values")
-
     def __init__(self, labels, values):
         self.labels = list(labels)
         self.values = array("d", values)
@@ -248,8 +244,8 @@ class DistanceMatrix(Record):
             raise ValueError("distances must be non-negative")
         if math.inf in self.values:
             i, j = next(islice(self.upper_pairs(n), self.values.index(math.inf), None))
-            raise DegenerateData(f"the distance between {quote(str(self.labels[i]))} and "
-                                 f"{quote(str(self.labels[j]))} is infinite")
+            raise DegenerateData(f"the distance between {quote(self.labels[i])} and "
+                                 f"{quote(self.labels[j])} is infinite")
 
     @staticmethod
     def upper_pairs(n):
@@ -384,6 +380,8 @@ def language_matrix(lex, table):
 def concept_matrix(lex, concept_index, table):
     """All-pairs word distance matrix for one concept position, each
     distinct variant pair computed once."""
+    if type(concept_index) is not int:  # 0.5 indexes nothing and True == 1
+        raise ValueError(f"concept index must be an int, got {type(concept_index).__name__}")
     langs = lex.languages
     if len(langs) < 2:
         raise DegenerateData(f"need at least 2 languages, got {len(langs)}")
@@ -430,7 +428,9 @@ def all_to_all_matrix(lex, table):
 # n-i distances d(i, i+1..n), space separated, 6 decimal places.
 
 def _check_label(label):
-    """FormatError unless the OC format can hold `label`."""
+    """FormatError unless the OC format can hold `label`: `read_oc` gives back a str."""
+    if not isinstance(label, str):
+        raise FormatError(f"label {quote(label)} is not a str")
     if not label or any(c.isspace() for c in label):
         raise FormatError(f"label {quote(label)} is empty or contains whitespace")
 

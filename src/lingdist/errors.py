@@ -7,8 +7,9 @@ ValueError.
 """
 
 
-def quote(text):
-    """The repr of `text`'s first 40 characters, then `...` if more follows."""
+def quote(value):
+    """The repr of `str(value)`'s first 40 characters, then `...` if more follows."""
+    text = str(value)
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 

@@ -42,8 +42,6 @@ _ENTRIES = re.compile(rf"({_ATOM})|\[([^\]]*)\]")
 class WordEntry(FrozenRecord):
     """One concept slot in one language: a word or its synonym set."""
 
-    _fields = ("variants",)
-
     def __init__(self, variants):
         self._set(variants=variants)  # a tuple
         if not variants or any(not v for v in variants):
@@ -52,8 +50,6 @@ class WordEntry(FrozenRecord):
 
 class Lexicon(Record):
     """Parsed word database. Treat as immutable once built."""
-
-    _fields = ("functor", "entries", "concepts")
 
     def __init__(self, functor, entries, concepts=None):
         self.functor = functor    # str or None

@@ -92,8 +92,6 @@ def tscore(values):
 
 
 class DensityCurve(Record):
-    _fields = ("xs", "ys", "bandwidth")
-
     def __init__(self, xs, ys, bandwidth):
         self.xs = xs
         self.ys = ys
@@ -276,8 +274,6 @@ def bhatt_distance_matrix(names, bcs):
 
 
 class RegressionResult(Record):
-    _fields = ("slope", "intercept", "r_squared", "n")
-
     def __init__(self, slope, intercept, r_squared, n):
         self.slope = slope
         self.intercept = intercept

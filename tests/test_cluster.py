@@ -532,6 +532,27 @@ def test_newick_quotes_awkward_labels():
     assert export_newick(d) == "('a:1':0.2,'b c':0.2);"
 
 
+# Labels need not be str: the exports and messages print a label as its str.
+INT_LABELLED = agglomerate(DistanceMatrix([1, 2, 3], [1.0, 2.0, 3.0]))
+STR_LABELLED = agglomerate(DistanceMatrix(["1", "2", "3"], [1.0, 2.0, 3.0]))
+
+
+def test_newick_prints_a_label_as_its_str():
+    assert export_newick(INT_LABELLED) == export_newick(STR_LABELLED) == "(3:1.5,(1:0.5,2:0.5):1);"
+    tuples = Dendrogram((("a",), ("b",)), ((0, 1, 1.0),))
+    assert export_newick(tuples) == "('(''a'',)':0.5,'(''b'',)':0.5);"
+
+
+def test_svg_prints_a_label_as_its_str():
+    assert export_svg(INT_LABELLED, cut(INT_LABELLED, 2)) == export_svg(STR_LABELLED,
+                                                                         cut(STR_LABELLED, 2))
+
+
+def test_purity_names_a_label_without_a_truth_class_by_its_str():
+    with pytest.raises(DegenerateData, match=r"^no truth class for '1'$"):
+        purity(cut(INT_LABELLED, 2), {})
+
+
 def test_newick_deterministic():
     d = agglomerate(FIVE, "average")
     assert export_newick(d) == export_newick(agglomerate(FIVE, "average"))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from array import array
 from itertools import islice
@@ -303,6 +304,17 @@ def test_concept_matrix():
         concept_matrix(parse_lexicon("n(a,[x])."), 0, table)
 
 
+@pytest.mark.parametrize("index", [0.5, True, 1.0, "1"])
+def test_concept_matrix_refuses_an_index_that_is_not_an_int(index):
+    with pytest.raises(ValueError, match=r"^concept index must be an int, got "):
+        concept_matrix(LEX3, index, builtin_table("editable"))
+
+
+def test_alignment_prints_its_columns_with_gaps_as_dashes():
+    alignment = next(alignments("ab", "b", builtin_table("editable")))
+    assert str(alignment) == "[[a,-],[b,b]]"
+
+
 def test_all_to_all_matrix():
     table = builtin_table("editable")
     lex = parse_lexicon("n(a,[pat,ko,mu]).\nn(b,[bat,go,nu]).")
@@ -453,3 +465,11 @@ def test_oc_write_rejects_bad_labels():
     m = DistanceMatrix(["a b", "c"], [1.0])
     with pytest.raises(FormatError):
         write_oc(m)
+
+
+@pytest.mark.parametrize("labels, shown", [([1, 2, 3], "'1'"), ([("a",), ("b",), ("c",)], "\"('a',)\"")],
+                         ids=["int", "tuple"])
+def test_oc_write_refuses_a_label_that_is_not_a_str(labels, shown):
+    # read_oc gives back str labels, so no other label survives the round trip
+    with pytest.raises(FormatError, match=rf"^label {re.escape(shown)} is not a str$"):
+        write_oc(DistanceMatrix(labels, [1.0, 2.0, 3.0]))

@@ -17,6 +17,14 @@ def test_identity_is_free():
     assert builtin_table("editable").cost("z", "z") == 0.0
 
 
+@pytest.mark.parametrize("table, shown", [
+    (builtin_table("editable"), "SubstitutionTable(editable, 103 costs)"),
+    (parse_table("pair a b 0.5"), "SubstitutionTable(custom, 1 costs)"),
+], ids=["builtin", "parsed"])
+def test_table_repr_names_the_table_and_counts_its_costs(table, shown):
+    assert repr(table) == shown
+
+
 def test_editable_examples():
     table = builtin_table("editable")
     assert table.cost("b", "p") == 0.2

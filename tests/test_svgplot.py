@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lingdist
 from lingdist import svgplot
+from lingdist._record import FrozenRecord, Record
 
 SRC = pathlib.Path(lingdist.__file__).resolve().parent.parent
 
@@ -137,3 +138,14 @@ def test_value_classes_behave_as_dataclasses(cls, fields, args, frozen):
         with pytest.raises(TypeError):
             hash(value)
         setattr(value, fields[0], args[0])
+
+
+def test_value_classes_lists_every_record_the_package_exports():
+    # A new value class must join VALUE_CLASSES, so its repr, == and hash are checked.
+    reachable = set()
+    for name in lingdist.__all__:
+        value = getattr(lingdist, name)
+        members = vars(value).items() if inspect.ismodule(value) else [(name, value)]
+        reachable |= {obj for attr, obj in members if not attr.startswith("_")
+                      and inspect.isclass(obj) and issubclass(obj, Record)}
+    assert reachable - {Record, FrozenRecord} == {case[0] for case in VALUE_CLASSES}
