@@ -57,6 +57,7 @@ scores one given cut; no subcommand calls it.
 """
 
 import math
+import sys
 from collections import Counter
 from operator import itemgetter
 
@@ -68,21 +69,24 @@ LINKAGES = ("single", "complete", "average")
 
 class Dendrogram(Record):
     def __init__(self, leaf_labels, merges):
-        self.leaf_labels = leaf_labels  # a tuple
-        self.merges = merges  # tuple of (node_a, node_b, height), node ids as described above
-        n = len(leaf_labels)
-        if n < 1 or len(merges) != n - 1:
-            raise ValueError(f"need n >= 1 leaves and n - 1 merges, got {n} and {len(merges)}")
-        if len(set(leaf_labels)) != n:
+        self.leaf_labels = tuple(leaf_labels)
+        self.merges = tuple(map(tuple, merges))  # (node_a, node_b, height), node ids as above
+        n = len(self.leaf_labels)
+        if n < 1 or len(self.merges) != n - 1:
+            raise ValueError(f"need n >= 1 leaves and n - 1 merges, "
+                             f"got {n} and {len(self.merges)}")
+        if len(set(self.leaf_labels)) != n:
             raise ValueError("leaf labels must be unique")
         live = set(range(n))  # nodes made and not yet merged
-        for t, (a, b, h) in enumerate(merges):
+        for t, (a, b, h) in enumerate(self.merges):
             if type(a) is not int or type(b) is not int:  # 0.0 == 0 and True == 1
                 raise ValueError(f"merge {t} node ids must be ints, got {a!r}, {b!r}")
             if a == b or a not in live or b not in live:
                 raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
-            if not 0.0 <= h < math.inf:  # NaN and inf fail, -0.0 passes
-                raise ValueError(f"merge {t} height must be >= 0 and finite, got {h!r}")
+            if not 0.0 <= h <= sys.float_info.max:  # NaN, inf and a larger int fail; -0.0 passes
+                # past 4,300 digits repr(h) raises
+                got = f", got {h!r}" if type(h) is not int or abs(h) <= sys.float_info.max else ""
+                raise ValueError(f"merge {t} height must be >= 0 and finite{got}")
             live -= {a, b}
             live.add(n + t)
 
@@ -177,7 +181,7 @@ def agglomerate(matrix, linkage="complete"):
                 near_d[x], near[x] = dist[x][sa], sa
         near[sa] = None
 
-    return Dendrogram(tuple(matrix.labels), tuple(merges))
+    return Dendrogram(matrix.labels, merges)
 
 
 def cut(dendrogram, k):

@@ -21,11 +21,11 @@ codes its words' symbols as small ints over their sorted alphabet and builds
 each symbol's dense cost row over that alphabet once.  `raw_distance` and
 `alignments` stack the rows into the full table, which `alignments` walks
 lazily along its optimal cells.  A matrix runs one pair
-table over its distinct variants, sorted: each unordered pair once, and a
-row word reuses the rows of the prefix it shares with the previous row word
-against the same column word.  A row is a function of the column word, the
-gap and the row word's prefix alone, so a reused row holds the very floats
-the DP would compute again.
+table over its distinct variants, sorted: each unordered pair once, a word
+against itself included, and a row word reuses the rows of the prefix it
+shares with the previous row word against the same column word.  A row is
+a function of the column word, the gap and the row word's prefix alone, so
+a reused row holds the very floats the DP would compute again.
 
 Words with synonym sets compare by the closest cross-pair match.  The
 language matrix is the mean of the per-concept triangles of entry
@@ -227,12 +227,16 @@ class DistanceMatrix(Record):
     array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
     order, the order of every flat listing (the OC file, the `words-analyse`
     columns, `pairs.csv`).  The constructor takes any iterable of them, each
-    >= 0 (ValueError) and finite: an infinite one, which only a sum of costs
-    past the float range gives, is DegenerateData naming the first such pair."""
+    >= 0 and no int past the float range (ValueError), and finite: an
+    infinite one, which only a sum of costs past the float range gives, is
+    DegenerateData naming the first such pair."""
 
     def __init__(self, labels, values):
         self.labels = list(labels)
-        self.values = array("d", values)
+        try:
+            self.values = array("d", values)
+        except OverflowError:
+            raise ValueError("a distance is an int past the float range") from None
         n = len(self.labels)
         if n < 1:
             raise ValueError("matrix needs at least one item")
@@ -304,20 +308,19 @@ def _entry_triangle(entries, table):
     closest normalized distance over their variant pairs.
 
     The pair table: each sorted distinct variant is the column word against
-    every later one, with one cost vector per symbol, built on first use.
-    The row words keep a stack of DP rows, cut back to the prefix shared
-    with the previous row word and then extended, so a cut that keeps fewer
-    rows only recomputes them.  The earlier word lies along the columns:
-    costs are symmetric, so DP(a, b) and DP(b, a) perform the same float
-    operations.  Each distance goes straight to the cells of the entries
-    holding its two variants, which keep the smallest.  Entries that share
-    a variant are 0.0 apart, a word's distance to itself, as
-    `table.cost(s, s)` is 0.0.
+    itself and every later one, with one cost vector per symbol, built on
+    first use.  The row words keep a stack of DP rows, cut back to the
+    prefix shared with the previous row word and then extended, so a cut
+    that keeps fewer rows only recomputes them.  The earlier word lies along
+    the columns: costs are symmetric, so DP(a, b) and DP(b, a) perform the
+    same float operations.  Each distance goes straight to the cells of the
+    entries holding its two variants, which keep the smallest; an entry
+    holding a variant twice meets itself, which has no cell.
     """
     n = len(entries)
     holding = {}
     for i, entry in enumerate(entries):
-        for v in dict.fromkeys(entry.variants):
+        for v in entry.variants:
             holding.setdefault(v, []).append(i)
     words = sorted(holding)
     holders = [holding[w] for w in words]
@@ -326,17 +329,13 @@ def _entry_triangle(entries, table):
     # d(i, j), i < j, sits at start[i] + j
     start = [DistanceMatrix.position(n, i, 0) for i in range(n)]
     out = array("d", repeat(math.inf, n * (n - 1) // 2))
-    for held in holders:
-        for x, i in enumerate(held):
-            for j in held[x + 1:]:
-                out[start[i] + j] = 0.0
     gap = table.gap_penalty
     for p, column in enumerate(coded):
         vectors = [None] * len(dense)
         row = _row_kernel(len(column))
         stack = [_first_row(len(column), gap)]
         column_held = holders[p]
-        for q in range(p + 1, len(coded)):
+        for q in range(p, len(coded)):
             row_word = coded[q]
             del stack[shared[q] + 1:]
             for s in row_word[len(stack) - 1:]:
@@ -372,9 +371,10 @@ def language_matrix(lex, table):
     triangles = [_entry_triangle([lex.entries[lang][ci] for lang in langs], table)
                  for ci in range(count)]
     try:
-        return DistanceMatrix(langs, (math.fsum(cells) / count for cells in zip(*triangles)))
+        means = array("d", (math.fsum(cells) / count for cells in zip(*triangles)))
     except OverflowError:
         raise DegenerateData("a sum of word distances overflows") from None
+    return DistanceMatrix(langs, means)
 
 
 def concept_matrix(lex, concept_index, table):

@@ -43,7 +43,11 @@ def _column(values, at_least, what):
     """DegenerateData unless `values` holds at least `at_least` values, each finite."""
     if len(values) < at_least:
         raise DegenerateData(f"{what} needs {at_least} or more values, got {len(values)}")
-    if not all(map(math.isfinite, values)):
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise DegenerateData(f"{what} needs finite values")
 
 

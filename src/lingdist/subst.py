@@ -44,7 +44,11 @@ _ARITY = {
 
 def cost_value(what, value):
     """`value` as a float; ValueError unless it is finite and >= 0."""
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range; past 4,300 digits repr raises
+        raise ValueError(f"{what} must be finite and >= 0, "
+                         "got an int past the float range") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
     return value
@@ -58,14 +62,13 @@ class SubstitutionTable:
     """Symmetric per-symbol-pair substitution costs plus a gap penalty.
 
     `costs` maps each `_pair` key that some rule prices to its resolved
-    cost, and `classes` maps weight class name to weight, as `parse_table`
-    builds them; any other two distinct symbols cost `default_mismatch`.
-    `gap_penalty` and `default_mismatch` go through `cost_value`.
+    cost, as `parse_table` builds it; any other two distinct symbols cost
+    `default_mismatch`.  `gap_penalty` and `default_mismatch` go through
+    `cost_value`.
     """
 
-    def __init__(self, costs, classes, gap_penalty, default_mismatch, name=None):
+    def __init__(self, costs, gap_penalty, default_mismatch, name=None):
         self._costs = costs
-        self.classes = classes
         self.gap_penalty = cost_value("gap penalty", gap_penalty)
         self.default_mismatch = cost_value("default mismatch", default_mismatch)
         self.name = name
@@ -83,8 +86,7 @@ class SubstitutionTable:
     def with_gap(self, gap_penalty):
         """Copy of this table with a different gap penalty.  Costs do not
         depend on the gap, so the copy shares the resolved cost map."""
-        return SubstitutionTable(self._costs, self.classes, gap_penalty,
-                                 self.default_mismatch, self.name)
+        return SubstitutionTable(self._costs, gap_penalty, self.default_mismatch, self.name)
 
     def __repr__(self):
         return f"SubstitutionTable({self.name or 'custom'}, {len(self._costs)} costs)"
@@ -177,8 +179,8 @@ def parse_table(text, name=None):
     costs.update(pairs)
     for members in families.values():
         costs.update(dict.fromkeys(combinations(sorted(members), 2), 0.0))
-    return SubstitutionTable(costs, classes, settings.get("gap", 1.0),
-                             settings.get("default", 1.0), name=name)
+    return SubstitutionTable(costs, settings.get("gap", 1.0), settings.get("default", 1.0),
+                             name=name)
 
 
 def _vowel_pair_lines():

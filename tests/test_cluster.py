@@ -495,11 +495,26 @@ def test_dendrogram_node_ids_must_be_ints(merges):
     (("a", "b"), ((0, 1, -1.0),), "height must be >= 0"),
     (("a", "b", "c"), ((0, 1, 0.1), (2, 3, -math.inf)), "height must be >= 0"),
     (("a", "b", "c"), ((0, 1, -0.0), (2, 3, math.inf)), "merge 1 height must be >= 0 and finite"),
+    # ints the exports could not turn into floats; past 4,300 digits repr raises
+    (("a", "b"), ((0, 1, 10**400),), "^merge 0 height must be >= 0 and finite$"),
+    (("a", "b"), ((0, 1, -10**5000),), "^merge 0 height must be >= 0 and finite$"),
 ], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height",
-        "inf-height"])
+        "inf-height", "int-height-past-range", "int-height-past-repr"])
 def test_dendrogram_refuses_repeated_labels_and_bad_heights(labels, merges, message):
     with pytest.raises(ValueError, match=message):
         Dendrogram(labels, merges)
+
+
+def test_an_int_height_inside_the_float_range_exports():
+    assert export_newick(Dendrogram(("a", "b"), ((0, 1, 1),))) == "(a:0.5,b:0.5);"
+
+
+def test_a_dendrogram_built_from_lists_equals_the_one_agglomerate_builds():
+    m = DistanceMatrix(list("abcd"), [1.0, 4.0, 5.0, 3.0, 6.0, 2.0])
+    d = agglomerate(m)
+    listed = Dendrogram(list(d.leaf_labels), [list(merge) for merge in d.merges])
+    assert listed == d
+    assert best_cut(m, listed) == best_cut(m, d)
 
 
 def test_export_svg_refuses_an_assignment_of_other_labels():

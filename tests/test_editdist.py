@@ -375,6 +375,14 @@ def test_distance_matrix_refuses_an_infinite_cell():
     assert DistanceMatrix("ab", (sys.float_info.max,)).values[0] == sys.float_info.max
 
 
+@pytest.mark.parametrize("big", [10**400, 10**5000], ids=["past-range", "past-repr"])
+def test_distance_matrix_refuses_an_int_past_the_float_range(big):
+    with pytest.raises(ValueError, match="^a distance is an int past the float range$"):
+        DistanceMatrix(["a", "b"], [big])
+    # an int inside the float range is a distance
+    assert DistanceMatrix("abc", [1, 2, 3]).values == array("d", [1.0, 2.0, 3.0])
+
+
 def test_oc_round_trip():
     rng = random.Random(3)
     for n in (1, 2, 3, 7):

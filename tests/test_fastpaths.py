@@ -5,7 +5,8 @@ on built-in and random tables, the coded DP against
 the exponential recursion and the per-cell DP, the generated row kernels
 against the per-cell row, the concept, language and
 all-to-all matrices of the shared-prefix pair table against per-pair ones on
-built-in and random tables (also on words built from one stem), the
+built-in and random tables (also on words built from one stem), their
+pair tables' DP row count against its closed form, the
 distinct-value density against one `exp` per value, the counted
 Bhattacharyya coefficients against one bin lookup per value, the
 nearest-neighbour agglomeration against the pair-dict one, the top-down
@@ -16,8 +17,10 @@ for the agglomeration on matrices without ties.
 """
 
 import math
+import os
 import random
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -256,6 +259,51 @@ def test_all_to_all_matrix_bitwise_equals_reference(lex, table):
 def test_shared_prefix_matrices_bitwise_equal_reference(lex, table):
     assert_concept_and_language_matrices_match(lex, table)
     assert_all_to_all_matrix_matches(lex, table)
+
+
+def pair_table_rows(triangles):
+    """The DP rows the pair tables over these lists of entries compute: per
+    triangle, each sorted distinct variant w_p is the column word against
+    itself and every later word w_q, and w_q reuses the rows of the prefix
+    it shares with w_(q-1)."""
+    rows = 0
+    for entries in triangles:
+        words = sorted({v for entry in entries for v in entry.variants})
+        for p, column in enumerate(words):
+            rows += len(column) + sum(len(b) - len(os.path.commonprefix([a, b]))
+                                      for a, b in zip(words[p:], words[p + 1:]))
+    return rows
+
+
+def counted_rows(call):
+    """How many DP rows `call()` computes through `editdist._row_kernel`."""
+    rows = 0
+    kernel = editdist._row_kernel
+
+    def counting(m):
+        row = kernel(m)
+
+        def counted(*args):
+            nonlocal rows
+            rows += 1
+            return row(*args)
+        return counted
+    with patch.object(editdist, "_row_kernel", counting):
+        call()
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicons(stem_pools()))
+def test_pair_tables_compute_each_row_once(lex):
+    table = builtin_table("editable")
+    concepts = [[lex.entries[lang][ci] for lang in lex.languages]
+                for ci in range(lex.n_concepts)]
+    for ci, entries in enumerate(concepts):
+        assert counted_rows(lambda: concept_matrix(lex, ci, table)) == pair_table_rows([entries])
+    assert counted_rows(lambda: language_matrix(lex, table)) == pair_table_rows(concepts)
+    items = [entry for entries in concepts for entry in entries]
+    assert counted_rows(lambda: all_to_all_matrix(lex, table)) == pair_table_rows([items])
 
 
 @settings(max_examples=80, deadline=None)

@@ -140,10 +140,27 @@ def test_kde_non_finite_value_is_degenerate_data(values):
     lambda: bandwidth_nrd0([1.0]),
     lambda: bandwidth_nrd0([]),
     lambda: bandwidth_nrd0([math.inf, 1.0]),
-], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf"])
+    # an int past the float range, which `math.isfinite` cannot take
+    lambda: tscore([10**400, 1.0, 2.0]),
+    lambda: mean_sd({"a": [1.0, 10**400]}),
+    lambda: kde([1.0, 2.0, 10**400], 8),
+    lambda: bandwidth_nrd0([1.0, -10**400]),
+    lambda: bhattacharyya([1.0], [10**5000]),  # past 4,300 digits repr raises
+    lambda: bhatt_matrix({"a": [1.0, 2.0], "b": [10**400]}),
+    lambda: linregress([1.0, 2.0, 10**400], [1.0, 2.0, 3.0]),
+    lambda: linregress([1.0, 2.0, 3.0], [10**400, 2.0, 3.0]),
+], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf",
+        "tscore-big-int", "mean_sd-big-int", "kde-big-int", "bandwidth-big-int",
+        "bhattacharyya-big-int", "bhatt_matrix-big-int", "linregress-x-big-int",
+        "linregress-y-big-int"])
 def test_every_column_statistic_refuses_a_short_or_non_finite_column(call):
     with pytest.raises(DegenerateData):
         call()
+
+
+def test_column_statistics_take_ints_inside_the_float_range():
+    assert kde([1, 2, 3], 4) == kde([1.0, 2.0, 3.0], 4)
+    assert tscore([1, 2, 3]) == [40.0, 50.0, 60.0]
 
 
 @pytest.mark.parametrize("call, message", [

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lingdist.errors import ParseError, UsageError
-from lingdist.subst import builtin_table, parse_table
+from lingdist.subst import (BUILTIN_TABLES, SubstitutionTable, builtin_table, cost_value,
+                            parse_table)
+from oracles import ReferenceTable
 from test_fastpaths import TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_lexicon import edit
 
@@ -57,24 +59,38 @@ def test_tables_differ_where_documented():
 
 
 # sha256 of each built-in table's resolved costs, gap, default and classes,
-# as `resolved_digest` spells them.  Any rule dropped, added, re-weighted or
-# moved between the tables changes a digest.
+# as `resolved_digest` spells them; a table keeps no classes, so they are read
+# from its text by the rule interpreter.  Any rule dropped, added, re-weighted
+# or moved between the tables changes a digest.
 BUILTIN_TABLE_SHA256 = {
     "editable": "ce31ead25affe0b738272990d201f3d187acedeb285e28f98bed2b2f8f2be8d2",
     "editableGaby": "026a29d1cf97eb4c09a20aed72e15e2750a48d3914afef989d7ab373a9e6e245",
 }
 
 
-def resolved_digest(table):
+def resolved_digest(name):
+    table, classes = builtin_table(name), ReferenceTable(BUILTIN_TABLES[name]).classes
     text = repr((sorted((pair, cost.hex()) for pair, cost in table._costs.items()),
                  table.gap_penalty.hex(), table.default_mismatch.hex(),
-                 sorted((name, weight.hex()) for name, weight in table.classes.items())))
+                 sorted((cls, weight.hex()) for cls, weight in classes.items())))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_TABLE_SHA256))
 def test_builtin_tables_resolve_to_pinned_costs(name):
-    assert resolved_digest(builtin_table(name)) == BUILTIN_TABLE_SHA256[name]
+    assert resolved_digest(name) == BUILTIN_TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cost_value("gap", 10**400),
+    lambda: SubstitutionTable({}, 10**5000, 1.0),  # past 4,300 digits repr raises
+    lambda: SubstitutionTable({}, 1.0, 10**400),
+    lambda: builtin_table("editable").with_gap(10**400),
+], ids=["cost_value", "table-gap", "table-default", "with_gap"])
+def test_a_cost_refuses_an_int_past_the_float_range(call):
+    with pytest.raises(ValueError, match="finite and >= 0, got an int past the float range$"):
+        call()
+    assert cost_value("gap", 2) == 2.0  # an int inside the float range is a cost
 
 
 def test_unknown_table_name():
