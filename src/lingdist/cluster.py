@@ -26,8 +26,8 @@ Dendrogram requires.  Time is O(n^2) plus the rescans (O(n^3) at worst).
 `silhouette` and `best_cut` share one core: `_mean_column` gives every
 point's mean distance to one cluster from a correctly rounded `fsum`, the
 same float in any member order, and `_widths` alone turns a(i) and b(i) into
-s(i) and their mean.  A point alone in its cluster scores 0 and gets a row of
-zeros, so either refuses only when a sum that some score needs overflows.
+s(i), 0 where a(i) = b(i), and their mean.  A singleton's row of zeros gives
+it a(i) = b(i) = 0; either refuses only if a sum some score needs overflows.
 
 `best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
 splits one cluster in two, and each new cluster's column is computed once.
@@ -59,6 +59,7 @@ scores one given cut; no subcommand calls it.
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from operator import itemgetter
 
 from ._record import Record
@@ -70,6 +71,10 @@ LINKAGES = ("single", "complete", "average")
 class Dendrogram(Record):
     def __init__(self, leaf_labels, merges):
         self.leaf_labels = tuple(leaf_labels)
+        merges = tuple(merges)
+        if bad := [merge for merge in merges if not isinstance(merge, Iterable)]:
+            raise ValueError(f"a merge must be a (node, node, height) triple, "
+                             f"got {type(bad[0]).__name__}")
         self.merges = tuple(map(tuple, merges))  # (node_a, node_b, height), node ids as above
         n = len(self.leaf_labels)
         if n < 1 or len(self.merges) != n - 1:
@@ -83,7 +88,12 @@ class Dendrogram(Record):
                 raise ValueError(f"merge {t} node ids must be ints, got {a!r}, {b!r}")
             if a == b or a not in live or b not in live:
                 raise ValueError(f"merge {t} does not join two unmerged nodes: {a}, {b}")
-            if not 0.0 <= h <= sys.float_info.max:  # NaN, inf and a larger int fail; -0.0 passes
+            try:
+                in_range = 0.0 <= h <= sys.float_info.max
+            except TypeError:  # a str, None, a complex
+                raise ValueError(f"merge {t} height must be a real number, "
+                                 f"got {type(h).__name__}") from None
+            if not in_range:  # NaN, inf and a larger int fail; -0.0 passes
                 # past 4,300 digits repr(h) raises
                 got = f", got {h!r}" if type(h) is not int or abs(h) <= sys.float_info.max else ""
                 raise ValueError(f"merge {t} height must be >= 0 and finite{got}")
@@ -230,19 +240,17 @@ def silhouette(matrix, assignment):
         if len(members) == 1:  # a point alone scores 0: no sum over its row
             values[members[0]] = zeros
     cols = {cid: _mean_column(values, members) for cid, members in clusters.items()}
-    scores, mean = _widths([len(clusters[cid]) for cid in own],
-                           [cols[cid][i] for i, cid in enumerate(own)],
+    scores, mean = _widths([cols[cid][i] for i, cid in enumerate(own)],
                            [min(col[i] for c, col in cols.items() if c != cid)
                             for i, cid in enumerate(own)])
     return SilhouetteReport(dict(zip(matrix.labels, scores)), mean)
 
 
-def _widths(sizes, a_of, b_of):
-    """Per-point widths s(i) = (b - a) / max(a, b), and their mean.  A point
-    whose own cluster's size, sizes[i], is 1 scores 0 by convention, its a(i)
-    and b(i) unread, as does a point where a = b = 0."""
-    scores = [(b - a) / denom if size > 1 and (denom := max(a, b)) > 0.0 else 0.0
-              for size, a, b in zip(sizes, a_of, b_of)]
+def _widths(a_of, b_of):
+    """Per-point widths s(i) = (b - a) / max(a, b), 0 where a = b (so for a
+    point alone in its cluster), and their mean; max(a, b) > 0 where a != b,
+    since distances are >= 0."""
+    scores = [(b - a) / max(a, b) if a != b else 0.0 for a, b in zip(a_of, b_of)]
     return scores, math.fsum(scores) / len(scores)
 
 
@@ -252,7 +260,7 @@ def _mean_column(values, members):
 
     The sum takes the member's own zero diagonal along; adding zero leaves a
     correctly rounded sum unchanged.  A point alone in its cluster has a row
-    of zeros, so no sum over its distances is taken; a singleton's column is
+    of zeros, so every column is 0 at it, a = b = 0; a singleton's column is
     read from the rows, which hold one float at [i][m] and [m][i].
     """
     if len(members) == 1:
@@ -291,7 +299,6 @@ def _scan(matrix, dendrogram):
     leaves = _leaf_lists(dendrogram)
     live = {2 * n - 2}
     own = [2 * n - 2] * n  # per point: its cluster,
-    sizes = [n] * n        # that cluster's size,
     a_of = [0.0] * n       # the mean distance a(i) within it,
     b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
     b_from = [None] * n    # and the cluster that gave b(i)
@@ -310,7 +317,6 @@ def _scan(matrix, dendrogram):
         for child, col, other, other_col in ((ca, col_a, cb, col_b), (cb, col_b, ca, col_a)):
             for i in leaves[child]:
                 own[i] = child
-                sizes[i] = len(leaves[child])
                 a_of[i] = col[i]
                 if b_of[i] is None or other_col[i] < b_of[i]:
                     b_of[i], b_from[i] = other_col[i], other
@@ -324,7 +330,7 @@ def _scan(matrix, dendrogram):
                 row = values[i]  # as `_mean_column` for a cluster i is not in
                 b_of[i], b_from[i] = min((math.fsum(row[j] for j in leaves[c]) / len(leaves[c]), c)
                                          for c in live if c != own[i])
-        scores, mean = _widths(sizes, a_of, b_of)
+        scores, mean = _widths(a_of, b_of)
         if best is None or mean > best[1]:  # as `max`: ties keep the smaller k
             best = (k, mean, scores)
         means.append((k, mean))

@@ -40,11 +40,11 @@ can make an indirect route cheaper than the direct substitution.
 
 import math
 from array import array
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import ge
 
 from ._record import FrozenRecord, Record
-from .errors import DegenerateData, FormatError, quote
+from .errors import DegenerateData, FormatError, not_real, quote
 
 GAP = None  # gap marker inside alignment columns
 
@@ -79,10 +79,7 @@ def _coded_words(words, table):
 
 def _first_row(length, gap):
     """The DP row of the empty prefix against a word of `length` symbols."""
-    row = [0.0]
-    for j in range(length):
-        row.append(row[j] + gap)
-    return row
+    return list(accumulate(repeat(gap, length), initial=0.0))
 
 
 # One cell of the row kernels, the DP recurrence: q{j} from the cell above
@@ -227,16 +224,20 @@ class DistanceMatrix(Record):
     array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
     order, the order of every flat listing (the OC file, the `words-analyse`
     columns, `pairs.csv`).  The constructor takes any iterable of them, each
-    >= 0 and no int past the float range (ValueError), and finite: an
-    infinite one, which only a sum of costs past the float range gives, is
-    DegenerateData naming the first such pair."""
+    >= 0, a real number and no int past the float range (ValueError), and
+    finite: an infinite one, which only a sum of costs past the float range
+    gives, is DegenerateData naming the first such pair."""
 
     def __init__(self, labels, values):
         self.labels = list(labels)
+        if iter(values) is values:  # an iterator: kept, so a bad value's type can be named
+            values = list(values)
         try:
             self.values = array("d", values)
         except OverflowError:
             raise ValueError("a distance is an int past the float range") from None
+        except TypeError:
+            raise ValueError(f"a distance must be a real number, got {not_real(values)}") from None
         n = len(self.labels)
         if n < 1:
             raise ValueError("matrix needs at least one item")

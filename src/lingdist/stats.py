@@ -8,9 +8,10 @@ Bhattacharyya coefficients between columns, and simple least-squares
 regression with R-squared for the distance-vs-geography comparison.
 
 Each input rule is stated once: every statistic checks its columns through
-`_column` (DegenerateData for too few values or one that is not finite) and
-its `bins` or `grid_points` through `_count` (ValueError unless an int, not
-a bool, and large enough).  `_finite` refuses a result that overflows.
+`_column` (DegenerateData for too few values or one that is not finite,
+ValueError for one that is not a real number) and its `bins` or
+`grid_points` through `_count` (ValueError unless an int, not a bool, and
+large enough).  `_finite` refuses a result that overflows.
 
 Densities and coefficients work once per distinct value, and both are exact:
 they equal the per-value computation bit for bit.  A density hands
@@ -33,20 +34,24 @@ from operator import itemgetter, mul
 
 from ._record import Record
 from .editdist import DistanceMatrix
-from .errors import DegenerateData, quote
+from .errors import DegenerateData, not_real, quote
 
 
 _OVERFLOW = "a sum or square of the values overflows a float"
 
 
 def _column(values, at_least, what):
-    """DegenerateData unless `values` holds at least `at_least` values, each finite."""
+    """DegenerateData unless `values` holds at least `at_least` values, each
+    finite; ValueError for a value that is not a real number.  The check stops
+    at the first bad value, so that one decides which is raised."""
     if len(values) < at_least:
         raise DegenerateData(f"{what} needs {at_least} or more values, got {len(values)}")
     try:
         finite = all(map(math.isfinite, values))
     except OverflowError:  # an int past the float range
         finite = False
+    except TypeError:
+        raise ValueError(f"{what} needs real numbers, got {not_real(values)}") from None
     if not finite:
         raise DegenerateData(f"{what} needs finite values")
 

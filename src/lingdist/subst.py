@@ -43,12 +43,15 @@ _ARITY = {
 
 
 def cost_value(what, value):
-    """`value` as a float; ValueError unless it is finite and >= 0."""
+    """`value` as a float; ValueError unless it is finite and >= 0.  A str is
+    read as `float` reads one."""
     try:
         value = float(value)
     except OverflowError:  # an int past the float range; past 4,300 digits repr raises
         raise ValueError(f"{what} must be finite and >= 0, "
                          "got an int past the float range") from None
+    except TypeError:  # None, a complex, a list
+        raise ValueError(f"{what} must be a real number, got {type(value).__name__}") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
     return value
@@ -186,14 +189,8 @@ def parse_table(text, name=None):
 def _vowel_pair_lines():
     # Any two distinct vowels cost the generic vowel weight, except a long
     # vowel against its own short form, which has its own longshort rule.
-    vowels = "aeiouyAEIOUY"
-    lines = []
-    for i, x in enumerate(vowels):
-        for y in vowels[i + 1:]:
-            if x.upper() == y:
-                continue
-            lines.append(f"pair {x} {y} vowel")
-    return "\n".join(lines)
+    return "\n".join(f"pair {x} {y} vowel"
+                     for x, y in combinations("aeiouyAEIOUY", 2) if x.upper() != y)
 
 
 # The rules both built-in tables share; each table adds its own below.

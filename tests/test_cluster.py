@@ -498,8 +498,14 @@ def test_dendrogram_node_ids_must_be_ints(merges):
     # ints the exports could not turn into floats; past 4,300 digits repr raises
     (("a", "b"), ((0, 1, 10**400),), "^merge 0 height must be >= 0 and finite$"),
     (("a", "b"), ((0, 1, -10**5000),), "^merge 0 height must be >= 0 and finite$"),
+    # a value that is not a real number, named by its type, not its repr
+    (("a", "b"), ((0, 1, "x"),), "^merge 0 height must be a real number, got str$"),
+    (("a", "b", "c"), ((0, 1, 0.5), (2, 3, None)),
+     "^merge 1 height must be a real number, got NoneType$"),
+    (("a", "b"), [5], r"^a merge must be a \(node, node, height\) triple, got int$"),
 ], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height",
-        "inf-height", "int-height-past-range", "int-height-past-repr"])
+        "inf-height", "int-height-past-range", "int-height-past-repr", "str-height",
+        "none-height", "merge-not-a-triple"])
 def test_dendrogram_refuses_repeated_labels_and_bad_heights(labels, merges, message):
     with pytest.raises(ValueError, match=message):
         Dendrogram(labels, merges)

@@ -375,10 +375,19 @@ def test_distance_matrix_refuses_an_infinite_cell():
     assert DistanceMatrix("ab", (sys.float_info.max,)).values[0] == sys.float_info.max
 
 
-@pytest.mark.parametrize("big", [10**400, 10**5000], ids=["past-range", "past-repr"])
-def test_distance_matrix_refuses_an_int_past_the_float_range(big):
-    with pytest.raises(ValueError, match="^a distance is an int past the float range$"):
-        DistanceMatrix(["a", "b"], [big])
+@pytest.mark.parametrize("value, message", [
+    (10**400, "^a distance is an int past the float range$"),
+    (10**5000, "^a distance is an int past the float range$"),
+    # a value that is not a real number, named by its type, not its repr
+    (None, "^a distance must be a real number, got NoneType$"),
+    (1j, "^a distance must be a real number, got complex$"),
+    ("1", "^a distance must be a real number, got str$"),
+], ids=["past-range", "past-repr", "none", "complex", "str"])
+def test_distance_matrix_refuses_an_int_past_the_float_range(value, message):
+    with pytest.raises(ValueError, match=message):
+        DistanceMatrix(["a", "b"], [value])
+    with pytest.raises(ValueError, match=message):  # the same from an iterator
+        DistanceMatrix(["a", "b", "c"], iter([1.0, 2.0, value]))
     # an int inside the float range is a distance
     assert DistanceMatrix("abc", [1, 2, 3]).values == array("d", [1.0, 2.0, 3.0])
 

@@ -41,8 +41,10 @@ from lingdist.editdist import (DistanceMatrix, all_to_all_matrix, concept_matrix
                                language_matrix, raw_distance, read_oc, write_oc)
 from lingdist.errors import DegenerateData, LingdistError
 from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon
-from lingdist.stats import bhatt_matrix, bhattacharyya, kde
-from lingdist.subst import BUILTIN_TABLES, builtin_table, parse_table
+from lingdist.stats import (bandwidth_nrd0, bhatt_matrix, bhattacharyya, kde, linregress,
+                            mean_sd, tscore)
+from lingdist.subst import (BUILTIN_TABLES, SubstitutionTable, builtin_table, cost_value,
+                            parse_table)
 
 UNKNOWN = ("l", "ж")  # in no rule of either built-in table
 COSTS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
@@ -509,6 +511,54 @@ def test_matrix_calls_on_edge_floats_equal_their_oracles_or_refuse(data, n):
         assert [(k, m.hex()) for k, m in means] == [(k, m.hex()) for k, m in want_means]
     text = write_oc(matrix)
     assert write_oc(read_oc(text)) == text
+
+
+def _not_read_by_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# `cost_value` reads a str or bytes as `float` does, so only those it cannot
+# read are non-numbers to every site
+NON_NUMBERS = st.one_of(st.text(max_size=3).filter(_not_read_by_float), st.none(),
+                        st.complex_numbers(), st.binary(max_size=3).filter(_not_read_by_float),
+                        st.lists(st.floats(0.0, 1.0), max_size=2))
+
+# site -> (how many values it takes, the call, whether `stats._column` checks them)
+NUMERIC_SITES = {
+    "DistanceMatrix": (3, lambda v: DistanceMatrix("abc", v), False),
+    "Dendrogram": (2, lambda v: Dendrogram("abc", ((0, 1, v[0]), (2, 3, v[1]))), False),
+    "tscore": (3, tscore, True),
+    "kde": (3, lambda v: kde(v, 8), True),
+    "mean_sd": (2, lambda v: mean_sd({"a": v}), True),
+    "bandwidth_nrd0": (3, bandwidth_nrd0, True),
+    "bhattacharyya": (4, lambda v: bhattacharyya(v[:2], v[2:]), True),
+    "bhatt_matrix": (4, lambda v: bhatt_matrix({"a": v[:2], "b": v[2:]}), True),
+    "linregress": (6, lambda v: linregress(v[:3], v[3:]), True),
+    "cost_value": (1, lambda v: cost_value("gap", v[0]), False),
+    "SubstitutionTable": (2, lambda v: SubstitutionTable({}, *v), False),
+    "with_gap": (1, lambda v: builtin_table("editable").with_gap(v[0]), False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), site=st.sampled_from(sorted(NUMERIC_SITES)))
+def test_a_value_that_is_not_a_number_is_refused_never_a_type_error(data, site):
+    """One non-number at a random place among valid values, some of them
+    infinite, is a ValueError, or DegenerateData where a column statistic
+    meets an infinity first, as `_column` stops at the first bad value; never
+    a bare TypeError.  The parametrized refusals pin the messages."""
+    size, call, column = NUMERIC_SITES[site]
+    values = data.draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
+                                min_size=size - 1, max_size=size - 1))
+    at = data.draw(st.integers(0, size - 1))
+    bad = data.draw(NON_NUMBERS)
+    values.insert(at, bad)
+    with pytest.raises(DegenerateData if column and math.inf in values[:at] else ValueError):
+        call(values)
 
 
 def test_scan_and_silhouette_raise_degenerate_data_on_overflow():

@@ -134,27 +134,39 @@ def test_kde_non_finite_value_is_degenerate_data(values):
         kde(values, 8)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: tscore([math.inf, 1.0, 2.0]),
-    lambda: mean_sd({"a": [math.inf, 1.0]}),
-    lambda: bandwidth_nrd0([1.0]),
-    lambda: bandwidth_nrd0([]),
-    lambda: bandwidth_nrd0([math.inf, 1.0]),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tscore([math.inf, 1.0, 2.0]), DegenerateData, None),
+    (lambda: mean_sd({"a": [math.inf, 1.0]}), DegenerateData, None),
+    (lambda: bandwidth_nrd0([1.0]), DegenerateData, None),
+    (lambda: bandwidth_nrd0([]), DegenerateData, None),
+    (lambda: bandwidth_nrd0([math.inf, 1.0]), DegenerateData, None),
     # an int past the float range, which `math.isfinite` cannot take
-    lambda: tscore([10**400, 1.0, 2.0]),
-    lambda: mean_sd({"a": [1.0, 10**400]}),
-    lambda: kde([1.0, 2.0, 10**400], 8),
-    lambda: bandwidth_nrd0([1.0, -10**400]),
-    lambda: bhattacharyya([1.0], [10**5000]),  # past 4,300 digits repr raises
-    lambda: bhatt_matrix({"a": [1.0, 2.0], "b": [10**400]}),
-    lambda: linregress([1.0, 2.0, 10**400], [1.0, 2.0, 3.0]),
-    lambda: linregress([1.0, 2.0, 3.0], [10**400, 2.0, 3.0]),
+    (lambda: tscore([10**400, 1.0, 2.0]), DegenerateData, None),
+    (lambda: mean_sd({"a": [1.0, 10**400]}), DegenerateData, None),
+    (lambda: kde([1.0, 2.0, 10**400], 8), DegenerateData, None),
+    (lambda: bandwidth_nrd0([1.0, -10**400]), DegenerateData, None),
+    (lambda: bhattacharyya([1.0], [10**5000]), DegenerateData, None),  # past 4,300 digits repr raises
+    (lambda: bhatt_matrix({"a": [1.0, 2.0], "b": [10**400]}), DegenerateData, None),
+    (lambda: linregress([1.0, 2.0, 10**400], [1.0, 2.0, 3.0]), DegenerateData, None),
+    (lambda: linregress([1.0, 2.0, 3.0], [10**400, 2.0, 3.0]), DegenerateData, None),
+    # a value that is not a real number is misuse, named by its type, not its repr
+    (lambda: tscore(["a", "b"]), ValueError, "^t-score needs real numbers, got str$"),
+    (lambda: kde([None, 1.0]), ValueError, "^density needs real numbers, got NoneType$"),
+    (lambda: mean_sd({"a": [1.0, 1j]}), ValueError, "^sd of column 'a' needs real numbers, got complex$"),
+    (lambda: bandwidth_nrd0([1.0, b"2"]), ValueError, "^bandwidth needs real numbers, got bytes$"),
+    (lambda: bhattacharyya([1.0], [[2.0]]), ValueError, "coefficient needs real numbers, got list$"),
+    (lambda: bhatt_matrix({"a": [1.0, 2.0], "b": ["1"]}), ValueError, "numbers, got str$"),
+    (lambda: linregress([1.0, None, 3.0], [1.0, 2.0, 3.0]), ValueError,
+     "^regression x needs real numbers, got NoneType$"),
+    (lambda: linregress([1.0, 2.0, 3.0], [1.0, 2.0, "3"]), ValueError,
+     "^regression y needs real numbers, got str$"),
 ], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf",
         "tscore-big-int", "mean_sd-big-int", "kde-big-int", "bandwidth-big-int",
         "bhattacharyya-big-int", "bhatt_matrix-big-int", "linregress-x-big-int",
-        "linregress-y-big-int"])
-def test_every_column_statistic_refuses_a_short_or_non_finite_column(call):
-    with pytest.raises(DegenerateData):
+        "linregress-y-big-int", "tscore-str", "kde-none", "mean_sd-complex", "bandwidth-bytes",
+        "bhattacharyya-list", "bhatt_matrix-str", "linregress-x-none", "linregress-y-str"])
+def test_every_column_statistic_refuses_a_short_or_non_finite_column(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 

@@ -81,14 +81,23 @@ def test_builtin_tables_resolve_to_pinned_costs(name):
     assert resolved_digest(name) == BUILTIN_TABLE_SHA256[name]
 
 
-@pytest.mark.parametrize("call", [
-    lambda: cost_value("gap", 10**400),
-    lambda: SubstitutionTable({}, 10**5000, 1.0),  # past 4,300 digits repr raises
-    lambda: SubstitutionTable({}, 1.0, 10**400),
-    lambda: builtin_table("editable").with_gap(10**400),
-], ids=["cost_value", "table-gap", "table-default", "with_gap"])
-def test_a_cost_refuses_an_int_past_the_float_range(call):
-    with pytest.raises(ValueError, match="finite and >= 0, got an int past the float range$"):
+_PAST_RANGE = "finite and >= 0, got an int past the float range$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cost_value("gap", 10**400), _PAST_RANGE),
+    (lambda: SubstitutionTable({}, 10**5000, 1.0), _PAST_RANGE),  # past 4,300 digits repr raises
+    (lambda: SubstitutionTable({}, 1.0, 10**400), _PAST_RANGE),
+    (lambda: builtin_table("editable").with_gap(10**400), _PAST_RANGE),
+    # a value that is not a real number, named by its type, not its repr
+    (lambda: cost_value("gap", None), "^gap must be a real number, got NoneType$"),
+    (lambda: SubstitutionTable({}, None, 1.0), "^gap penalty must be a real number, got NoneType$"),
+    (lambda: builtin_table("editable").with_gap([1]),
+     r"^gap penalty must be a real number, got list$"),
+], ids=["cost_value", "table-gap", "table-default", "with_gap", "cost_value-none",
+        "table-gap-none", "with_gap-list"])
+def test_a_cost_refuses_an_int_past_the_float_range(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
     assert cost_value("gap", 2) == 2.0  # an int inside the float range is a cost
 
