@@ -59,7 +59,6 @@ scores one given cut; no subcommand calls it.
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable
 from operator import itemgetter
 
 from ._record import Record
@@ -71,11 +70,10 @@ LINKAGES = ("single", "complete", "average")
 class Dendrogram(Record):
     def __init__(self, leaf_labels, merges):
         self.leaf_labels = tuple(leaf_labels)
-        merges = tuple(merges)
-        if bad := [merge for merge in merges if not isinstance(merge, Iterable)]:
-            raise ValueError(f"a merge must be a (node, node, height) triple, "
-                             f"got {type(bad[0]).__name__}")
-        self.merges = tuple(map(tuple, merges))  # (node_a, node_b, height), node ids as above
+        try:
+            self.merges = tuple(map(tuple, merges))  # (node_a, node_b, height), node ids as above
+        except TypeError as exc:
+            raise ValueError(f"merges must be (node, node, height) triples: {exc}") from None
         n = len(self.leaf_labels)
         if n < 1 or len(self.merges) != n - 1:
             raise ValueError(f"need n >= 1 leaves and n - 1 merges, "

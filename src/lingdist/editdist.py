@@ -44,7 +44,7 @@ from itertools import accumulate, islice, repeat
 from operator import ge
 
 from ._record import FrozenRecord, Record
-from .errors import DegenerateData, FormatError, not_real, quote
+from .errors import DegenerateData, FormatError, quote
 
 GAP = None  # gap marker inside alignment columns
 
@@ -223,21 +223,21 @@ class DistanceMatrix(Record):
     """Labeled symmetric matrix with zero diagonal, stored as `values`: one
     array('d') of the n(n-1)/2 distances d(i, j), i < j, in `upper_pairs`
     order, the order of every flat listing (the OC file, the `words-analyse`
-    columns, `pairs.csv`).  The constructor takes any iterable of them, each
-    >= 0, a real number and no int past the float range (ValueError), and
-    finite: an infinite one, which only a sum of costs past the float range
-    gives, is DegenerateData naming the first such pair."""
+    columns, `pairs.csv`).  It takes any iterable of them (bytes as their
+    ints), each >= 0 and a real number in the float range (else ValueError),
+    and finite: an infinite one, which only a sum of costs past the float
+    range gives, is DegenerateData naming the first such pair."""
 
     def __init__(self, labels, values):
         self.labels = list(labels)
-        if iter(values) is values:  # an iterator: kept, so a bad value's type can be named
+        if isinstance(values, (bytes, bytearray)):  # array("d", b) reads machine floats
             values = list(values)
         try:
             self.values = array("d", values)
         except OverflowError:
             raise ValueError("a distance is an int past the float range") from None
-        except TypeError:
-            raise ValueError(f"a distance must be a real number, got {not_real(values)}") from None
+        except TypeError as exc:
+            raise ValueError(f"distances must be an iterable of real numbers: {exc}") from None
         n = len(self.labels)
         if n < 1:
             raise ValueError("matrix needs at least one item")

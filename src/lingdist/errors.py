@@ -1,5 +1,4 @@
-"""Exception types raised across the package, and `quote` and `not_real` for
-their messages.
+"""Exception types raised across the package, and `quote` for their messages.
 
 Every class derives from LingdistError and carries the exit code the CLI
 gives it: 2 for a usage error, 3 for every other error.
@@ -7,25 +6,11 @@ Misuse of the library API, such as an inconsistent DistanceMatrix, stays a
 ValueError.
 """
 
-import math
-
 
 def quote(value):
     """The repr of `str(value)`'s first 40 characters, then `...` if more follows."""
     text = str(value)
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
-
-
-def not_real(values):
-    """The type name of the first of `values` that `math.isfinite` cannot
-    take (a str, None, a complex...), for a message that prints no repr."""
-    for value in values:
-        try:
-            math.isfinite(value)
-        except TypeError:
-            return type(value).__name__
-        except OverflowError:  # an int past the float range is a real number
-            pass
 
 
 class LingdistError(Exception):

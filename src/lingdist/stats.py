@@ -1,6 +1,6 @@
 """Column statistics over per-word distance data.
 
-A column is a sequence of reals, one per word/concept; `mean_sd` and
+A column is a sized collection of reals, one per word/concept; `mean_sd` and
 `bhatt_matrix` take a name -> column mapping, in the order they report.
 The statistics: mean and sample standard deviation summaries, Gaussian
 kernel density curves, t-score standardization (mean 50, sd 10),
@@ -9,9 +9,9 @@ regression with R-squared for the distance-vs-geography comparison.
 
 Each input rule is stated once: every statistic checks its columns through
 `_column` (DegenerateData for too few values or one that is not finite,
-ValueError for one that is not a real number) and its `bins` or
-`grid_points` through `_count` (ValueError unless an int, not a bool, and
-large enough).  `_finite` refuses a result that overflows.
+ValueError for one that is not a real number or a column with no len) and
+its `bins` or `grid_points` through `_count` (ValueError unless an int,
+not a bool, and large enough).  `_finite` refuses a result that overflows.
 
 Densities and coefficients work once per distinct value, and both are exact:
 they equal the per-value computation bit for bit.  A density hands
@@ -34,7 +34,7 @@ from operator import itemgetter, mul
 
 from ._record import Record
 from .editdist import DistanceMatrix
-from .errors import DegenerateData, not_real, quote
+from .errors import DegenerateData, quote
 
 
 _OVERFLOW = "a sum or square of the values overflows a float"
@@ -42,16 +42,16 @@ _OVERFLOW = "a sum or square of the values overflows a float"
 
 def _column(values, at_least, what):
     """DegenerateData unless `values` holds at least `at_least` values, each
-    finite; ValueError for a value that is not a real number.  The check stops
-    at the first bad value, so that one decides which is raised."""
-    if len(values) < at_least:
-        raise DegenerateData(f"{what} needs {at_least} or more values, got {len(values)}")
+    finite; ValueError, relaying the TypeError text, where one is not a real
+    number or `values` has no len.  The first bad value decides which is raised."""
     try:
+        if len(values) < at_least:
+            raise DegenerateData(f"{what} needs {at_least} or more values, got {len(values)}")
         finite = all(map(math.isfinite, values))
     except OverflowError:  # an int past the float range
         finite = False
-    except TypeError:
-        raise ValueError(f"{what} needs real numbers, got {not_real(values)}") from None
+    except TypeError as exc:
+        raise ValueError(f"{what} needs a collection of real numbers: {exc}") from None
     if not finite:
         raise DegenerateData(f"{what} needs finite values")
 

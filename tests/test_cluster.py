@@ -502,10 +502,12 @@ def test_dendrogram_node_ids_must_be_ints(merges):
     (("a", "b"), ((0, 1, "x"),), "^merge 0 height must be a real number, got str$"),
     (("a", "b", "c"), ((0, 1, 0.5), (2, 3, None)),
      "^merge 1 height must be a real number, got NoneType$"),
-    (("a", "b"), [5], r"^a merge must be a \(node, node, height\) triple, got int$"),
+    (("a", "b"), [5],
+     r"^merges must be \(node, node, height\) triples: 'int' object is not iterable$"),
+    (("a",), 5, r"^merges must be \(node, node, height\) triples: 'int' object is not iterable$"),
 ], ids=["repeated-pair", "repeated-apart", "nan-height", "negative-height", "minus-inf-height",
         "inf-height", "int-height-past-range", "int-height-past-repr", "str-height",
-        "none-height", "merge-not-a-triple"])
+        "none-height", "merge-not-a-triple", "merges-not-iterable"])
 def test_dendrogram_refuses_repeated_labels_and_bad_heights(labels, merges, message):
     with pytest.raises(ValueError, match=message):
         Dendrogram(labels, merges)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import struct
 import sys
 from array import array
 from itertools import islice
@@ -379,9 +380,9 @@ def test_distance_matrix_refuses_an_infinite_cell():
     (10**400, "^a distance is an int past the float range$"),
     (10**5000, "^a distance is an int past the float range$"),
     # a value that is not a real number, named by its type, not its repr
-    (None, "^a distance must be a real number, got NoneType$"),
-    (1j, "^a distance must be a real number, got complex$"),
-    ("1", "^a distance must be a real number, got str$"),
+    (None, "^distances must be an iterable of real numbers: must be real number, not NoneType$"),
+    (1j, "^distances must be an iterable of real numbers: must be real number, not complex$"),
+    ("1", "^distances must be an iterable of real numbers: must be real number, not str$"),
 ], ids=["past-range", "past-repr", "none", "complex", "str"])
 def test_distance_matrix_refuses_an_int_past_the_float_range(value, message):
     with pytest.raises(ValueError, match=message):
@@ -390,6 +391,20 @@ def test_distance_matrix_refuses_an_int_past_the_float_range(value, message):
         DistanceMatrix(["a", "b", "c"], iter([1.0, 2.0, value]))
     # an int inside the float range is a distance
     assert DistanceMatrix("abc", [1, 2, 3]).values == array("d", [1.0, 2.0, 3.0])
+
+
+def test_distance_matrix_reads_bytes_as_the_ints_they_iterate_to():
+    # `array("d", b)` alone would read b as machine floats
+    with pytest.raises(ValueError, match="^2 items need 1 values, got 8$"):
+        DistanceMatrix(["a", "b"], struct.pack("d", 0.75))
+    for values in (bytes([1, 2, 3, 4, 5, 6]), bytearray([1, 2, 3, 4, 5, 6])):
+        assert DistanceMatrix("abcd", values).values == array("d", [1, 2, 3, 4, 5, 6])
+
+
+def test_distance_matrix_refuses_values_that_are_not_iterable():
+    with pytest.raises(ValueError, match="^distances must be an iterable of real numbers: "
+                                         "'int' object is not iterable$"):
+        DistanceMatrix(["a"], 5)
 
 
 def test_oc_round_trip():

@@ -150,21 +150,38 @@ def test_kde_non_finite_value_is_degenerate_data(values):
     (lambda: linregress([1.0, 2.0, 10**400], [1.0, 2.0, 3.0]), DegenerateData, None),
     (lambda: linregress([1.0, 2.0, 3.0], [10**400, 2.0, 3.0]), DegenerateData, None),
     # a value that is not a real number is misuse, named by its type, not its repr
-    (lambda: tscore(["a", "b"]), ValueError, "^t-score needs real numbers, got str$"),
-    (lambda: kde([None, 1.0]), ValueError, "^density needs real numbers, got NoneType$"),
-    (lambda: mean_sd({"a": [1.0, 1j]}), ValueError, "^sd of column 'a' needs real numbers, got complex$"),
-    (lambda: bandwidth_nrd0([1.0, b"2"]), ValueError, "^bandwidth needs real numbers, got bytes$"),
-    (lambda: bhattacharyya([1.0], [[2.0]]), ValueError, "coefficient needs real numbers, got list$"),
-    (lambda: bhatt_matrix({"a": [1.0, 2.0], "b": ["1"]}), ValueError, "numbers, got str$"),
+    (lambda: tscore(["a", "b"]), ValueError,
+     "^t-score needs a collection of real numbers: must be real number, not str$"),
+    (lambda: kde([None, 1.0]), ValueError,
+     "^density needs a collection of real numbers: must be real number, not NoneType$"),
+    (lambda: mean_sd({"a": [1.0, 1j]}), ValueError,
+     "^sd of column 'a' needs a collection of real numbers: must be real number, not complex$"),
+    (lambda: bandwidth_nrd0([1.0, b"2"]), ValueError,
+     "^bandwidth needs a collection of real numbers: must be real number, not bytes$"),
+    (lambda: bhattacharyya([1.0], [[2.0]]), ValueError,
+     "^Bhattacharyya coefficient needs a collection of real numbers: must be real number, not list$"),
+    (lambda: bhatt_matrix({"a": [1.0, 2.0], "b": ["1"]}), ValueError,
+     "^Bhattacharyya coefficient needs a collection of real numbers: must be real number, not str$"),
     (lambda: linregress([1.0, None, 3.0], [1.0, 2.0, 3.0]), ValueError,
-     "^regression x needs real numbers, got NoneType$"),
+     "^regression x needs a collection of real numbers: must be real number, not NoneType$"),
     (lambda: linregress([1.0, 2.0, 3.0], [1.0, 2.0, "3"]), ValueError,
-     "^regression y needs real numbers, got str$"),
+     "^regression y needs a collection of real numbers: must be real number, not str$"),
+    # a column that is not a collection, or has no len
+    (lambda: kde(5), ValueError,
+     "^density needs a collection of real numbers: object of type 'int' has no len\\(\\)$"),
+    (lambda: tscore(None), ValueError,
+     "^t-score needs a collection of real numbers: object of type 'NoneType' has no len\\(\\)$"),
+    (lambda: mean_sd({"a": 5}), ValueError,
+     "^sd of column 'a' needs a collection of real numbers: object of type 'int' has no len\\(\\)$"),
+    (lambda: bandwidth_nrd0(x for x in [1.0, 2.0]), ValueError,
+     "^bandwidth needs a collection of real numbers: "
+     "object of type 'generator' has no len\\(\\)$"),
 ], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf",
         "tscore-big-int", "mean_sd-big-int", "kde-big-int", "bandwidth-big-int",
         "bhattacharyya-big-int", "bhatt_matrix-big-int", "linregress-x-big-int",
         "linregress-y-big-int", "tscore-str", "kde-none", "mean_sd-complex", "bandwidth-bytes",
-        "bhattacharyya-list", "bhatt_matrix-str", "linregress-x-none", "linregress-y-str"])
+        "bhattacharyya-list", "bhatt_matrix-str", "linregress-x-none", "linregress-y-str",
+        "kde-int", "tscore-none", "mean_sd-int-column", "bandwidth-generator"])
 def test_every_column_statistic_refuses_a_short_or_non_finite_column(call, error, message):
     with pytest.raises(error, match=message):
         call()
