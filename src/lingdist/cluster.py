@@ -29,16 +29,16 @@ same float in any member order, and `_widths` alone turns a(i) and b(i) into
 s(i), 0 where a(i) = b(i), and their mean.  A singleton's row of zeros gives
 it a(i) = b(i) = 0; either refuses only if a sum some score needs overflows.
 
-`best_cut` walks the cuts top-down.  Going to k undoes merge n-k, which
-splits one cluster in two, and each new cluster's column is computed once.
-Each point keeps a(i), b(i) and the cluster b(i) came from.  A split can
-only bring b(i) down to one of the two new columns, unless b(i) came from the
-cluster that split and rounding put both halves above it; then that point
-alone rescans the live clusters.  So the best k's scores are `silhouette`'s,
-and `best_cut`'s report, with no second pass.  The scan costs O(n * sum of
-|split cluster|): O(n^2 log n) on a balanced tree and O(n^3) on a chain, and
-holds each node's leaf list.  `cut` runs for the best k only.
-`silhouette_scan` returns the same scan's means.
+`best_cut` is the one scan, walking the cuts top-down.  Going to k undoes
+merge n-k, which splits one cluster in two, and each new column is computed
+once.  Each point keeps its cluster, a(i), b(i) (inf before the first split)
+and the cluster b(i) came from, so the points' clusters are the cut's.  A
+split can only bring b(i) down to one of the two new columns, unless b(i)
+came from the cluster that split and rounding put both halves above it; then
+that point alone rescans the other clusters.  So the best k's scores are
+`silhouette`'s, with no second pass.  The scan costs O(n * sum of |split
+cluster|): O(n^2 log n) balanced, O(n^3) on a chain, and holds each node's
+leaf list.  `cut` runs for the best k; `silhouette_scan` reads the means.
 
 The exports walk the merges forward, each node built from its two children,
 so nothing recurses and a tree of any depth exports.  `_leaf_lists` gives
@@ -47,8 +47,9 @@ the SVG's leaf order.  `_placed_heights` places a leaf at 0 and merge t at
 the largest of its children's heights and its own, so never below a child
 (an average update of equal distances can round a merge one ulp below one).
 Newick puts each node at half that height, so branch lengths are ultrametric;
-`export_svg` draws at it, 720 wide with an 18-high row per leaf.  It imports
-`svgplot` when called, so a run that draws no dendrogram never loads it.
+`export_svg` draws at it, 720 wide (wider where a long label would leave the
+plot no width, so the plot keeps 120) with an 18-high row per leaf.  It
+imports `svgplot` when called, so a run that draws no dendrogram never loads it.
 
 A DistanceMatrix holds only its upper triangle.  `agglomerate` and the scan
 each work on a square from `matrix.rows()` and release it before the next
@@ -282,31 +283,32 @@ def _leaf_lists(dendrogram):
     return leaves
 
 
-def _scan(matrix, dendrogram):
-    """Score the cut at every k in 2..n-1 in one pass over one square.
+def best_cut(matrix, dendrogram):
+    """Score the cut at every k in 2..n-1 in one pass over one square, and
+    keep the cut with the best mean silhouette.
 
-    Returns (means, best): (k, mean) for every k, and (k, mean, per-point
-    scores in label order) at the best k, None when n < 3.  The rows are
-    read by leaf number, so leaves that are not the matrix labels in order
-    are a ValueError.
+    Returns (assignment, report, means): the cut at the best k, ties going
+    to the smaller k; its SilhouetteReport, from the scan's own per-point
+    scores; and the list of (k, mean) for every k.  The rows are read by
+    leaf number, so leaves that are not the matrix labels in order are a
+    ValueError; fewer than 3 items are DegenerateData.
     """
     if dendrogram.leaf_labels != tuple(matrix.labels):
         raise ValueError("the dendrogram's leaf labels are not the matrix labels, in order")
+    n = matrix.n
+    if n < 3:
+        raise DegenerateData(f"need at least 3 items to scan cuts, got {n}")
     values = matrix.rows()
-    n = len(values)
     leaves = _leaf_lists(dendrogram)
-    live = {2 * n - 2}
     own = [2 * n - 2] * n  # per point: its cluster,
     a_of = [0.0] * n       # the mean distance a(i) within it,
-    b_of = [None] * n      # the smallest mean distance b(i) to another cluster,
+    b_of = [math.inf] * n  # the smallest mean distance b(i) to another cluster,
     b_from = [None] * n    # and the cluster that gave b(i)
     zeros = [0.0] * n
     means, best = [], None
     for k in range(2, n):
         parent = 2 * n - k
         ca, cb, _h = dendrogram.merges[n - k]
-        live.remove(parent)
-        live.update((ca, cb))
         for child in (ca, cb):
             if child < n:  # a point alone scores 0: no sum over its row
                 values[child] = zeros
@@ -316,7 +318,7 @@ def _scan(matrix, dendrogram):
             for i in leaves[child]:
                 own[i] = child
                 a_of[i] = col[i]
-                if b_of[i] is None or other_col[i] < b_of[i]:
+                if other_col[i] < b_of[i]:
                     b_of[i], b_from[i] = other_col[i], other
         for i in range(n):
             if own[i] == ca or own[i] == cb:
@@ -327,33 +329,18 @@ def _scan(matrix, dendrogram):
             elif b_from[i] == parent:  # rounding left both halves above the whole
                 row = values[i]  # as `_mean_column` for a cluster i is not in
                 b_of[i], b_from[i] = min((math.fsum(row[j] for j in leaves[c]) / len(leaves[c]), c)
-                                         for c in live if c != own[i])
+                                         for c in set(own) if c != own[i])
         scores, mean = _widths(a_of, b_of)
         if best is None or mean > best[1]:  # as `max`: ties keep the smaller k
             best = (k, mean, scores)
         means.append((k, mean))
-    return means, best
-
-
-def best_cut(matrix, dendrogram):
-    """Scan every k in 2..n-1 and keep the cut with the best mean silhouette.
-
-    Returns (assignment, report, means): the cut at the best k, ties going
-    to the smaller k; its SilhouetteReport, from the scan's own per-point
-    scores; and the list of (k, mean) for every k.  Raises ValueError unless
-    the dendrogram's leaves are the matrix labels in order.
-    """
-    means, best = _scan(matrix, dendrogram)
-    if best is None:
-        raise DegenerateData(f"need at least 3 items to scan cuts, got {matrix.n}")
     k, mean, scores = best
-    report = SilhouetteReport(dict(zip(matrix.labels, scores)), mean)
-    return cut(dendrogram, k), report, means
+    return cut(dendrogram, k), SilhouetteReport(dict(zip(matrix.labels, scores)), mean), means
 
 
 def silhouette_scan(matrix, dendrogram):
-    """Mean silhouette for every k in 2..n-1, as a list of (k, mean)."""
-    return _scan(matrix, dendrogram)[0]
+    """Mean silhouette for every k in 2..n-1, as a list of (k, mean): `best_cut`'s means."""
+    return best_cut(matrix, dendrogram)[2]
 
 
 class PurityReport(Record):
@@ -435,6 +422,9 @@ def export_svg(dendrogram, assignment=None):
     width, row_height, margin = 720, 18, 36
     label_w = 8 * max(len(str(label)) for label in dendrogram.leaf_labels) + 12
     plot_w = width - margin - label_w - margin
+    if plot_w <= 0:  # a label of 80 or more characters: widen, giving the plot 120 px
+        plot_w = 120
+        width = margin + plot_w + label_w + margin
     height = margin * 2 + row_height * n
     canvas = Canvas(width, height)
 

@@ -297,8 +297,11 @@ def linregress(x, y):
     sums, squares, a slope or an intercept beyond the float range, raise
     DegenerateData.
     """
-    if len(x) != len(y):
-        raise DegenerateData(f"x has {len(x)} values, y has {len(y)}")
+    try:
+        if len(x) != len(y):
+            raise DegenerateData(f"x has {len(x)} values, y has {len(y)}")
+    except TypeError:  # one has no len, which `_column` names
+        pass
     _column(x, 3, "regression x")
     _column(y, 3, "regression y")
     n = len(x)

@@ -6,6 +6,8 @@ fonts, system state, or a plotting library.  Each chart has one fixed size:
 bars 720 x 320, density curves 480 x 300, scatter plots 480 x 340.
 """
 
+import re
+
 PALETTE = (
     "#1b6ca8", "#c0392b", "#1e8449", "#7d3c98", "#b7950b",
     "#2c3e50", "#ca6f1e", "#148f77", "#884ea0", "#5d6d7e",
@@ -16,11 +18,17 @@ def _n(value):
     return f"{value:.2f}"
 
 
+# the characters XML 1.0 cannot hold, even as a character reference
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def escape(text):
     """`text` with &, < and > escaped for XML character data, as
-    `xml.sax.saxutils.escape` does; that module imports `urllib.request`
-    and with it the network stack."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    `xml.sax.saxutils.escape` does (that module imports `urllib.request`
+    and with it the network stack), and each character XML cannot hold
+    shown as U+FFFD."""
+    return _NOT_XML.sub("\ufffd", text.replace("&", "&amp;").replace("<", "&lt;")
+                        .replace(">", "&gt;"))
 
 
 class Canvas:

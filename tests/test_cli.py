@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,20 @@ def test_bad_concept_names_fail_and_write_nothing(header, tmp_path):
     out = tmp_path / "a" / "b" / "out"
     assert run_cli(["words-analyse", "--lexicon", str(lex_path), "--out", str(out)]) == 3
     assert files_under(tmp_path) == ["toy.pl"]
+
+
+def test_a_control_character_in_a_name_leaves_every_svg_well_formed(tmp_path):
+    # an atom or a concept name may hold \x01, which no XML 1.0 text can
+    lex_path = tmp_path / "ctl.pl"
+    lex_path.write_text("#concepts: o\x01ne,two,three\nn(w\x01v,[pat,ko,ma]).\n"
+                        "n(x,[bat,go,na]).\nn(y,[pata,kor,mas]).\nn(z,[sult,ze,lir]).\n",
+                        encoding="utf-8")
+    for command, drawn in (("cluster", "w\ufffdv"), ("words-analyse", "o\ufffdne")):
+        out = tmp_path / command
+        assert run_cli([command, "--lexicon", str(lex_path), "--out", str(out)]) == 0
+        texts = [text.text for path in out.glob("*.svg")
+                 for text in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert drawn in texts
 
 
 @pytest.mark.parametrize("line", [

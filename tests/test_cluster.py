@@ -235,6 +235,15 @@ def test_silhouette_scan_covers_all_k():
     assert [k for k, _s in scan] == [2, 3, 4]
 
 
+def test_silhouette_scan_refuses_fewer_than_three_items():
+    # as best_cut and reference_cut_scan: there is no k in 2..n-1 to score
+    two = _matrix("ab", {("a", "b"): 0.4})
+    for m, d in ((two, agglomerate(two)), (DistanceMatrix(["a"], []), Dendrogram("a", []))):
+        with pytest.raises(DegenerateData,
+                           match=f"^need at least 3 items to scan cuts, got {m.n}$"):
+            silhouette_scan(m, d)
+
+
 def test_best_cut_is_first_argmax_of_silhouette_scan():
     rng = random.Random(71)
     tied = 0
@@ -590,6 +599,27 @@ def test_svg_well_formed_and_deterministic():
     text = ET.tostring(root, encoding="unicode")
     for label in FIVE.labels:
         assert label in text
+
+
+@pytest.mark.parametrize("length", [79, 80, 200])
+def test_svg_widens_the_canvas_only_for_a_label_that_leaves_no_plot(length):
+    # at 80 characters a 720-wide canvas left the plot a negative width,
+    # which drew the root right of its leaves and, from 85, the leaves off it
+    labels = ["a", "x" * length, "c", "d"]
+    d = agglomerate(DistanceMatrix(labels, [1.0, 4.0, 5.0, 3.0, 6.0, 2.0]))
+    for assignment in (None, cut(d, 2)):
+        root = ET.fromstring(export_svg(d, assignment))
+        width = float(root.get("width"))
+        assert (width == 720) == (length < 80)
+        lines = root.findall("{http://www.w3.org/2000/svg}line")
+        texts = root.findall("{http://www.w3.org/2000/svg}text")
+        xs = [float(line.get(a)) for line in lines for a in ("x1", "x2")]
+        assert all(0.0 <= x <= width for x in xs + [float(text.get("x")) for text in texts])
+        # the last vertical line of a merge is the root's; a leaf label sits 6 right of its leaf
+        root_x = [float(line.get("x1")) for line in lines
+                  if line.get("stroke") == "#555555" and line.get("x1") == line.get("x2")][-1]
+        assert all(float(text.get("x")) - 6 > root_x for text in texts if text.text in labels)
+        assert sum(text.text in labels for text in texts) == 4
 
 
 def test_cut_then_silhouette_full_pipeline():

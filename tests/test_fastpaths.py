@@ -543,15 +543,44 @@ NUMERIC_SITES = {
     "with_gap": (1, lambda v: builtin_table("editable").with_gap(v[0]), False),
 }
 
+# site -> calls that take their argument in one container's place, every
+# other argument valid
+CONTAINER_SITES = {
+    "DistanceMatrix": (lambda c: DistanceMatrix("abc", c),),
+    "Dendrogram": (lambda c: Dendrogram("abc", c),),
+    "tscore": (tscore,),
+    "kde": (lambda c: kde(c, 8),),
+    "mean_sd": (lambda c: mean_sd({"a": c}),),
+    "bandwidth_nrd0": (bandwidth_nrd0,),
+    "bhattacharyya": (lambda c: bhattacharyya(c, [1.0, 2.0]),
+                      lambda c: bhattacharyya([1.0, 2.0], c)),
+    "bhatt_matrix": (lambda c: bhatt_matrix({"a": c, "b": [1.0, 2.0]}),
+                     lambda c: bhatt_matrix({"a": [1.0, 2.0], "b": c})),
+    "linregress": (lambda c: linregress(c, [1.0, 2.0, 3.0]),
+                   lambda c: linregress([1.0, 2.0, 3.0], c)),
+}
 
-@settings(max_examples=300, deadline=None)
+NON_COLLECTIONS = st.one_of(st.integers(), st.floats(), st.none(), st.booleans())
+
+# a column has a len: a generator of valid floats is not one
+NON_COLUMNS = st.one_of(NON_COLLECTIONS,
+                        st.lists(st.floats(0.0, 10.0), max_size=4).map(lambda xs: (x for x in xs)))
+
+
+@settings(max_examples=500, deadline=None)
 @given(data=st.data(), site=st.sampled_from(sorted(NUMERIC_SITES)))
 def test_a_value_that_is_not_a_number_is_refused_never_a_type_error(data, site):
     """One non-number at a random place among valid values, some of them
     infinite, is a ValueError, or DegenerateData where a column statistic
     meets an infinity first, as `_column` stops at the first bad value; never
-    a bare TypeError.  The parametrized refusals pin the messages."""
+    a bare TypeError.  So is a non-collection in a container's place, or a
+    generator in a column's.  The parametrized refusals pin the messages."""
     size, call, column = NUMERIC_SITES[site]
+    if site in CONTAINER_SITES and data.draw(st.booleans(), label="in a container's place"):
+        put = data.draw(st.sampled_from(CONTAINER_SITES[site]))
+        with pytest.raises(ValueError):
+            put(data.draw(NON_COLUMNS if column else NON_COLLECTIONS))
+        return
     values = data.draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
                                 min_size=size - 1, max_size=size - 1))
     at = data.draw(st.integers(0, size - 1))

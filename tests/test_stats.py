@@ -176,12 +176,21 @@ def test_kde_non_finite_value_is_degenerate_data(values):
     (lambda: bandwidth_nrd0(x for x in [1.0, 2.0]), ValueError,
      "^bandwidth needs a collection of real numbers: "
      "object of type 'generator' has no len\\(\\)$"),
+    (lambda: linregress(5, [1.0, 2.0, 3.0]), ValueError,
+     "^regression x needs a collection of real numbers: object of type 'int' has no len\\(\\)$"),
+    (lambda: linregress([1.0, 2.0, 3.0], None), ValueError,
+     "^regression y needs a collection of real numbers: "
+     "object of type 'NoneType' has no len\\(\\)$"),
+    (lambda: linregress((x for x in [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]), ValueError,
+     "^regression x needs a collection of real numbers: "
+     "object of type 'generator' has no len\\(\\)$"),
 ], ids=["tscore-inf", "mean_sd-inf", "bandwidth-one", "bandwidth-empty", "bandwidth-inf",
         "tscore-big-int", "mean_sd-big-int", "kde-big-int", "bandwidth-big-int",
         "bhattacharyya-big-int", "bhatt_matrix-big-int", "linregress-x-big-int",
         "linregress-y-big-int", "tscore-str", "kde-none", "mean_sd-complex", "bandwidth-bytes",
         "bhattacharyya-list", "bhatt_matrix-str", "linregress-x-none", "linregress-y-str",
-        "kde-int", "tscore-none", "mean_sd-int-column", "bandwidth-generator"])
+        "kde-int", "tscore-none", "mean_sd-int-column", "bandwidth-generator",
+        "linregress-x-int", "linregress-y-none", "linregress-x-generator"])
 def test_every_column_statistic_refuses_a_short_or_non_finite_column(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
@@ -52,6 +53,20 @@ def run_python(code):
 @given(st.text(alphabet="&<>\"'a;", max_size=12))
 def test_escape_equals_saxutils_escape(text):
     assert svgplot.escape(text) == sax_escape(text)
+
+
+def _xml_char(c):
+    """Whether XML 1.0's Char production takes `c`."""
+    o = ord(c)
+    return o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or o >= 0x10000
+
+
+@given(st.text(st.characters(exclude_categories=())))  # surrogates and controls too
+def test_escape_makes_character_data_that_parses(text):
+    parsed = ET.fromstring("<t>" + svgplot.escape(text) + "</t>").text or ""
+    shown = "".join(c if _xml_char(c) else "\ufffd" for c in text)
+    # a parser reads the line ends "\r\n" and "\r" as "\n"
+    assert parsed == shown.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def test_text_labels_are_escaped():
