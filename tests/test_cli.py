@@ -31,6 +31,7 @@ from lingdist.lexicon import Lexicon, WordEntry, parse_lexicon, serialize_lexico
 from test_fastpaths import LONG_TABLE_TOKEN, TABLE_EDIT_CHARS, TABLE_INSERTS, dsl_tables
 from test_golden import CASES, GOLDEN
 from test_lexicon import LONG_ATOM, edit, lexicon_texts
+from test_svgplot import assert_texts_on_canvas
 
 SHEEP = str(FIXTURES / "sheep.pl")
 SHEEP_GEO = str(FIXTURES / "sheep_geo.csv")
@@ -204,6 +205,26 @@ def test_a_control_character_in_a_name_leaves_every_svg_well_formed(tmp_path):
         texts = [text.text for path in out.glob("*.svg")
                  for text in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
         assert drawn in texts
+
+
+def test_a_long_concept_name_stays_on_every_chart(tmp_path):
+    # at 0.6 em a character, the 109-character density title spanned -137 to
+    # 647 on a 480-wide canvas and the mean_sd.svg label -142 to 458 on 720
+    long_name = "c" * 100
+    lex_path = tmp_path / "long.pl"
+    lex_path.write_text(f"#concepts: {long_name},two,three\nn(w,[pat,ko,ma]).\n"
+                        "n(x,[bat,go,na]).\nn(y,[pata,kor,mas]).\nn(z,[sult,ze,lir]).\n")
+    out = tmp_path / "out"
+    assert run_cli(["words-analyse", "--lexicon", str(lex_path), "--out", str(out)]) == 0
+    # the long title widens its density chart, the bar label fits in 720, and
+    # the dendrogram of the concepts widens for its 100-character leaf
+    widths = {f"density_{long_name}.svg": 784.8, "density_two.svg": 480,
+              "density_three.svg": 480, "mean_sd.svg": 720,
+              "bhatt_dendrogram.svg": 204 + 8 * 100}
+    assert sorted(path.name for path in out.glob("*.svg")) == sorted(widths)
+    for name, width in widths.items():
+        root = assert_texts_on_canvas((out / name).read_text(encoding="utf-8"))
+        assert float(root.get("width")) == width, name
 
 
 @pytest.mark.parametrize("line", [

@@ -1,5 +1,5 @@
-"""The SVG writer's text escaping, what importing lingdist and its CLI
-loads, and the names the package exports."""
+"""The SVG writer's text escaping and charts, what importing lingdist and
+its CLI loads, and the names the package exports."""
 
 import dataclasses
 import importlib
@@ -14,11 +14,13 @@ from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 from conftest import FIXTURES
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lingdist
 from lingdist import svgplot
+from lingdist.cluster import agglomerate, export_svg
+from lingdist.editdist import DistanceMatrix
 from lingdist._record import FrozenRecord, Record
 
 SRC = pathlib.Path(lingdist.__file__).resolve().parent.parent
@@ -73,6 +75,160 @@ def test_text_labels_are_escaped():
     canvas = svgplot.Canvas(10, 10)
     canvas.text(0, 0, 'a&b<c>"d\'')
     assert "a&amp;b&lt;c&gt;\"d'</text>" in canvas.tostring()
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def text_spans(root):
+    """Each text of a parsed SVG document as (left, right, text), its width
+    estimated as Canvas.text does, at 0.6 em a character."""
+    spans = []
+    for text in root.iter(SVG + "text"):
+        content = text.text or ""
+        w = 0.6 * int(text.get("font-size")) * len(content)
+        left = float(text.get("x")) - {"start": 0.0, "middle": w / 2.0, "end": w}[
+            text.get("text-anchor")]
+        spans.append((left, left + w, content))
+    return spans
+
+
+def assert_texts_on_canvas(svg):
+    """Parse `svg` and check that every text lies within [0, width], up to
+    the rounding of x and width, each written to 0.005; return the root."""
+    root = ET.fromstring(svg)
+    width = float(root.get("width"))
+    assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
+    background = root.find(SVG + "rect")
+    assert (background.get("width"), background.get("height")) == (
+        root.get("width"), root.get("height"))
+    for left, right, content in text_spans(root):
+        assert -0.01 <= left and right <= width + 0.01, (left, right, width, content)
+    return root
+
+
+def size_of(root):
+    return float(root.get("width")), float(root.get("height"))
+
+
+def test_grouped_bars_draws_a_rect_per_category_and_series():
+    svg = svgplot.grouped_bars(["a", "b", "c"], [("mean", [1.0, 2.0, 3.0]),
+                                                 ("sd", [0.5, 0.25, 0.0])], "bars")
+    root = assert_texts_on_canvas(svg)
+    assert size_of(root) == (720, 320)
+    # 3 x 2 bars, 2 legend swatches and the background
+    assert len(root.findall(SVG + "rect")) == 6 + 2 + 1
+    assert [t.text for t in root.iter(SVG + "text")] == ["bars", "a", "b", "c", "mean",
+                                                         "sd", "3", "0"]
+
+
+def test_grouped_bars_of_zeros_scale_by_one():
+    root = ET.fromstring(svgplot.grouped_bars(["a"], [("m", [0.0])], "t"))
+    bar = root.findall(SVG + "rect")[1]
+    assert (bar.get("y"), bar.get("height")) == ("274.00", "0.00")
+    assert [t.text for t in root.iter(SVG + "text")][-2:] == ["1", "0"]
+
+
+def test_curve_plot_draws_one_polyline_of_every_point():
+    xs, ys = [0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 2.0, 1.0]
+    root = assert_texts_on_canvas(svgplot.curve_plot(xs, ys, "curve"))
+    assert size_of(root) == (480, 300)
+    (line,) = root.findall(SVG + "polyline")
+    # x over [0, 4] onto 50..460, y over [0, 2] onto 260..28
+    assert line.get("points") == "50.00,260.00 152.50,202.00 255.00,28.00 460.00,144.00"
+    assert [t.text for t in root.iter(SVG + "text")] == ["curve", "0", "4", "2", "0"]
+
+
+def test_curve_plot_widens_a_constant_x_and_scales_zero_ys_by_one():
+    root = ET.fromstring(svgplot.curve_plot([2.0, 2.0, 2.0], [0.0, 0.0, -0.0], "flat"))
+    (line,) = root.findall(SVG + "polyline")
+    assert line.get("points") == "50.00,260.00 50.00,260.00 50.00,260.00"
+    # the x span is [2, 3], the y span [0, 1]
+    assert [t.text for t in root.iter(SVG + "text")] == ["flat", "2", "3", "1", "0"]
+
+
+def test_scatter_plot_draws_each_point_and_a_two_point_line():
+    xs, ys = [1.0, 2.0, 3.0, 5.0, 8.0], [2.0, 3.0, 5.0, 4.0, 9.0]
+    root = assert_texts_on_canvas(
+        svgplot.scatter_plot(xs, ys, 1.0, 1.0, "scatter", "geo", "ling"))
+    assert size_of(root) == (480, 340)
+    assert len(root.findall(SVG + "circle")) == 5
+    (line,) = root.findall(SVG + "polyline")
+    # y = x + 1 from x = 1 to 8, over x in [1, 8] onto 56..460 and y in [2, 9] onto 288..28
+    assert line.get("points") == "56.00,288.00 460.00,28.00"
+    assert [t.text for t in root.iter(SVG + "text")] == [
+        "scatter", "1", "8", "9", "2", "geo", "ling"]
+
+
+def test_scatter_plot_widens_a_constant_column():
+    root = ET.fromstring(svgplot.scatter_plot([3.0, 3.0], [1.0, 1.0], 0.0, 1.0, "t", "x", "y"))
+    assert [c.get("cx") for c in root.iter(SVG + "circle")] == ["56.00", "56.00"]
+    assert [c.get("cy") for c in root.iter(SVG + "circle")] == ["288.00", "288.00"]
+    assert [t.text for t in root.iter(SVG + "text")][1:5] == ["3", "4", "2", "1"]
+
+
+def test_chart_labels_are_escaped():
+    name = 'a&b<c>"d\''
+    svgs = [svgplot.grouped_bars([name], [(name, [1.0])], name),
+            svgplot.curve_plot([0.0, 1.0], [1.0, 0.0], name),
+            svgplot.scatter_plot([0.0, 1.0], [1.0, 0.0], -1.0, 1.0, name, name, name)]
+    for svg, count in zip(svgs, (3, 1, 3)):
+        assert svg.count("a&amp;b&lt;c&gt;\"d'</text>") == count
+        assert [t.text for t in ET.fromstring(svg).iter(SVG + "text")].count(name) == count
+
+
+def test_a_text_wider_than_the_canvas_widens_it():
+    canvas = svgplot.Canvas(100, 20)
+    canvas.text(50, 10, "x" * 10, size=10, anchor="middle")  # 60 wide: fits, stays
+    canvas.text(95, 10, "y" * 10, size=10)  # would end at 155: moved to end at 100
+    canvas.text(10, 10, "z" * 20, size=10, anchor="end")  # 120 wide: the canvas grows
+    svg = canvas.tostring()
+    root = assert_texts_on_canvas(svg)
+    assert size_of(root) == (120, 20)
+    assert [t.get("x") for t in root.iter(SVG + "text")] == ["50.00", "40.00", "120.00"]
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=150)  # controls too
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.text(min_size=1, max_size=120), min_size=2, max_size=4,
+                       unique=True))
+def test_the_text_rule_moves_no_dendrogram_label(labels):
+    n = len(labels)
+    d = agglomerate(DistanceMatrix(labels, [1.0 + i for i in range(n * (n - 1) // 2)]))
+    root = assert_texts_on_canvas(export_svg(d))
+    longest = max(map(len, labels))
+    width = 720 if longest < 80 else 204 + 8 * longest
+    assert size_of(root)[0] == width
+    # each label 6 right of the leaves, as placed before any text was moved
+    leaf_x = width - 36 - (8 * longest + 12) + 6
+    xs = [float(t.get("x")) for t in root.iter(SVG + "text")][:n]
+    assert xs == [round(leaf_x, 2)] * n
+
+
+def _fits(width, *texts):
+    return all(0.6 * size * len(text) <= width for size, text in texts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(title=ANY_TEXT, names=st.lists(ANY_TEXT, min_size=1, max_size=3),
+       cats=st.lists(ANY_TEXT, min_size=1, max_size=4),
+       x_label=ANY_TEXT, y_label=ANY_TEXT,
+       values=st.lists(st.floats(0.0, 1e6), min_size=8, max_size=8))
+def test_every_chart_text_stays_on_its_canvas(title, names, cats, x_label, y_label, values):
+    # value labels are at most 9 characters, so never the text that widens
+    bars = svgplot.grouped_bars(cats, [(name, values[:len(cats)]) for name in names], title)
+    curve = svgplot.curve_plot(values[:4], values[4:], title)
+    scatter = svgplot.scatter_plot(values[:4], values[4:], 0.5, 1.0, title, x_label, y_label)
+    for svg, size, labels in ((bars, (720, 320), cats + names), (curve, (480, 300), []),
+                              (scatter, (480, 340), [x_label, y_label])):
+        root = assert_texts_on_canvas(svg)
+        assert size_of(root)[1] == size[1]
+        if _fits(size[0], (12, title), *((10, label) for label in labels)):
+            assert size_of(root) == size
+        else:
+            assert size_of(root)[0] > size[0]
 
 
 def test_cli_import_loads_no_network_modules(tmp_path):
